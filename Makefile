@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check check-schemes check-parallel check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-parallel check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
 
 all: build test
 
@@ -55,13 +55,17 @@ check-schemes:
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
 
 # The parallel-replay acceptance gate: the commit-pipeline units and the
-# parallel-vs-serial bit-identity differential — every scheme and trace at
+# parallel-vs-serial bit-identity differential over every admission mode
+# of the request loop — every scheme over every trace open-loop and every
+# closed-loop shape (stream, tenant mixes, write cache off/on), at
 # Parallelism 1 vs N compared with reflect.DeepEqual on full results —
-# plus the cancellation goroutine-leak check, all under the race detector.
+# plus progress/cancel parity and the cancellation goroutine-leak check,
+# all under the race detector.
 check-parallel:
-	$(GO) test -race -count 1 -run 'TestPipeline|TestParallel' ./internal/sim ./internal/core
+	$(GO) test -race -count 1 -run 'TestPipeline|TestParallel' ./internal/sim
+	$(GO) test -race -count 1 -run 'TestParallel|TestClosedLoopParallel' ./internal/core
 
-# The multi-tenant/spec-API acceptance gate: the spec-vs-legacy
+# The multi-tenant/spec-API acceptance gate: the spec-vs-reference
 # bit-identity differential across every scheme, multi-tenant replay
 # determinism, cancelled-run per-tenant partials, the write-cache
 # front-end (unit + integration), the tenant scheduler units, and the
@@ -75,16 +79,16 @@ check-tenants:
 
 # The closed-loop fast-path acceptance gate: the slab write cache
 # (eviction-order scripts, the fuzz differential against a map-backed
-# reference, the zero-alloc steady state), the parallel-vs-serial
-# closed-loop bit-identity differential across every scheme and tenant
-# mix, the zero-alloc request loop, the concurrent contention study
-# (concurrent == serial rows, standalone cell == study row, aggregated
-# progress/cancel), and the sharded "contention" job kind — all under
-# the race detector.
+# reference, the zero-alloc steady state), the closed-loop behaviour and
+# parallel-vs-serial bit-identity tests, the zero-alloc request loop, the
+# closed-loop entry's validation and cancellation, the concurrent
+# contention study (concurrent == serial rows, standalone cell == study
+# row, aggregated progress/cancel), and the sharded "contention" job
+# kind — all under the race detector.
 check-closedloop:
 	$(GO) test -race -count 1 \
 	  -run 'TestEvictionOrder|TestSlab|TestWriteCacheSteadyState' ./internal/cache
-	$(GO) test -race -count 1 -run 'TestClosedLoop|TestContention' ./internal/core
+	$(GO) test -race -count 1 -run 'TestClosedLoop|TestRunClosedLoop|TestContention' ./internal/core
 	$(GO) test -race -count 1 -run 'TestContention|TestV4' ./internal/server
 
 # Regenerate every table and figure of the paper (plus the P/E sweep).
@@ -101,6 +105,13 @@ sensitivity:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The repository benchmark under ipubench/ is its own Go module
+# (replace ipusim => ../), so the root `go test ./...` never compiles it:
+# vet and test it against the current tree, so an API change that breaks
+# the benchmark fails here.
+bench-module:
+	cd ipubench && $(GO) vet . && $(GO) test -count 1 .
 
 # Run the fixed-work benchmark suite across every layer and record it as
 # JSON: raw output in bench/latest.txt, parsed record in BENCH_<n>.json at

@@ -40,7 +40,7 @@ func benchFlash() *flash.Config {
 // figure benchmarks.
 func runBenchMatrix(b *testing.B, traces []string, pes []int) *core.ResultSet {
 	b.Helper()
-	results, err := core.RunMatrix(core.MatrixSpec{
+	results, err := core.RunMatrixContext(context.Background(), core.MatrixSpec{
 		Traces:      traces,
 		PEBaselines: pes,
 		Scale:       benchScale,
@@ -271,14 +271,14 @@ func BenchmarkMatrix(b *testing.B) {
 		Seed:    benchSeed,
 		Flash:   benchFlash(),
 	}
-	if _, err := core.RunMatrix(spec); err != nil {
+	if _, err := core.RunMatrixContext(context.Background(), spec); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var reqs int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunMatrix(spec)
+		res, err := core.RunMatrixContext(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 		reqs += tr.Len()
@@ -368,7 +368,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 		sim.Release()
@@ -381,7 +381,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 		sim.Release()
@@ -509,7 +509,7 @@ func BenchmarkFullGeometryReplay(b *testing.B) {
 		}
 		b.StartTimer()
 		start := time.Now()
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 		elapsed += time.Since(start)

@@ -21,7 +21,7 @@
 // committed in simulated-time order, so metrics are bit-identical to a
 // serial run. -progress reports replay progress on stderr while the run is
 // in flight. Interrupting the process (Ctrl-C / SIGTERM) cancels the
-// replay cleanly at the next request boundary.
+// replay cleanly within 64 requests.
 package main
 
 import (

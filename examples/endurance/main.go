@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -43,7 +44,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := sim.Run(tr)
+			res, err := sim.RunContext(context.Background(), tr)
 			if err != nil {
 				log.Fatal(err)
 			}

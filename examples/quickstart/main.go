@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	}
 	fmt.Printf("replaying %d requests of %s...\n", tr.Len(), tr.Name)
 
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -52,7 +53,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(tr)
+		res, err := sim.RunContext(context.Background(), tr)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+
+	"ipusim/internal/trace"
 )
 
 // MatrixCell names one (trace, scheme, P/E) coordinate of a MatrixSpec.
@@ -39,24 +41,25 @@ func cellsOf(spec MatrixSpec) []MatrixCell {
 	return cells
 }
 
-// RunCell executes one cell of the spec. It is RunCellContext under
-// context.Background().
-func RunCell(spec MatrixSpec, cell MatrixCell) (*Result, error) {
-	return RunCellContext(context.Background(), spec, cell)
-}
-
 // RunCellContext executes one cell of the spec — the same configuration,
-// trace synthesis and replay a RunMatrixContext worker would perform for
-// that cell — and returns its Result. The spec supplies seed, scale and
-// the optional flash override; the cell supplies the coordinates. The
-// result is bit-identical to the corresponding element of the full
-// matrix, which is what makes cells safe to farm out and memoise.
+// trace synthesis and replay a RunMatrixContext worker performs for that
+// cell — and returns its Result. The spec supplies seed, scale and the
+// optional flash override; the cell supplies the coordinates. The result
+// is bit-identical to the corresponding element of the full matrix,
+// which is what makes cells safe to farm out and memoise.
 func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Result, error) {
 	spec.normalize()
 	tr, err := cachedTrace(cell.Trace, spec.Seed, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
+	return runCell(ctx, spec, cell, tr, spec.OnProgress)
+}
+
+// runCell replays tr on a simulator built for the cell of the normalized
+// spec, reporting to onProgress (nil for none) every spec.ProgressEvery
+// requests.
+func runCell(ctx context.Context, spec MatrixSpec, cell MatrixCell, tr *trace.Trace, onProgress ProgressFunc) (*Result, error) {
 	cfg := DefaultConfig()
 	if spec.Flash != nil {
 		cfg.Flash = *spec.Flash
@@ -66,23 +69,36 @@ func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Res
 	}
 	cfg.Scheme = cell.Scheme
 	cfg.Parallelism = spec.Parallelism
+	res, err := runOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
+		if onProgress != nil {
+			sim.OnProgress(spec.ProgressEvery, onProgress)
+		}
+		return sim.RunContext(ctx, tr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.PEBaseline = cfg.Flash.PEBaseline
+	return res, nil
+}
+
+// runOn replays on a snapshot-cached simulator for cfg that the caller
+// fully owns. The device rejoins the snapshot cache's free pool after a
+// completed or cancelled replay — a cancelled one stopped between
+// requests, so it is consistent, and a recycled device is restored in
+// place before reuse — while any other failure drops it.
+func runOn(ctx context.Context, cfg Config, replay func(*Simulator) (*Result, error)) (*Result, error) {
 	sim, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if spec.OnProgress != nil {
-		sim.OnProgress(spec.ProgressEvery, spec.OnProgress)
-	}
-	res, err := sim.RunContext(ctx, tr)
+	res, err := replay(sim)
 	if err != nil {
-		// A cancelled replay stopped between requests, so the device is
-		// consistent and can rejoin the snapshot cache's free pool.
 		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
 			sim.Release()
 		}
 		return nil, err
 	}
 	sim.Release()
-	res.PEBaseline = cfg.Flash.PEBaseline
 	return res, nil
 }

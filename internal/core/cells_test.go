@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -42,7 +43,7 @@ func TestRunCellMatchesMatrixElement(t *testing.T) {
 		Scale:       0.01,
 		Seed:        11,
 	}
-	want, err := RunMatrix(spec)
+	want, err := RunMatrixContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunCellMatchesMatrixElement(t *testing.T) {
 		t.Fatalf("cells = %d, matrix rows = %d", len(cells), len(want))
 	}
 	for i, c := range cells {
-		got, err := RunCell(spec, c)
+		got, err := RunCellContext(context.Background(), spec, c)
 		if err != nil {
 			t.Fatalf("cell %v: %v", c, err)
 		}
@@ -68,7 +69,7 @@ func TestRunCellMatchesMatrixElement(t *testing.T) {
 func TestSensitivityPointCellsMatchSweep(t *testing.T) {
 	const param = "slcratio"
 	spec := MatrixSpec{Traces: []string{"ts0"}, Scale: 0.01, Seed: 5}
-	want, err := RunSensitivity(param, spec)
+	want, err := RunSensitivityContext(context.Background(), param, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSensitivityPointCellsMatchSweep(t *testing.T) {
 			t.Fatalf("%s=%v: cell config diverged from point spec", param, v)
 		}
 		for _, c := range Cells(pointSpec) {
-			r, err := RunCell(pointSpec, c)
+			r, err := RunCellContext(context.Background(), pointSpec, c)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,210 +9,142 @@ import (
 	"ipusim/internal/trace"
 )
 
-// parallelSerialSpecs enumerates the closed-loop workloads the
-// parallel-vs-serial differential covers: the single stream and both
-// default tenant mixes, each with the write-cache front-end off and on.
-func parallelSerialSpecs(t *testing.T) map[string]ClosedLoopSpec {
-	t.Helper()
-	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := map[string]ClosedLoopSpec{
-		"stream": {Trace: tr, Depth: 8},
-	}
-	for _, mix := range DefaultTenantMixes() {
-		specs[mix.Name] = ClosedLoopSpec{
-			Depth:   16,
-			Seed:    13,
-			Scale:   0.003,
-			Tenants: mix.Tenants,
-		}
-	}
-	out := make(map[string]ClosedLoopSpec, 2*len(specs))
-	for name, spec := range specs {
-		out[name+"/raw"] = spec
-		buffered := spec
-		buffered.WriteCache = &cache.Config{CapacityBytes: 256 << 10}
-		out[name+"/buffered"] = buffered
-	}
-	return out
-}
-
-// TestClosedLoopParallelMatchesSerial is the tentpole differential: for
-// every scheme, every workload shape (single stream, both tenant mixes),
-// and both write-cache arms, a closed-loop replay with the read pipeline
-// enabled must produce a Result DeepEqual to the serial replay — full
-// metrics, per-tenant percentiles, fairness, and write-cache counters
-// included. Run under -race by make check-closedloop.
-func TestClosedLoopParallelMatchesSerial(t *testing.T) {
-	specs := parallelSerialSpecs(t)
-	for _, name := range SchemeNames {
-		for label, spec := range specs {
-			t.Run(name+"/"+label, func(t *testing.T) {
-				run := func(parallelism int) *Result {
-					cfg := DefaultConfig()
-					cfg.Flash = smallFlash()
-					cfg.Scheme = name
-					cfg.Parallelism = parallelism
-					sim, err := NewFresh(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := sim.RunClosedLoopSpec(context.Background(), spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				want := run(1)
-				got := run(4)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("parallel closed loop diverged from serial:\n got %+v\nwant %+v", got, want)
-				}
-			})
-		}
-	}
-}
-
 // TestClosedLoopParallelProgressAndCancel checks the parallel loop's
-// progress/cancellation contract against the serial one: identical
-// SimTime/GCs snapshots at every tick, and a callback-driven cancel
-// stopping at exactly the same request.
+// progress/cancellation contract against the serial one, for the open
+// loop and the single-stream closed loop: identical SimTime/GCs snapshots
+// at every tick, and a callback-driven cancel stopping at exactly the
+// same request.
 func TestClosedLoopParallelProgressAndCancel(t *testing.T) {
-	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		run  func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error
+	}{
+		{
+			name: "open",
+			tr:   mustGenerate(t, "ads", 11, 0.005),
+			run: func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error {
+				sim.OnProgress(7, fn)
+				_, err := sim.RunContext(ctx, tr)
+				return err
+			},
+		},
+		{
+			name: "stream",
+			tr:   mustGenerate(t, "ts0", 11, 0.003),
+			run: func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error {
+				_, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{
+					Trace: tr, Depth: 8, ProgressEvery: 7, OnProgress: fn,
+				})
+				return err
+			},
+		},
 	}
 	type tick struct {
 		Replayed int
 		SimTime  int64
 		GCs      int64
 	}
-	run := func(parallelism, stopAt int) (ticks []tick, replayed int) {
-		cfg := DefaultConfig()
-		cfg.Flash = smallFlash()
-		cfg.Parallelism = parallelism
-		sim, err := NewFresh(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		_, runErr := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{
-			Trace:         tr,
-			Depth:         8,
-			ProgressEvery: 7,
-			OnProgress: func(p Progress) {
-				ticks = append(ticks, tick{p.Replayed, p.SimTime, p.GCs})
-				replayed = p.Replayed
-				if stopAt > 0 && p.Replayed >= stopAt {
-					cancel()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(parallelism, stopAt int) (ticks []tick, replayed int) {
+				cfg := DefaultConfig()
+				cfg.Flash = smallFlash()
+				cfg.Parallelism = parallelism
+				sim, err := NewFresh(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			},
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				runErr := c.run(ctx, sim, c.tr, func(p Progress) {
+					ticks = append(ticks, tick{p.Replayed, p.SimTime, p.GCs})
+					replayed = p.Replayed
+					if stopAt > 0 && p.Replayed >= stopAt {
+						cancel()
+					}
+				})
+				if stopAt > 0 && runErr == nil {
+					t.Fatal("cancelled run returned nil error")
+				}
+				if stopAt == 0 && runErr != nil {
+					t.Fatal(runErr)
+				}
+				return ticks, replayed
+			}
+			for _, stopAt := range []int{0, 42} {
+				serialTicks, serialN := run(1, stopAt)
+				parTicks, parN := run(4, stopAt)
+				if serialN != parN {
+					t.Fatalf("stopAt=%d: replayed %d parallel vs %d serial", stopAt, parN, serialN)
+				}
+				if !reflect.DeepEqual(parTicks, serialTicks) {
+					t.Fatalf("stopAt=%d: progress ticks diverged:\n got %+v\nwant %+v", stopAt, parTicks, serialTicks)
+				}
+			}
 		})
-		if stopAt > 0 && runErr == nil {
-			t.Fatal("cancelled run returned nil error")
-		}
-		if stopAt == 0 && runErr != nil {
-			t.Fatal(runErr)
-		}
-		return ticks, replayed
-	}
-	for _, stopAt := range []int{0, 42} {
-		serialTicks, serialN := run(1, stopAt)
-		parTicks, parN := run(4, stopAt)
-		if serialN != parN {
-			t.Fatalf("stopAt=%d: replayed %d parallel vs %d serial", stopAt, parN, serialN)
-		}
-		if !reflect.DeepEqual(parTicks, serialTicks) {
-			t.Fatalf("stopAt=%d: progress ticks diverged:\n got %+v\nwant %+v", stopAt, parTicks, serialTicks)
-		}
 	}
 }
 
-// TestClosedLoopSteadyStateZeroAllocs pins the zero-allocation property
-// of the steady-state closed-loop request loop with the write-cache
-// front-end on: after warm-up, replaying requests through the production
-// step path allocates nothing — for the single stream and for the
-// multi-tenant loop alike.
-func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
-	t.Run("stream", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Flash = smallFlash()
-		sim, err := NewFresh(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := ClosedLoopSpec{Trace: tr, Depth: 8, WriteCache: &cache.Config{CapacityBytes: 256 << 10}}
-		spec.normalize()
-		l, err := sim.newStreamLoop(&spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay := func() {
-			for i := range l.ring {
-				l.ring[i] = 0
-			}
-			l.last = 0
-			for i := 0; i < tr.Len(); i++ {
-				l.step(i)
-			}
-			l.wb.Drain(l.last)
-		}
-		// Warm until the device's memo tables, the write-cache slab, and
-		// the GC paths have reached their steady footprint.
-		for i := 0; i < 4; i++ {
-			replay()
-		}
-		if avg := testing.AllocsPerRun(3, replay); avg != 0 {
-			t.Fatalf("steady-state stream loop allocates %.2f/replay, want 0", avg)
-		}
-	})
+// mustGenerate synthesises a profile's trace or fails the test.
+func mustGenerate(t *testing.T, profile string, seed int64, scale float64) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Generate(trace.Profiles[profile], seed, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
-	t.Run("tenants", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Flash = smallFlash()
-		sim, err := NewFresh(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := ClosedLoopSpec{
-			Depth:      16,
-			Seed:       13,
-			Scale:      0.003,
-			Tenants:    DefaultTenantMixes()[0].Tenants,
-			WriteCache: &cache.Config{CapacityBytes: 256 << 10},
-		}
-		spec.normalize()
-		l, _, err := sim.newTenantLoop(&spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := l.sched.Len()
-		replay := func() {
-			for ti := range l.rings {
-				for i := range l.rings[ti] {
-					l.rings[ti][i] = 0
+// TestClosedLoopSteadyStateZeroAllocs pins the zero-allocation property
+// of the steady-state request loop with the write-cache front-end on:
+// after warm-up, replaying requests through the loop's production step
+// path allocates nothing — for the single stream and for tenants alike.
+func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
+	specs := map[string]ClosedLoopSpec{
+		"stream": {Trace: mustGenerate(t, "ts0", 11, 0.003), Depth: 8},
+		"tenants": {
+			Depth:   16,
+			Seed:    13,
+			Scale:   0.003,
+			Tenants: DefaultTenantMixes()[0].Tenants,
+		},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Flash = smallFlash()
+			sim, err := NewFresh(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.WriteCache = &cache.Config{CapacityBytes: 256 << 10}
+			spec.normalize()
+			l, err := sim.closedLoop(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := l.src.len()
+			replay := func() {
+				for ti := range l.rings {
+					clear(l.rings[ti])
 				}
-				l.counts[ti] = 0
-				l.accums[ti] = tenantAccum{}
+				clear(l.counts)
+				clear(l.accums)
+				l.last = 0
+				for i := 0; i < n; i++ {
+					l.step(i)
+				}
+				l.wb.Drain(l.last)
 			}
-			l.lastEnd = 0
-			for i := 0; i < n; i++ {
-				l.step(i)
+			// Warm until the device's memo tables, the write-cache slab,
+			// and the GC paths have reached their steady footprint.
+			for i := 0; i < 4; i++ {
+				replay()
 			}
-			l.wb.Drain(l.lastEnd)
-		}
-		for i := 0; i < 4; i++ {
-			replay()
-		}
-		if avg := testing.AllocsPerRun(3, replay); avg != 0 {
-			t.Fatalf("steady-state tenant loop allocates %.2f/replay, want 0", avg)
-		}
-	})
+			if avg := testing.AllocsPerRun(3, replay); avg != 0 {
+				t.Fatalf("steady-state %s loop allocates %.2f/replay, want 0", name, avg)
+			}
+		})
+	}
 }

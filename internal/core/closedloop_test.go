@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ipusim/internal/trace"
@@ -25,11 +26,11 @@ func TestRunClosedLoopRejectsBadDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunClosedLoop(burstTrace(10), 0); err == nil {
+	if _, err := sim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: burstTrace(10), Depth: 0}); err == nil {
 		t.Fatal("depth 0 accepted")
 	}
 	bad := trace.New("bad", trace.Record{Size: 0})
-	if _, err := sim.RunClosedLoop(bad, 1); err == nil {
+	if _, err := sim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: bad, Depth: 1}); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 }
@@ -45,11 +46,11 @@ func TestClosedLoopBoundsLatencyUnderSaturation(t *testing.T) {
 		}
 		return sim
 	}
-	open, err := mk().Run(tr)
+	open, err := mk().RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := mk().RunClosedLoop(tr, 4)
+	closed, err := mk().RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestClosedLoopDepthOneSerialises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunClosedLoop(burstTrace(50), 1)
+	res, err := sim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: burstTrace(50), Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestClosedLoopMatchesOpenLoopWhenIdle(t *testing.T) {
 		}
 		return sim
 	}
-	open, err := mk().Run(tr)
+	open, err := mk().RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := mk().RunClosedLoop(tr, 8)
+	closed, err := mk().RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

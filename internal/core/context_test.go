@@ -10,7 +10,8 @@ import (
 
 // TestRunContextCancelStopsWithinOneRequest cancels a replay from inside
 // the per-request progress callback and asserts not a single further
-// request is issued: cancellation is checked on every request boundary.
+// request is issued: the loop polls the context right after every
+// progress callback.
 func TestRunContextCancelStopsWithinOneRequest(t *testing.T) {
 	tr, err := trace.Generate(trace.Profiles["ts0"], 3, 0.005)
 	if err != nil {
@@ -67,7 +68,7 @@ func TestRunClosedLoopContextCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, err := sim.RunClosedLoopContext(ctx, tr, 8); !errors.Is(err, context.Canceled) {
+	if _, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{Trace: tr, Depth: 8}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if replayed != stopAt {
@@ -92,7 +93,7 @@ func TestRunProgressSnapshots(t *testing.T) {
 	const every = 128
 	var snaps []Progress
 	sim.OnProgress(every, func(p Progress) { snaps = append(snaps, p) })
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestRunMatrixContextCancelReturnsDevicesToPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run(tr)
+	want, err := fresh.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRunMatrixContextCancelReturnsDevicesToPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := recycled.Run(tr)
+	got, err := recycled.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestRunMatrixAggregatedProgress(t *testing.T) {
 		ProgressEvery: 64,
 		OnProgress:    func(p Progress) { last = p },
 	}
-	if _, err := RunMatrix(spec); err != nil {
+	if _, err := RunMatrixContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := cachedTrace("ts0", 7, 0.005)
@@ -261,11 +262,11 @@ func TestReleasedSimulatorRefusesUse(t *testing.T) {
 		t.Fatalf("Read after Release: err = %v, want ErrReleased", err)
 	}
 	tr := trace.New("t", trace.Record{Time: 0, Op: trace.OpWrite, Offset: 0, Size: 4096})
-	if _, err := sim.Run(tr); !errors.Is(err, ErrReleased) {
-		t.Fatalf("Run after Release: err = %v, want ErrReleased", err)
+	if _, err := sim.RunContext(context.Background(), tr); !errors.Is(err, ErrReleased) {
+		t.Fatalf("RunContext after Release: err = %v, want ErrReleased", err)
 	}
-	if _, err := sim.RunClosedLoop(tr, 4); !errors.Is(err, ErrReleased) {
-		t.Fatalf("RunClosedLoop after Release: err = %v, want ErrReleased", err)
+	if _, err := sim.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: 4}); !errors.Is(err, ErrReleased) {
+		t.Fatalf("RunClosedLoopSpec after Release: err = %v, want ErrReleased", err)
 	}
 	if res := sim.Result("t", 1); res != nil {
 		t.Fatalf("Result after Release = %+v, want nil", res)

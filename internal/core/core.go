@@ -42,11 +42,13 @@ type Config struct {
 	// subpage ECC evaluation is dispatched to this many workers and
 	// committed back in simulated-time order, so results stay
 	// bit-identical to a serial run. 0 or 1 (the default) replays
-	// serially. Open-loop and closed-loop replays both honour it; a
-	// closed-loop queue-depth gate that needs an in-flight read's true
-	// completion time forces exactly the pending commits it depends on.
-	// Parallelism never changes any metric — only wall time — so it is
-	// not part of the snapshot-cache or job-cache key.
+	// serially. Every replay mode honours it: a queue-depth gate that
+	// needs an in-flight read's true completion time forces exactly the
+	// pending commits it depends on, and a progress snapshot commits
+	// every in-flight read first, so its SimTime and GCs equal a serial
+	// replay's. Parallelism never changes any metric or progress value —
+	// only wall time — so it is not part of the snapshot-cache or
+	// job-cache key.
 	Parallelism int
 }
 
@@ -105,7 +107,7 @@ type Simulator struct {
 	pooled bool
 
 	// progress, if non-nil, is invoked every progressEvery requests (and
-	// at completion) by Run/RunClosedLoop.
+	// at completion) by RunContext and RunClosedLoopSpec.
 	progress      ProgressFunc
 	progressEvery int
 }
@@ -143,8 +145,8 @@ func NewFresh(cfg Config) (*Simulator, error) {
 func (s *Simulator) Scheme() scheme.Scheme { return s.scheme }
 
 // OnProgress registers fn to receive a Progress snapshot every `every`
-// completed requests (and once at completion) during Run and
-// RunClosedLoop. A non-positive interval means DefaultProgressEvery; a nil
+// completed requests (and once at completion) during RunContext and
+// RunClosedLoopSpec. A non-positive interval means DefaultProgressEvery; a nil
 // fn unregisters. The steady-state replay loop pays only a nil check when
 // no callback is registered.
 func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
@@ -157,8 +159,8 @@ func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
 
 // Release hands the scheme instance back to the snapshot cache's free pool
 // for recycling and invalidates the simulator: every later Write, Read or
-// Run on it fails with ErrReleased. Only callers that fully own the
-// simulator (RunMatrix workers, daemon jobs) may call it — a released
+// run on it fails with ErrReleased. Only callers that fully own the
+// simulator (matrix workers, daemon jobs) may call it — a released
 // device is overwritten in place by a later job. Release is idempotent.
 func (s *Simulator) Release() {
 	if s.scheme == nil {
@@ -189,29 +191,17 @@ func (s *Simulator) Read(now int64, offset int64, size int) (int64, error) {
 	return s.scheme.Read(now, offset, size), nil
 }
 
-// emitProgress delivers one Progress snapshot to the registered callback.
-func (s *Simulator) emitProgress(replayed, total int, simTime int64) {
-	m := s.scheme.Metrics()
-	s.progress(Progress{
-		Replayed: replayed,
-		Total:    total,
-		SimTime:  simTime,
-		GCs:      m.GCs(),
-	})
-}
-
-// Run replays a trace and returns the aggregated result. Offsets wrap
-// modulo the logical space, so traces larger than the device still replay.
-// It is RunContext under context.Background().
-func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
-	return s.RunContext(context.Background(), tr)
-}
-
-// RunContext replays a trace, checking ctx between requests: the replay
-// stops within one request boundary of cancellation and returns ctx's
-// error. Contexts that cannot be cancelled (context.Background) cost the
-// loop nothing. A periodic callback registered with OnProgress reports
-// replay progress.
+// RunContext replays a trace open-loop: every request issues at its
+// trace timestamp, whatever is still outstanding, and offsets wrap modulo
+// the logical space, so traces larger than the device still replay.
+//
+// A callback registered with OnProgress receives a snapshot every
+// `every` requests and at the last one; its SimTime is that request's own
+// completion time, the same at any Parallelism. ctx is polled every 64
+// requests and right after each progress callback, so cancellation stops
+// the replay within 64 requests — at exactly the reporting request when
+// the callback itself cancels — and RunContext returns nil with ctx's
+// error. Contexts that cannot be cancelled cost the loop nothing.
 func (s *Simulator) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
 	if s.scheme == nil {
 		return nil, ErrReleased
@@ -219,46 +209,11 @@ func (s *Simulator) RunContext(ctx context.Context, tr *trace.Trace) (*Result, e
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	done := ctx.Done()
-	n := tr.Len()
-	if s.cfg.Parallelism > 1 {
-		d := s.scheme.Device()
-		d.StartReadPipeline(s.cfg.Parallelism)
-		// The deferred stop makes cancellation leak-free: every worker is
-		// flushed and joined before RunContext returns, on every path.
-		defer d.StopReadPipeline()
-	}
-	var last int64
-	for i := 0; i < n; i++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		r := tr.At(i)
-		if r.Op == trace.OpWrite {
-			last = s.scheme.Write(r.Time, r.Offset, r.Size)
-		} else {
-			last = s.scheme.Read(r.Time, r.Offset, r.Size)
-		}
-		if s.progress != nil && ((i+1)%s.progressEvery == 0 || i+1 == n) {
-			// Progress snapshots read the metrics, so in-flight reads must
-			// commit first; the flush keeps reported GC counts consistent
-			// with a serial replay's.
-			s.scheme.Device().FlushReads()
-			s.emitProgress(i+1, n, last)
-		}
-	}
-	// Commit every in-flight read before the final sweep and the result
-	// snapshot. (StopReadPipeline would also flush, but only after this
-	// function returns.)
-	s.scheme.Device().FlushReads()
-	if err := s.checkFinal(); err != nil {
+	l, err := s.newLoop(source{tr: tr}, 0, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	return s.Result(tr.Name, n), nil
+	return s.run(ctx, l, s.progress, s.progressEvery)
 }
 
 // checkFinal runs the attached invariant checker's end-of-run sweep.
@@ -269,30 +224,6 @@ func (s *Simulator) checkFinal() error {
 		}
 	}
 	return nil
-}
-
-// RunClosedLoop replays a trace with a bounded number of outstanding
-// requests. It is RunClosedLoopSpec under context.Background().
-//
-// Deprecated: use RunClosedLoopSpec, which names every option and adds
-// multi-tenant and write-cache dimensions. This positional form is kept
-// as a thin wrapper for existing callers.
-func (s *Simulator) RunClosedLoop(tr *trace.Trace, depth int) (*Result, error) {
-	return s.RunClosedLoopSpec(context.Background(), ClosedLoopSpec{Trace: tr, Depth: depth})
-}
-
-// RunClosedLoopContext replays a trace with a bounded number of
-// outstanding requests: request i is not issued before request i-depth has
-// completed, the way a benchmark driver with a fixed queue depth behaves
-// (in contrast to Run's open-loop replay, which issues at trace timestamps
-// regardless of completions). Under saturation the closed loop self-paces
-// instead of building unbounded queues, exposing the device's sustainable
-// throughput. Cancellation and progress reporting behave as in RunContext.
-//
-// Deprecated: use RunClosedLoopSpec; this positional form is a thin
-// wrapper over it and replays bit-identically.
-func (s *Simulator) RunClosedLoopContext(ctx context.Context, tr *trace.Trace, depth int) (*Result, error) {
-	return s.RunClosedLoopSpec(ctx, ClosedLoopSpec{Trace: tr, Depth: depth})
 }
 
 // Result snapshots the run's statistics. It returns nil after Release.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestRunSmallTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRunRejectsInvalidTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := trace.New("bad", trace.Record{Time: 5, Size: 0})
-	if _, err := sim.Run(bad); err == nil {
+	if _, err := sim.RunContext(context.Background(), bad); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 }
@@ -123,7 +124,7 @@ func TestWritePassthrough(t *testing.T) {
 
 func TestRunMatrixSmall(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ts0", "ads"},
 		Schemes: []string{"Baseline", "IPU"},
 		Scale:   0.003,
@@ -147,7 +148,7 @@ func TestRunMatrixSmall(t *testing.T) {
 }
 
 func TestRunMatrixUnknownTrace(t *testing.T) {
-	if _, err := RunMatrix(MatrixSpec{Traces: []string{"nope"}}); err == nil {
+	if _, err := RunMatrixContext(context.Background(), MatrixSpec{Traces: []string{"nope"}}); err == nil {
 		t.Fatal("unknown trace accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestRunMatrixUnknownTrace(t *testing.T) {
 func TestRunMatrixDeterministic(t *testing.T) {
 	fc := smallFlash()
 	run := func() []*Result {
-		res, err := RunMatrix(MatrixSpec{
+		res, err := RunMatrixContext(context.Background(), MatrixSpec{
 			Traces: []string{"wdev0"}, Schemes: []string{"IPU"},
 			Scale: 0.003, Flash: &fc, Workers: 4,
 		})
@@ -173,7 +174,7 @@ func TestRunMatrixDeterministic(t *testing.T) {
 
 func TestRunMatrixPESweep(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces: []string{"ts0"}, Schemes: []string{"IPU"},
 		PEBaselines: []int{1000, 8000},
 		Scale:       0.003, Flash: &fc,
@@ -198,7 +199,7 @@ func TestRunMatrixPESweep(t *testing.T) {
 
 func TestResultSetAndFigures(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces: []string{"ts0", "lun2"},
 		Scale:  0.003, Flash: &fc,
 	})
@@ -280,7 +281,7 @@ func TestResultWearSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestRunDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := sim.Run(tr)
+				res, err := sim.RunContext(context.Background(), tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,7 +57,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunMatrixWorkerCountInvariant(t *testing.T) {
 	fc := smallFlash()
 	run := func(workers int) []*Result {
-		res, err := RunMatrix(MatrixSpec{
+		res, err := RunMatrixContext(context.Background(), MatrixSpec{
 			Traces:  []string{"ts0", "wdev0"},
 			Schemes: []string{"Baseline", "IPU"},
 			Scale:   0.003,

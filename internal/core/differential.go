@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -50,7 +51,7 @@ func RunDifferential(tr *trace.Trace, schemes []string, fc *flash.Config) ([]*Re
 		if err != nil {
 			return results, fmt.Errorf("core: differential: %w", err)
 		}
-		res, err := sim.Run(tr)
+		res, err := sim.RunContext(context.Background(), tr)
 		if err != nil {
 			return results, fmt.Errorf("core: differential: %s: %w", name, err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"ipusim/internal/core"
@@ -25,7 +26,7 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		panic(err)
 	}
@@ -34,12 +35,13 @@ func ExampleNew() {
 	// Output: IPU on wdev0: 2286 requests, latency recorded: true
 }
 
-// ExampleRunMatrix fans a two-scheme comparison across the worker pool.
-func ExampleRunMatrix() {
+// ExampleRunMatrixContext fans a two-scheme comparison across the worker
+// pool.
+func ExampleRunMatrixContext() {
 	fc := flash.DefaultConfig()
 	fc.Blocks = 512
 	fc.LogicalSubpages = fc.MLCSubpages() * 3 / 4
-	results, err := core.RunMatrix(core.MatrixSpec{
+	results, err := core.RunMatrixContext(context.Background(), core.MatrixSpec{
 		Traces:  []string{"ads"},
 		Schemes: []string{"Baseline", "IPU"},
 		Scale:   0.002,

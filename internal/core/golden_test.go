@@ -19,7 +19,7 @@ import (
 //	go test ./internal/core -run Golden -update
 func TestGoldenMetrics(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ts0", "wdev0"},
 		Schemes: SchemeNames,
 		Scale:   0.003,
@@ -81,7 +81,7 @@ var cacheConfig4MiB = cache.Config{CapacityBytes: 4 << 20}
 // even where the two-trace matrix above would not exercise it.
 func TestGoldenNewSchemesAllTraces(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  trace.ProfileNames(),
 		Schemes: []string{"IPS", "IPU-PGC"},
 		Scale:   0.003,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -79,8 +78,8 @@ type traceKey struct {
 	scale float64
 }
 
-// traceCache memoises trace synthesis across RunMatrix calls. Sweeps
-// (sensitivity, replicate, benchmark loops) call RunMatrix many times with
+// traceCache memoises trace synthesis across RunMatrixContext calls.
+// Sweeps (sensitivity, replicate, benchmark loops) call it many times with
 // the same (name, seed, scale) tuples; traces are immutable once built, so
 // regenerating them per call is pure waste. The cache is LRU-bounded: a
 // full-scale trace holds millions of records, and a long multi-scale or
@@ -162,23 +161,20 @@ func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// RunMatrix executes every (trace, scheme, P/E) combination of the spec.
-// It is RunMatrixContext under context.Background().
-func RunMatrix(spec MatrixSpec) ([]*Result, error) {
-	return RunMatrixContext(context.Background(), spec)
-}
-
 // RunMatrixContext executes every (trace, scheme, P/E) combination of the
 // spec on a fixed pool of spec.Workers goroutines. Each trace is
 // synthesised at most once per (name, seed, scale) — cached across calls —
 // and shared read-only by the scheme runs. Results come back sorted by
 // (trace order, P/E, scheme order), independent of scheduling.
 //
-// Cancelling ctx stops every in-flight run within one request boundary and
-// returns ctx's error; the partially replayed devices are still returned
-// to the snapshot cache's free pool (a recycled device is restored in
-// place before reuse, so a partial replay cannot leak state into a later
-// job).
+// Every cell runs through RunCellContext's runner, so each result is
+// bit-identical to that cell run alone. Cancelling ctx stops every
+// in-flight run under RunContext's bound (within 64 requests) and returns
+// ctx's error; the partially replayed devices are still returned to the
+// snapshot cache's free pool (a recycled device is restored in place
+// before reuse, so a partial replay cannot leak state into a later job).
+// Progress snapshots carry the reporting run's SimTime, with RunContext's
+// semantics, and sweep-wide Replayed/GCs totals.
 func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 	spec.normalize()
 
@@ -200,79 +196,64 @@ func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 		totalRequests += int64(traces[c.Trace].Len())
 	}
 
-	// Aggregated sweep progress: every run's per-interval deltas land in
-	// shared atomics, and each callback reports the sweep-wide totals.
-	var replayed, gcs atomic.Int64
-
+	progress := sweepProgress{fn: spec.OnProgress, total: totalRequests}
 	results := make([]*Result, len(jobs))
-	errs := make([]error, len(jobs))
-	run := func(i int) {
+	err := fanOut(ctx, spec.Workers, len(jobs), func(i int) (err error) {
 		j := jobs[i]
-		cfg := DefaultConfig()
-		if spec.Flash != nil {
-			cfg.Flash = *spec.Flash
-		}
-		if j.PE > 0 {
-			cfg.Flash.PEBaseline = j.PE
-		}
-		cfg.Scheme = j.Scheme
-		cfg.Parallelism = spec.Parallelism
-		sim, err := New(cfg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if spec.OnProgress != nil {
-			var prevReplayed int
-			var prevGCs int64
-			sim.OnProgress(spec.ProgressEvery, func(p Progress) {
-				r := replayed.Add(int64(p.Replayed - prevReplayed))
-				g := gcs.Add(p.GCs - prevGCs)
-				prevReplayed, prevGCs = p.Replayed, p.GCs
-				spec.OnProgress(Progress{
-					Replayed: int(r),
-					Total:    int(totalRequests),
-					SimTime:  p.SimTime,
-					GCs:      g,
-				})
-			})
-		}
-		res, err := sim.RunContext(ctx, traces[j.Trace])
-		if err != nil {
-			// A cancelled run stopped between requests, so its device is
-			// structurally consistent and can rejoin the free pool; any
-			// other failure drops the device on the floor.
-			if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-				sim.Release()
-			}
-			errs[i] = err
-			return
-		}
-		// The Result holds only values, so the device can be recycled: the
-		// snapshot cache restores it in place for a later same-key job
-		// instead of cutting a fresh clone.
-		sim.Release()
-		res.PEBaseline = cfg.Flash.PEBaseline
-		results[i] = res
+		results[i], err = runCell(ctx, spec, j, traces[j.Trace], progress.run())
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	// jobs were generated in deterministic (trace, P/E, scheme) order and
+	// results are indexed by job, so the slice is already deterministic.
+	return results, nil
+}
 
-	workers := spec.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+// sweepProgress aggregates the progress of a sweep's runs: every run's
+// per-interval deltas land in shared atomics, and each snapshot reports
+// the sweep-wide totals with the reporting run's SimTime.
+type sweepProgress struct {
+	fn            ProgressFunc
+	total         int64
+	replayed, gcs atomic.Int64
+}
+
+// run returns the progress callback for one run of the sweep, or nil when
+// the sweep has no callback.
+func (sp *sweepProgress) run() ProgressFunc {
+	if sp.fn == nil {
+		return nil
 	}
+	var prevReplayed int
+	var prevGCs int64
+	return func(p Progress) {
+		r := sp.replayed.Add(int64(p.Replayed - prevReplayed))
+		g := sp.gcs.Add(p.GCs - prevGCs)
+		prevReplayed, prevGCs = p.Replayed, p.GCs
+		sp.fn(Progress{Replayed: int(r), Total: int(sp.total), SimTime: p.SimTime, GCs: g})
+	}
+}
+
+// fanOut calls run for every index in [0, n) on a pool of `workers`
+// goroutines, dispatching in index order until ctx is done. It returns
+// ctx's error after a cancel, else the lowest-indexed run error.
+func fanOut(ctx context.Context, workers, n int, run func(i int) error) error {
+	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				run(i)
+				errs[i] = run(i)
 			}
 		}()
 	}
 dispatch:
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		select {
 		case next <- i:
 		case <-ctx.Done():
@@ -282,15 +263,12 @@ dispatch:
 	close(next)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	// jobs were generated in deterministic (trace, P/E, scheme) order and
-	// results are indexed by job, so the slice is already deterministic.
-	return results, nil
+	return nil
 }

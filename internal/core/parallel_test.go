@@ -7,41 +7,92 @@ import (
 	"testing"
 	"time"
 
+	"ipusim/internal/cache"
+	"ipusim/internal/flash"
 	"ipusim/internal/trace"
 )
 
-// parallelDiffScale keeps the 5-scheme x 6-trace differential fast while
-// still replaying thousands of requests per cell (enough to exercise GC,
-// retries and every metric the Result reports).
+// parallelDiffScale keeps the 5-scheme x 6-trace open-loop differential
+// fast while still replaying thousands of requests per cell (enough to
+// exercise GC, retries and every metric the Result reports).
 const parallelDiffScale = 0.01
 
-// TestParallelMatchesSerial is the parallel-replay differential tier: for
-// every registered scheme over every synthetic trace profile, a replay
-// with the read pipeline enabled must produce a Result deeply equal — bit
-// for bit, including the order-sensitive ReadBER float accumulation — to
-// the serial replay of the same trace.
-func TestParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential tier is not a -short test")
+// admissionCase is one workload of the parallel-vs-serial differential:
+// the device geometry it runs on and how the request loop admits it.
+type admissionCase struct {
+	name  string
+	flash flash.Config
+	run   func(*Simulator) (*Result, error)
+}
+
+// openCases replays every synthetic trace profile open-loop on the
+// evaluation geometry.
+func openCases(t *testing.T) []admissionCase {
+	var cases []admissionCase
+	for _, name := range trace.ProfileNames() {
+		tr, err := cachedTrace(name, 42, parallelDiffScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, admissionCase{
+			name:  name,
+			flash: DefaultConfig().Flash,
+			run: func(sim *Simulator) (*Result, error) {
+				return sim.RunContext(context.Background(), tr)
+			},
+		})
 	}
+	return cases
+}
+
+// closedCases replays the closed-loop shapes on the small geometry: the
+// single stream and both default tenant mixes, each with the write-cache
+// front-end off and on.
+func closedCases(t *testing.T) []admissionCase {
+	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := func(name string, spec ClosedLoopSpec) admissionCase {
+		return admissionCase{name: name, flash: smallFlash(), run: func(sim *Simulator) (*Result, error) {
+			return sim.RunClosedLoopSpec(context.Background(), spec)
+		}}
+	}
+	names := []string{"stream"}
+	specs := []ClosedLoopSpec{{Trace: tr, Depth: 8}}
+	for _, mix := range DefaultTenantMixes() {
+		names = append(names, mix.Name)
+		specs = append(specs, ClosedLoopSpec{Depth: 16, Seed: 13, Scale: 0.003, Tenants: mix.Tenants})
+	}
+	var cases []admissionCase
+	for i, spec := range specs {
+		buffered := spec
+		buffered.WriteCache = &cache.Config{CapacityBytes: 256 << 10}
+		cases = append(cases, closed(names[i]+"/raw", spec), closed(names[i]+"/buffered", buffered))
+	}
+	return cases
+}
+
+// checkParallelMatchesSerial is the parallel-replay differential tier:
+// for every registered scheme and case, a replay with the read pipeline
+// enabled must produce a Result deeply equal — bit for bit, including the
+// order-sensitive ReadBER float accumulation, per-tenant percentiles,
+// fairness and write-cache counters — to the serial replay.
+func checkParallelMatchesSerial(t *testing.T, cases []admissionCase) {
 	for _, sc := range SchemeNames {
-		for _, trName := range trace.ProfileNames() {
-			sc, trName := sc, trName
-			t.Run(sc+"/"+trName, func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(sc+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
-				tr, err := cachedTrace(trName, 42, parallelDiffScale)
-				if err != nil {
-					t.Fatal(err)
-				}
 				run := func(parallelism int) *Result {
 					cfg := DefaultConfig()
+					cfg.Flash = c.flash
 					cfg.Scheme = sc
 					cfg.Parallelism = parallelism
 					sim, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := sim.Run(tr)
+					res, err := c.run(sim)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -56,6 +107,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestParallelMatchesSerial runs the differential over the open loop:
+// every scheme over every synthetic trace profile.
+func TestParallelMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential tier is not a -short test")
+	}
+	checkParallelMatchesSerial(t, openCases(t))
+}
+
+// TestClosedLoopParallelMatchesSerial runs the same differential over the
+// closed loops: every scheme over every closed-loop shape and write-cache
+// arm. Run under -race by make check-parallel and make check-closedloop.
+func TestClosedLoopParallelMatchesSerial(t *testing.T) {
+	checkParallelMatchesSerial(t, closedCases(t))
 }
 
 // TestParallelRepeatable replays one read-heavy trace several times at the
@@ -74,7 +141,7 @@ func TestParallelRepeatable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(tr)
+		res, err := sim.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,12 +162,12 @@ func TestParallelMatrixMatchesSerial(t *testing.T) {
 		Schemes: []string{"Baseline", "IPU"},
 		Scale:   parallelDiffScale,
 	}
-	serial, err := RunMatrix(spec)
+	serial, err := RunMatrixContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Parallelism = 4
-	parallel, err := RunMatrix(spec)
+	parallel, err := RunMatrixContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +237,7 @@ func TestParallelSoak(t *testing.T) {
 				errc <- err
 				return
 			}
-			_, err = sim.Run(tr)
+			_, err = sim.RunContext(context.Background(), tr)
 			sim.Release()
 			errc <- err
 		}(name)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestRegisterSchemePlugsIntoNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(tr); err != nil {
+	if _, err := sim.RunContext(context.Background(), tr); err != nil {
 		t.Fatal(err)
 	}
 }

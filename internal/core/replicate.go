@@ -50,12 +50,6 @@ type Replication struct {
 	Erases  ReplicaStats
 }
 
-// RunReplicated runs the spec's matrix with n different seeds. It is
-// RunReplicatedContext under context.Background().
-func RunReplicated(spec MatrixSpec, n int) (map[[2]string]Replication, error) {
-	return RunReplicatedContext(context.Background(), spec, n)
-}
-
 // RunReplicatedContext runs the spec's matrix with n different seeds
 // (spec.Seed, spec.Seed+1, ...) and aggregates mean and standard deviation
 // of the headline metrics per (trace, scheme). Use it to confirm the
@@ -92,12 +86,6 @@ func RunReplicatedContext(ctx context.Context, spec MatrixSpec, n int) (map[[2]s
 		}
 	}
 	return out, nil
-}
-
-// ReplicationTable renders the replication study. It is
-// ReplicationTableContext under context.Background().
-func ReplicationTable(spec MatrixSpec, n int) (*metrics.Table, error) {
-	return ReplicationTableContext(context.Background(), spec, n)
 }
 
 // ReplicationTableContext renders the replication study, honouring ctx.

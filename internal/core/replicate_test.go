@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,14 +27,14 @@ func TestNewReplicaStats(t *testing.T) {
 }
 
 func TestRunReplicatedRejectsTooFew(t *testing.T) {
-	if _, err := RunReplicated(MatrixSpec{}, 1); err == nil {
+	if _, err := RunReplicatedContext(context.Background(), MatrixSpec{}, 1); err == nil {
 		t.Fatal("n=1 accepted")
 	}
 }
 
 func TestRunReplicated(t *testing.T) {
 	fc := smallFlash()
-	reps, err := RunReplicated(MatrixSpec{
+	reps, err := RunReplicatedContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ads"},
 		Schemes: []string{"IPU"},
 		Scale:   0.002,
@@ -61,7 +62,7 @@ func TestRunReplicated(t *testing.T) {
 
 func TestReplicationTable(t *testing.T) {
 	fc := smallFlash()
-	tab, err := ReplicationTable(MatrixSpec{
+	tab, err := ReplicationTableContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ads"},
 		Schemes: []string{"Baseline", "IPU"},
 		Scale:   0.002,

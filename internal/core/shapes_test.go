@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ipusim/internal/flash"
@@ -17,7 +18,7 @@ func TestPaperShapes(t *testing.T) {
 	}
 	fc := flash.DefaultConfig()
 	fc.PreFillMLC = true
-	results, err := RunMatrix(MatrixSpec{
+	results, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces: []string{"ts0", "wdev0"},
 		Scale:  0.05,
 		Flash:  &fc,
@@ -124,7 +125,7 @@ func TestPaperShapesPESweep(t *testing.T) {
 	}
 	fc := flash.DefaultConfig()
 	fc.PreFillMLC = true
-	results, err := RunMatrix(MatrixSpec{
+	results, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:      []string{"wdev0"},
 		Schemes:     []string{"MGA", "IPU"},
 		PEBaselines: []int{1000, 2000, 4000, 8000},

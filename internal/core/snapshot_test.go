@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestCloneMatchesFreshReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh build: %v", name, err)
 		}
-		want, err := fresh.Run(tr)
+		want, err := fresh.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)
 		}
@@ -55,7 +56,7 @@ func TestCloneMatchesFreshReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: cached build %d: %v", name, i, err)
 			}
-			got, err := sim.Run(tr)
+			got, err := sim.RunContext(context.Background(), tr)
 			if err != nil {
 				t.Fatalf("%s: cached run %d: %v", name, i, err)
 			}
@@ -83,7 +84,7 @@ func TestCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := first.Run(tr)
+	res1, err := first.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := second.Run(tr)
+	res2, err := second.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestRecycledCloneMatchesFreshReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := first.Run(tr)
+		want, err := first.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestRecycledCloneMatchesFreshReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := recycled.Run(tr)
+		got, err := recycled.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}

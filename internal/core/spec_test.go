@@ -11,10 +11,10 @@ import (
 	"ipusim/internal/workload"
 )
 
-// referenceClosedLoop replays tr the way the legacy positional
-// RunClosedLoop did, hand-rolled from the public Write/Read entry points:
-// a ring of completion gates, request i waiting on request i-depth. The
-// spec-based engine must be bit-identical to this.
+// referenceClosedLoop replays tr as a fixed-depth closed loop, hand-rolled
+// from the public Write/Read entry points: a ring of completion gates,
+// request i waiting on request i-depth. The spec-based engine must be
+// bit-identical to this.
 func referenceClosedLoop(t *testing.T, sim *Simulator, tr *trace.Trace, depth int) *Result {
 	t.Helper()
 	ring := make([]int64, depth)
@@ -39,9 +39,9 @@ func referenceClosedLoop(t *testing.T, sim *Simulator, tr *trace.Trace, depth in
 	return sim.Result(tr.Name, tr.Len())
 }
 
-// TestSpecPathMatchesLegacyAllSchemes is the API-redesign compatibility
+// TestSpecPathMatchesLegacyAllSchemes is the single-stream reference
 // differential: with Tenants nil and no write cache, RunClosedLoopSpec
-// must produce a Result DeepEqual to the legacy gate loop for every
+// must produce a Result DeepEqual to the hand-rolled gate loop for every
 // scheme. Run under -race by make check-tenants.
 func TestSpecPathMatchesLegacyAllSchemes(t *testing.T) {
 	tr, err := trace.Generate(trace.Profiles["ts0"], 11, 0.003)
@@ -70,19 +70,6 @@ func TestSpecPathMatchesLegacyAllSchemes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: spec path diverged from legacy loop:\n got %+v\nwant %+v", name, got, want)
-		}
-
-		// And the deprecated wrapper must go through the same engine.
-		wrap, err := NewFresh(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		viaWrapper, err := wrap.RunClosedLoop(tr, depth)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(viaWrapper, want) {
-			t.Errorf("%s: RunClosedLoop wrapper diverged from legacy loop", name)
 		}
 	}
 }

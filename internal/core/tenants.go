@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipusim/internal/cache"
@@ -59,9 +56,9 @@ type TenantContentionSpec struct {
 	// CacheBytes sizes the DRAM write buffer of the buffered arm
 	// (default 4 MiB). Every mix runs twice: buffer off, then on.
 	CacheBytes int64
-	Seed  int64
-	Scale float64
-	Flash *flash.Config
+	Seed       int64
+	Scale      float64
+	Flash      *flash.Config
 	// Workers bounds concurrently running cells; 0 means GOMAXPROCS.
 	// Rows are deterministic regardless: cells are enumerated and indexed
 	// up front, so scheduling never reorders them.
@@ -173,21 +170,12 @@ func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, ce
 	}
 	cfg.Scheme = cell.Scheme
 	cfg.Parallelism = spec.Parallelism
-	sim, err := New(cfg)
+	res, err := runOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
+		return sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
+	})
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	res, err := sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
-	if err != nil {
-		// A cancelled run stopped between requests, so its device is
-		// structurally consistent and can rejoin the free pool; any other
-		// failure drops the device on the floor.
-		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-			sim.Release()
-		}
-		return ContentionRow{}, err
-	}
-	sim.Release()
 	return ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}, nil
 }
 
@@ -225,9 +213,9 @@ func contentionMixRequests(spec *TenantContentionSpec, mix TenantMix) (int, erro
 // mix/buffer/scheme enumeration order with results bit-identical to a
 // serial (Workers=1) study, independent of scheduling.
 //
-// Cancelling ctx stops every in-flight cell within a request-stride
-// boundary and returns ctx's error; partially replayed devices still
-// rejoin the snapshot cache's free pool.
+// Cancelling ctx stops every in-flight cell within 64 requests (the
+// request loop's cancellation bound) and returns ctx's error; partially
+// replayed devices still rejoin the snapshot cache's free pool.
 func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) ([]ContentionRow, error) {
 	spec.normalize()
 	cells, err := ContentionCells(spec)
@@ -247,65 +235,16 @@ func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) 
 		totalRequests += int64(n) * int64(2*len(spec.Schemes))
 	}
 
-	// Aggregated study progress, as in RunMatrixContext: every cell's
-	// per-interval deltas land in shared atomics and each callback
-	// reports the study-wide totals.
-	var replayed, gcs atomic.Int64
-
+	progress := sweepProgress{fn: spec.OnProgress, total: totalRequests}
 	rows := make([]ContentionRow, len(cells))
-	errs := make([]error, len(cells))
-	run := func(i int) {
+	err = fanOut(ctx, spec.Workers, len(cells), func(i int) (err error) {
 		cellSpec := spec
-		if spec.OnProgress != nil {
-			var prevReplayed int
-			var prevGCs int64
-			cellSpec.OnProgress = func(p Progress) {
-				r := replayed.Add(int64(p.Replayed - prevReplayed))
-				g := gcs.Add(p.GCs - prevGCs)
-				prevReplayed, prevGCs = p.Replayed, p.GCs
-				spec.OnProgress(Progress{
-					Replayed: int(r),
-					Total:    int(totalRequests),
-					SimTime:  p.SimTime,
-					GCs:      g,
-				})
-			}
-		}
-		rows[i], errs[i] = RunContentionCellContext(ctx, cellSpec, cells[i])
-	}
-
-	workers := spec.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		cellSpec.OnProgress = progress.run()
+		rows[i], err = RunContentionCellContext(ctx, cellSpec, cells[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }

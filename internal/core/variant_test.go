@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestNewAcceptsIPUVariants(t *testing.T) {
 
 func TestAblationTable(t *testing.T) {
 	fc := smallFlash()
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ts0"},
 		Schemes: AblationSchemes,
 		Scale:   0.003,
@@ -54,7 +55,7 @@ func TestAblationShapes(t *testing.T) {
 	}
 	fc := smallFlash()
 	fc.PreFillMLC = true
-	res, err := RunMatrix(MatrixSpec{
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ts0"},
 		Schemes: AblationSchemes,
 		Scale:   0.02,

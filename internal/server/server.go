@@ -19,7 +19,7 @@
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
 // when full, every job runs under a per-job timeout with panic recovery,
-// cancellation stops a replay within one request boundary, and shutdown
+// cancellation stops a replay within 64 requests, and shutdown
 // drains in-flight jobs or cancels them when the drain deadline passes.
 // Completed jobs release their devices back to core's precondition-
 // snapshot cache, so a busy daemon reaches steady state with no per-job
@@ -417,7 +417,7 @@ func (s *Server) Job(id string) (*Job, bool) {
 
 // Cancel stops the job: a queued job is marked cancelled immediately (the
 // worker skips it when popped), a running one has its context cancelled
-// and stops within one request boundary. Cancelling a terminal job is a
+// and stops within 64 requests. Cancelling a terminal job is a
 // no-op; Cancel reports whether the job exists.
 func (s *Server) Cancel(id string) bool {
 	s.mu.Lock()
@@ -600,7 +600,7 @@ func (s *Server) runRecovered(ctx context.Context, j *Job, report core.ProgressF
 // Shutdown stops the service gracefully: no further submissions are
 // accepted, queued and running jobs drain to completion, and when ctx
 // expires before the drain finishes every in-flight job is cancelled (a
-// replay stops within one request boundary; on a durable server the
+// replay stops within 64 requests; on a durable server the
 // interrupted jobs are persisted as queued so a restart resumes them).
 // Shutdown returns once all workers have exited; the returned error is
 // ctx's error when the drain was cut short.

@@ -177,7 +177,7 @@ func TestSoakConcurrentCancelDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Run(tr)
+		want, err := fresh.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestSoakConcurrentCancelDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := recycled.Run(tr)
+		got, err := recycled.RunContext(context.Background(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
