@@ -33,12 +33,16 @@ serve-test:
 
 # The cluster acceptance gate: the result-cache hit path (byte-identical,
 # sim never re-runs), durable-store restart recovery, the consistent-hash
-# ring units, and the coordinator soak — sweeps sharded over two
-# in-process workers with one killed mid-sweep, aggregated rows compared
-# bit-for-bit to a single daemon — all under the race detector.
+# ring units, and the coordinator suite — matrix, sensitivity and
+# contention sweeps sharded over in-process workers and compared
+# bit-for-bit to a single daemon (live fleet, all workers down, one
+# killed mid-sweep), a worker's 400 failing the job without dropping the
+# worker, cancellation reaching the worker's sub-jobs, and the shared
+# rejection tables run against a plain daemon and a coordinator — all
+# under the race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
-	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestRing|TestStore' \
+	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore' \
 	  ./internal/server
 	$(GO) test -race -count 1 -run TestDaemonCluster ./cmd/ipusimd
 

@@ -13,11 +13,11 @@
 // With -data the daemon is durable: job records and results persist under
 // DIR (atomic write-then-rename), a restarted daemon serves completed
 // results from disk and re-enqueues interrupted jobs, which re-run to
-// bit-identical output. With -coordinator the daemon shards matrix and
-// sensitivity sweeps into per-cell sub-jobs placed on the listed worker
-// daemons by consistent hashing, aggregating their rows into the same
-// response a single daemon produces; a failed worker is dropped from the
-// ring and its cells are re-placed or run locally.
+// bit-identical output. With -coordinator the daemon shards matrix,
+// sensitivity and contention sweeps into per-cell sub-jobs placed on the
+// listed worker daemons by consistent hashing, aggregating their rows
+// into the same response a single daemon produces; a failed worker is
+// dropped from the ring and its cells are re-placed or run locally.
 //
 // Endpoints (see internal/server):
 //

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,5 +429,114 @@ func TestCoordinatorFallbackAllWorkersDown(t *testing.T) {
 	_, want := runToResult(t, tsr, body, 60*time.Second)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fallback result differs from single daemon:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCoordinatorSensitivityMatchesLocal shards a sensitivity sweep — one
+// "cell" sub-job per (point, trace, scheme) — and requires the rendered
+// table to match a single daemon byte for byte, both with a live worker
+// and with every worker down (each cell then runs in-process).
+func TestCoordinatorSensitivityMatchesLocal(t *testing.T) {
+	const body = `{"kind":"sensitivity","param":"slcratio","traces":["ts0"],"schemes":["IPU"],"scale":0.01}`
+	cells := uint64(len(core.SensitivityParams["slcratio"]))
+	pool := Options{Workers: 2, DefaultScale: 0.01}
+	_, tsr := newTestService(t, pool)
+	_, want := runToResult(t, tsr, body, 120*time.Second)
+
+	// A worker that drops every connection: unlike a closed listener, its
+	// port cannot be reused by a server started later in the test.
+	down := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(down.Close)
+	_, tsw := newTestService(t, pool)
+	for _, tc := range []struct {
+		name          string
+		worker        string
+		remote, local uint64
+	}{
+		{"live worker", tsw.URL, cells, 0},
+		{"workers down", down.URL, 0, cells},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			copts := pool
+			copts.WorkerURLs = []string{tc.worker}
+			coordSvc, tsc := newTestService(t, copts)
+			_, got := runToResult(t, tsc, body, 120*time.Second)
+			if st := mustStatsOf(coordSvc); st.RemoteCells != tc.remote || st.FallbackCells != tc.local {
+				t.Fatalf("remote %d fallback %d, want %d and %d", st.RemoteCells, st.FallbackCells, tc.remote, tc.local)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("sharded sensitivity result differs from single daemon:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestCoordinatorRejectedSubJobKeepsWorker: a worker that answers a
+// sub-job with 400 has judged the request, not failed. The job fails with
+// the worker's message, no cell falls back in-process, and the worker
+// stays in the ring.
+func TestCoordinatorRejectedSubJobKeepsWorker(t *testing.T) {
+	const msg = "fake worker rejects every sub-job"
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusBadRequest, errors.New(msg))
+	}))
+	t.Cleanup(fake.Close)
+	_, tsc := newTestService(t, Options{Workers: 1, WorkerURLs: []string{fake.URL}, DefaultScale: 0.01})
+
+	resp, v := postJob(t, tsc, `{"kind":"matrix","traces":["ts0"],"schemes":["IPU"]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 30*time.Second)
+	if done.State != StateFailed || !strings.Contains(done.Error, msg) {
+		t.Fatalf("job state %s (error %q), want failed with the worker's message", done.State, done.Error)
+	}
+	var view ClusterView
+	if code := getJSON(t, tsc, "/v1/cluster", &view); code != http.StatusOK {
+		t.Fatalf("cluster view: HTTP %d", code)
+	}
+	if !view.Alive[fake.URL] || view.FallbackCells != 0 {
+		t.Fatalf("cluster view = %+v, want the rejecting worker alive and no fallback", view)
+	}
+}
+
+// TestCoordinatorCancelPropagates cancels a sharded matrix sweep while a
+// worker replays one of its cells: the coordinator must cancel the
+// sub-jobs the worker accepted, so the worker stops within seconds
+// instead of finishing cells nobody waits for.
+func TestCoordinatorCancelPropagates(t *testing.T) {
+	_, tsw := newTestService(t, Options{Workers: 1})
+	_, tsc := newTestService(t, Options{Workers: 1, WorkerURLs: []string{tsw.URL}})
+
+	// Cells big enough to still be replaying when the cancel lands.
+	_, v := postJob(t, tsc, `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","MGA","IPU","IPU-AC"],"scale":0.5,"seed":3}`)
+	deadline := time.Now().Add(30 * time.Second)
+	for mustStats(t, tsw).Running == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never started a cell")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	resp, err := tsc.Client().Post(tsc.URL+"/v1/jobs/"+v.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 10*time.Second); done.State != StateCancelled {
+		t.Fatalf("sweep state %s, want cancelled", done.State)
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		st := mustStats(t, tsw)
+		if st.Running == 0 && st.Cancelled > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker stats %+v 5s after the cancel, want running 0 and cancelled > 0", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

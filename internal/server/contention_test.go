@@ -149,21 +149,15 @@ func TestV4ContentionCanonicalisation(t *testing.T) {
 }
 
 // TestContentionValidation rejects malformed studies and v4 fields on
-// other kinds.
+// other kinds, on a plain daemon and on a coordinator alike.
 func TestContentionValidation(t *testing.T) {
-	_, ts := newTestService(t, Options{Workers: 1, DefaultScale: 0.01})
-	bad := []string{
-		`{"kind":"run","mixes":[{"name":"m","tenants":[{"trace":"ts0"}]}]}`,
-		`{"kind":"run","cacheBytes":1024}`,
-		`{"kind":"contention","mixes":[{"name":"empty","tenants":[]}]}`,
-		`{"kind":"contention","schemes":["NoSuchScheme"]}`,
-		`{"kind":"contention","mixes":[{"name":"m","tenants":[{"trace":"nope"}]}]}`,
-		`{"kind":"contention","queueDepth":-1}`,
-		`{"kind":"contention","cacheBytes":-1}`,
-	}
-	for _, body := range bad {
-		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", body, resp.StatusCode)
-		}
-	}
+	expectRejected(t, map[string]string{
+		"mixes on run":       `{"kind":"run","mixes":[{"name":"m","tenants":[{"trace":"ts0"}]}]}`,
+		"cacheBytes on run":  `{"kind":"run","cacheBytes":1024}`,
+		"empty mix":          `{"kind":"contention","mixes":[{"name":"empty","tenants":[]}]}`,
+		"unknown scheme":     `{"kind":"contention","schemes":["NoSuchScheme"]}`,
+		"unknown trace":      `{"kind":"contention","mixes":[{"name":"m","tenants":[{"trace":"nope"}]}]}`,
+		"negative depth":     `{"kind":"contention","queueDepth":-1}`,
+		"negative cacheSize": `{"kind":"contention","cacheBytes":-1}`,
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,20 +18,22 @@ import (
 )
 
 // coordinator shards matrix, sensitivity and contention jobs across a
-// fleet of worker daemons. A sweep is decomposed into its cells
-// (core.Cells, or core.ContentionCells for contention studies); each
-// cell becomes a "cell" (or multi-tenant "run") sub-job placed on a
-// worker by consistent hashing on the sub-job's content-addressed key,
-// so the same cell always lands on the same worker and its local result
-// cache stays hot.
-// Per-cell rows stream back as workers finish and are aggregated into
-// the same response shape a single daemon produces. A worker that fails
-// is removed from the ring (remapping only ~1/N of the keyspace); its
-// cells retry on the new owner and, when no worker can serve them, fall
-// back to in-process execution — a sweep completes even with the whole
-// fleet down.
+// fleet of worker daemons. A sweep becomes one flat list of sub-jobs —
+// "cell" sub-jobs for matrix and sensitivity cells, multi-tenant "run"
+// sub-jobs for contention cells — each placed on a worker by consistent
+// hashing on its content-addressed key, so the same cell always lands on
+// the same worker and its local result cache stays hot. Results come
+// back as workers finish and are assembled into the same response a
+// single daemon produces.
+//
+// Placement: a worker that rejects a sub-job (HTTP 400) fails the job
+// with its message and stays in the ring; a transport error, a 5xx or a
+// lost sub-job drops the worker from the ring (remapping only ~1/N of
+// the keyspace) until the coordinator restarts, and the sub-job retries
+// on the new owner or, with no worker left, runs in-process — a sweep
+// completes even with the whole fleet down. Cancelling a sharded job
+// cancels the sub-jobs its workers accepted.
 type coordinator struct {
-	srv    *Server
 	client *http.Client
 
 	mu    sync.Mutex
@@ -42,9 +45,8 @@ type coordinator struct {
 	fallbackCells atomic.Uint64
 }
 
-func newCoordinator(s *Server, urls []string) *coordinator {
+func newCoordinator(urls []string) *coordinator {
 	c := &coordinator{
-		srv:    s,
 		client: &http.Client{},
 		ring:   newRing(0, urls...),
 		fleet:  append([]string(nil), urls...),
@@ -99,153 +101,54 @@ func (c *coordinator) view() ClusterView {
 	}
 }
 
-// compile builds the sharded jobFunc for a matrix or sensitivity
-// request. Validation matches the local compile path, and the request is
-// canonicalised first so the sub-jobs carry fully explicit parameters.
+// compile validates req through the daemon's own compile — validation
+// lives in one place — and, for a matrix, sensitivity or contention
+// request, swaps the local jobFunc for a sharded one: the request's flat
+// sub-job list fanned out over the fleet, assembled in order into the
+// exact response a single daemon returns. Other kinds run locally.
 func (c *coordinator) compile(req JobRequest, defaultScale float64) (jobFunc, error) {
-	req = canonicalRequest(req, defaultScale)
-	if req.Scale <= 0 || req.Scale > 1 {
-		return nil, fmt.Errorf("scale %v out of (0, 1]", req.Scale)
-	}
-	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
-	}
-	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
-	}
-	switch req.Kind {
-	case "matrix":
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-			return c.runMatrix(ctx, req, report)
-		}, nil
-	case "sensitivity":
-		if _, ok := core.SensitivityParams[req.Param]; !ok {
-			return nil, fmt.Errorf("unknown sensitivity param %q", req.Param)
-		}
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-			return c.runSensitivity(ctx, req, report)
-		}, nil
-	case "contention":
-		if err := validateMixes(req.Mixes, req.Seed, req.Scale); err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-			return c.runContention(ctx, req, report)
-		}, nil
-	default:
-		return nil, fmt.Errorf("kind %q is not shardable", req.Kind)
-	}
-}
-
-// runContention shards the multi-tenant contention study: every (mix,
-// buffer arm, scheme) cell travels as an ordinary v3 closed-loop "run"
-// sub-job — multi-tenant, optionally write-cached — which every worker
-// already executes, so contention studies scale over a fleet without a
-// worker-side upgrade. Rows reassemble in the study's deterministic
-// enumeration order, bit-identical to core.RunTenantContentionContext.
-func (c *coordinator) runContention(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
-	spec := core.TenantContentionSpec{
-		Mixes:      req.Mixes,
-		Schemes:    req.Schemes,
-		Depth:      req.QueueDepth,
-		CacheBytes: req.CacheBytes,
-		Seed:       req.Seed,
-		Scale:      req.Scale,
-	}
-	cells, err := core.ContentionCells(spec)
+	local, err := compile(req, defaultScale)
 	if err != nil {
 		return nil, err
 	}
-	var done atomic.Int64
-	rows := make([]core.ContentionRow, len(cells))
-	errs := make([]error, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	c.mu.Lock()
-	if n := 2 * c.ring.size(); n > workers {
-		workers = n
-	}
-	c.mu.Unlock()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rows[i], errs[i] = c.runContentionCell(ctx, spec, cells[i])
-				if errs[i] == nil && report != nil {
-					report(core.Progress{Replayed: int(done.Add(1)), Total: len(cells)})
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// The canonical request carries every default explicitly, so the
+	// sub-jobs — and their content addresses — are fully specified.
+	req = canonicalRequest(req, defaultScale)
+	subs, assemble, err := subJobs(req)
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
+	if subs == nil {
+		return local, nil
+	}
+	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		results, err := c.fanOut(ctx, subs, req.Scale, report)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return rows, nil
+		return assemble(results), nil
+	}, nil
 }
 
-// runContentionCell executes one contention cell: place its "run"
-// sub-job on the ring, retry once on the post-failure owner, then fall
-// back to in-process execution.
-func (c *coordinator) runContentionCell(ctx context.Context, spec core.TenantContentionSpec, cell core.ContentionCell) (core.ContentionRow, error) {
-	sub := JobRequest{
-		Kind:       "run",
-		Scheme:     cell.Scheme,
-		QueueDepth: spec.Depth,
-		Scale:      spec.Scale,
-		Seed:       spec.Seed,
-		Tenants:    cell.Mix.Tenants,
-	}
-	if cell.Buffered {
-		sub.WriteCache = &cache.Config{CapacityBytes: spec.CacheBytes}
-	}
-	// Placement hashes the sub-job's content address — the same key the
-	// worker's own result cache uses — so repeated studies hit warm caches.
-	key := jobKey(sub, spec.Scale)
-	for attempt := 0; attempt < 2; attempt++ {
-		node := c.pick(key)
-		if node == "" {
-			break
+// subJobs decomposes a canonical sweep request into its sub-jobs plus the
+// step that assembles their results, in list order, into the response a
+// single daemon produces. Matrix and sensitivity cells are "cell"
+// sub-jobs — every sensitivity point goes into the one list — and
+// contention cells are multi-tenant closed-loop "run" sub-jobs. Kinds
+// that do not shard return no sub-jobs.
+func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
+	cell := func(c core.MatrixCell, value float64) JobRequest {
+		return JobRequest{
+			Kind:       "cell",
+			Trace:      c.Trace,
+			Scheme:     c.Scheme,
+			PEBaseline: c.PE,
+			Scale:      req.Scale,
+			Seed:       req.Seed,
+			Param:      req.Param,
+			ParamValue: value,
 		}
-		res, err := c.dispatch(ctx, node, sub)
-		if err == nil {
-			c.remoteCells.Add(1)
-			return core.ContentionRow{
-				Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res,
-			}, nil
-		}
-		if ctx.Err() != nil {
-			return core.ContentionRow{}, ctx.Err()
-		}
-		c.markDead(node)
 	}
-	// No worker could serve the cell: run it here so the study completes.
-	c.fallbackCells.Add(1)
-	return core.RunContentionCellContext(ctx, spec, cell)
-}
-
-// runMatrix shards one matrix sweep and reassembles the results in cell
-// order — the exact slice core.RunMatrixContext would return.
-func (c *coordinator) runMatrix(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
 	spec := core.MatrixSpec{
 		Traces:      req.Traces,
 		Schemes:     req.Schemes,
@@ -253,71 +156,76 @@ func (c *coordinator) runMatrix(ctx context.Context, req JobRequest, report core
 		Scale:       req.Scale,
 		Seed:        req.Seed,
 	}
-	cells := core.Cells(spec)
-	var done atomic.Int64
-	onDone := func() {
-		n := done.Add(1)
-		if report != nil {
-			report(core.Progress{Replayed: int(n), Total: len(cells)})
+	var subs []JobRequest
+	switch req.Kind {
+	case "matrix":
+		for _, c := range core.Cells(spec) {
+			subs = append(subs, cell(c, 0))
 		}
+		return subs, func(rs []*core.Result) any { return rs }, nil
+	case "sensitivity":
+		// A sensitivity point changes only the flash configuration, which a
+		// cell rebuilds from (param, value): every point shares the cells.
+		values := core.SensitivityParams[req.Param]
+		cells := core.Cells(spec)
+		for _, v := range values {
+			for _, c := range cells {
+				subs = append(subs, cell(c, v))
+			}
+		}
+		return subs, func(rs []*core.Result) any {
+			perPoint := make([][]*core.Result, len(values))
+			for i := range perPoint {
+				perPoint[i] = rs[i*len(cells) : (i+1)*len(cells)]
+			}
+			return core.SensitivityTable(req.Param, values, perPoint)
+		}, nil
+	case "contention":
+		cells, err := core.ContentionCells(core.TenantContentionSpec{
+			Mixes:   req.Mixes,
+			Schemes: req.Schemes,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, c := range cells {
+			sub := JobRequest{
+				Kind:       "run",
+				Scheme:     c.Scheme,
+				QueueDepth: req.QueueDepth,
+				Scale:      req.Scale,
+				Seed:       req.Seed,
+				Tenants:    c.Mix.Tenants,
+			}
+			if c.Buffered {
+				sub.WriteCache = &cache.Config{CapacityBytes: req.CacheBytes}
+			}
+			subs = append(subs, sub)
+		}
+		return subs, func(rs []*core.Result) any {
+			rows := make([]core.ContentionRow, len(cells))
+			for i, c := range cells {
+				rows[i] = core.ContentionRow{Mix: c.Mix.Name, Scheme: c.Scheme, Buffered: c.Buffered, Result: rs[i]}
+			}
+			return rows
+		}, nil
 	}
-	return c.runCells(ctx, spec, cells, "", 0, onDone)
+	return nil, nil, nil
 }
 
-// runSensitivity shards one sensitivity sweep point by point and renders
-// the same table a single daemon produces.
-func (c *coordinator) runSensitivity(ctx context.Context, req JobRequest, report core.ProgressFunc) (any, error) {
-	values := core.SensitivityParams[req.Param]
-	base := core.MatrixSpec{
-		Traces:  req.Traces,
-		Schemes: req.Schemes,
-		Scale:   req.Scale,
-		Seed:    req.Seed,
-	}
-	pointSpecs := make([]core.MatrixSpec, len(values))
-	pointCells := make([][]core.MatrixCell, len(values))
-	total := 0
-	for i, v := range values {
-		ps, err := core.SensitivityPointSpec(base, req.Param, v)
-		if err != nil {
-			return nil, err
-		}
-		pointSpecs[i] = ps
-		pointCells[i] = core.Cells(ps)
-		total += len(pointCells[i])
-	}
-	var done atomic.Int64
-	onDone := func() {
-		n := done.Add(1)
-		if report != nil {
-			report(core.Progress{Replayed: int(n), Total: total})
-		}
-	}
-	perPoint := make([][]*core.Result, len(values))
-	for i := range values {
-		rs, err := c.runCells(ctx, pointSpecs[i], pointCells[i], req.Param, values[i], onDone)
-		if err != nil {
-			return nil, err
-		}
-		perPoint[i] = rs
-	}
-	return core.SensitivityTable(req.Param, values, perPoint), nil
-}
-
-// runCells fans the cells out over a bounded worker pool, streaming each
-// completed row into its slot; onDone fires per completed cell.
-func (c *coordinator) runCells(ctx context.Context, spec core.MatrixSpec, cells []core.MatrixCell, param string, value float64, onDone func()) ([]*core.Result, error) {
-	results := make([]*core.Result, len(cells))
-	errs := make([]error, len(cells))
+// fanOut places every sub-job on a bounded pool — max(GOMAXPROCS, two
+// per live worker), capped at the sub-job count — dispatching in list
+// order until ctx is done and reporting one progress step per completed
+// sub-job. It returns ctx's error after a cancel, else the lowest-indexed
+// sub-job error, else the results in list order.
+func (c *coordinator) fanOut(ctx context.Context, subs []JobRequest, scale float64, report core.ProgressFunc) ([]*core.Result, error) {
+	results := make([]*core.Result, len(subs))
+	errs := make([]error, len(subs))
 	workers := runtime.GOMAXPROCS(0)
 	c.mu.Lock()
-	if n := 2 * c.ring.size(); n > workers {
-		workers = n
-	}
+	workers = min(max(workers, 2*c.ring.size()), len(subs))
 	c.mu.Unlock()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	var done atomic.Int64
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -325,15 +233,15 @@ func (c *coordinator) runCells(ctx context.Context, spec core.MatrixSpec, cells 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = c.runCell(ctx, spec, cells[i], param, value)
-				if errs[i] == nil && onDone != nil {
-					onDone()
+				results[i], errs[i] = c.place(ctx, subs[i], scale)
+				if errs[i] == nil && report != nil {
+					report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
 				}
 			}
 		}()
 	}
 dispatch:
-	for i := range cells {
+	for i := range subs {
 		select {
 		case next <- i:
 		case <-ctx.Done():
@@ -353,28 +261,21 @@ dispatch:
 	return results, nil
 }
 
-// runCell executes one cell: place on the ring, retry once on the
-// post-failure owner, then fall back to in-process execution.
-func (c *coordinator) runCell(ctx context.Context, spec core.MatrixSpec, cell core.MatrixCell, param string, value float64) (*core.Result, error) {
-	req := JobRequest{
-		Kind:       "cell",
-		Trace:      cell.Trace,
-		Scheme:     cell.Scheme,
-		PEBaseline: cell.PE,
-		Scale:      spec.Scale,
-		Seed:       spec.Seed,
-		Param:      param,
-		ParamValue: value,
-	}
+// place runs one sub-job: on its ring owner, once more on the owner after
+// a failure, then in-process through the same compile a worker runs. A
+// worker that rejects the sub-job (HTTP 400) judged the request, so the
+// job fails with its message and the worker stays in the ring; any other
+// failure drops the worker from the ring.
+func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64) (*core.Result, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
-	key := jobKey(req, spec.Scale)
+	key := jobKey(sub, scale)
 	for attempt := 0; attempt < 2; attempt++ {
 		node := c.pick(key)
 		if node == "" {
 			break
 		}
-		res, err := c.dispatch(ctx, node, req)
+		res, err := c.dispatch(ctx, node, sub)
 		if err == nil {
 			c.remoteCells.Add(1)
 			return res, nil
@@ -382,24 +283,50 @@ func (c *coordinator) runCell(ctx context.Context, spec core.MatrixSpec, cell co
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
+		if errors.Is(err, errRejected) {
+			return nil, err
+		}
 		c.markDead(node)
 	}
-	// No worker could serve the cell: run it here so the sweep completes.
+	// No worker could serve the sub-job: run it here so the sweep completes.
 	c.fallbackCells.Add(1)
-	return core.RunCellContext(ctx, spec, cell)
+	run, err := compile(sub, scale)
+	if err != nil {
+		return nil, err
+	}
+	res, err := run(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.(*core.Result), nil
 }
 
-// dispatch submits a cell sub-job to one worker and polls its result.
-// A 429 (worker queue full) backs off and resubmits; any transport or
-// server error is returned to the caller for rerouting.
+// errRejected marks a sub-job a worker refused with HTTP 400: the
+// request's fault, not the worker's.
+var errRejected = errors.New("sub-job rejected")
+
+// dispatch submits a sub-job to one worker and polls its result. A 429
+// (worker queue full) backs off and resubmits; a 400 returns errRejected
+// with the worker's message; any other transport or server error is
+// returned for rerouting. Once the worker accepted the sub-job, a
+// cancelled ctx cancels it on the worker too.
 func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest) (*core.Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
+	// The submission outlives a cancelled ctx by cancelGrace, so a POST
+	// the worker already accepted still returns the sub-job's ID and the
+	// sub-job can be cancelled there instead of running unobserved.
+	postCtx, cancelPost := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancelPost()
+	defer context.AfterFunc(ctx, func() { time.AfterFunc(cancelGrace, cancelPost) })()
 	var view JobView
 	for {
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(body))
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		httpReq, err := http.NewRequestWithContext(postCtx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -408,15 +335,25 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest)
 		if err != nil {
 			return nil, err
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
 			// Alive but saturated: back off and resubmit.
 			drain(resp)
 			if err := sleepCtx(ctx, 25*time.Millisecond); err != nil {
 				return nil, err
 			}
 			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
+		case http.StatusBadRequest:
+			var out struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
+				out.Error = "unreadable rejection: " + err.Error()
+			}
+			drain(resp)
+			return nil, fmt.Errorf("worker %s: %w: %s", node, errRejected, out.Error)
+		case http.StatusAccepted:
+		default:
 			drain(resp)
 			return nil, fmt.Errorf("worker %s: submit HTTP %d", node, resp.StatusCode)
 		}
@@ -427,6 +364,11 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest)
 		}
 		break
 	}
+	defer func() {
+		if ctx.Err() != nil {
+			c.cancelRemote(ctx, node, view.ID)
+		}
+	}()
 	for {
 		httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/jobs/"+view.ID+"/result", nil)
 		if err != nil {
@@ -462,6 +404,25 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest)
 			return nil, fmt.Errorf("worker %s: job %s: HTTP %d: %s",
 				node, view.ID, resp.StatusCode, bytes.TrimSpace(msg))
 		}
+	}
+}
+
+// cancelGrace bounds the worker round trips a cancelled sub-job may
+// still make: finishing its submission and cancelling it on the worker.
+const cancelGrace = time.Second
+
+// cancelRemote asks a worker to cancel an accepted sub-job once ctx is
+// done. It is best effort under cancelGrace: a worker that cannot be
+// reached is not running anything for this coordinator either.
+func (c *coordinator) cancelRemote(ctx context.Context, node, id string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelGrace)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/jobs/"+id+"/cancel", nil)
+	if err != nil {
+		return
+	}
+	if resp, err := c.client.Do(req); err == nil {
+		drain(resp)
 	}
 }
 

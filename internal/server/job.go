@@ -194,11 +194,14 @@ func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
 	if req.Kind != "contention" && (len(req.Mixes) > 0 || req.CacheBytes != 0) {
 		return nil, fmt.Errorf("mixes and cacheBytes apply only to contention jobs, not %q", req.Kind)
 	}
+	// A stray param on a run would otherwise be dropped by canonicalisation
+	// and the run stored under a plain run's key.
+	if req.Kind != "cell" && req.Kind != "sensitivity" && (req.Param != "" || req.ParamValue != 0) {
+		return nil, fmt.Errorf("param and paramValue apply only to cell and sensitivity jobs, not %q", req.Kind)
+	}
 	switch req.Kind {
-	case "run":
+	case "run", "cell":
 		return compileRun(req)
-	case "cell":
-		return compileCell(req)
 	case "matrix":
 		return compileMatrix(req)
 	case "sensitivity":
@@ -238,6 +241,12 @@ func validateTraces(names []string) error {
 	return nil
 }
 
+// compileRun builds one replay. A "run" replays one trace — or, closed
+// loop, K tenant streams — through one scheme. A "cell" is one sweep cell
+// a coordinator places on a worker: an open-loop run whose flash
+// configuration, when param is set, is the sensitivity point's (param
+// fixed at paramValue). Its result is bit-identical to the corresponding
+// element of the full sweep.
 func compileRun(req JobRequest) (jobFunc, error) {
 	if req.Scheme == "" {
 		req.Scheme = "IPU"
@@ -255,6 +264,12 @@ func compileRun(req JobRequest) (jobFunc, error) {
 	}
 	if req.QueueDepth < 0 {
 		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+	}
+	if req.Kind == "cell" && req.QueueDepth != 0 {
+		return nil, fmt.Errorf("cell jobs are open-loop (queueDepth %d not supported)", req.QueueDepth)
+	}
+	if req.PEBaseline < 0 {
+		return nil, fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
 	}
 	// The v3 extensions ride on the closed-loop engine only: an open-loop
 	// replay has no issue gate for the buffer's backpressure or the
@@ -280,8 +295,19 @@ func compileRun(req JobRequest) (jobFunc, error) {
 			return nil, err
 		}
 	}
+	var fc *flash.Config
+	if req.Param != "" {
+		cfg, err := core.SensitivityCellConfig(req.Param, req.ParamValue)
+		if err != nil {
+			return nil, err
+		}
+		fc = &cfg
+	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		cfg := core.DefaultConfig()
+		if fc != nil {
+			cfg.Flash = *fc
+		}
 		cfg.Scheme = req.Scheme
 		cfg.Parallelism = req.Parallelism
 		if req.PEBaseline > 0 {
@@ -328,54 +354,6 @@ func compileRun(req JobRequest) (jobFunc, error) {
 		}
 		sim.Release()
 		return res, nil
-	}, nil
-}
-
-// compileCell builds one sweep cell: a single (trace, scheme, P/E) run,
-// optionally at a sensitivity point (param fixed at a value). Cells are
-// the sub-jobs a coordinator places on workers; their results are
-// bit-identical to the corresponding element of the full sweep.
-func compileCell(req JobRequest) (jobFunc, error) {
-	if req.Scheme == "" {
-		req.Scheme = "IPU"
-	}
-	if req.Trace == "" {
-		req.Trace = "ts0"
-	}
-	if err := validateSchemes([]string{req.Scheme}); err != nil {
-		return nil, err
-	}
-	if err := validateTraces([]string{req.Trace}); err != nil {
-		return nil, err
-	}
-	if req.QueueDepth != 0 {
-		return nil, fmt.Errorf("cell jobs are open-loop (queueDepth %d not supported)", req.QueueDepth)
-	}
-	if req.PEBaseline < 0 {
-		return nil, fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
-	}
-	var fc *flash.Config
-	if req.Param != "" {
-		// Reconstruct the sensitivity point's flash configuration from
-		// (param, value) — exactly what the coordinator's sweep point uses.
-		cfg, err := core.SensitivityCellConfig(req.Param, req.ParamValue)
-		if err != nil {
-			return nil, err
-		}
-		fc = &cfg
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:      []string{req.Trace},
-			Schemes:     []string{req.Scheme},
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			Flash:       fc,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
-		}
-		cell := core.MatrixCell{Trace: req.Trace, Scheme: req.Scheme, PE: req.PEBaseline}
-		return core.RunCellContext(ctx, spec, cell)
 	}, nil
 }
 

@@ -12,10 +12,11 @@
 // directory, the job table survives restarts: completed results are
 // served from disk and interrupted work is re-enqueued, re-running to
 // bit-identical output. And in coordinator mode the daemon shards
-// matrix/sensitivity sweeps into per-cell sub-jobs placed on worker
-// daemons by consistent hashing, aggregating streamed rows into the same
-// response a single daemon produces — with failed workers dropped from
-// the ring and their cells re-placed or run locally.
+// matrix, sensitivity and contention sweeps into per-cell sub-jobs
+// placed on worker daemons by consistent hashing, aggregating streamed
+// rows into the same response a single daemon produces — with failed
+// workers dropped from the ring and their cells re-placed or run
+// locally.
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
 // when full, every job runs under a per-job timeout with panic recovery,
@@ -62,8 +63,8 @@ type Options struct {
 	// reloads completed results and re-enqueues interrupted work.
 	DataDir string
 	// WorkerURLs, when non-empty, puts the server in coordinator mode:
-	// matrix and sensitivity jobs are sharded into per-cell sub-jobs
-	// placed on these worker daemons by consistent hashing.
+	// matrix, sensitivity and contention jobs are sharded into per-cell
+	// sub-jobs placed on these worker daemons by consistent hashing.
 	WorkerURLs []string
 }
 
@@ -188,7 +189,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	s.cache = newResultCache(opts.CacheCap, store)
 	if len(opts.WorkerURLs) > 0 {
-		s.coord = newCoordinator(s, opts.WorkerURLs)
+		s.coord = newCoordinator(opts.WorkerURLs)
 	}
 	s.stats.Workers = opts.Workers
 	s.stats.QueueCap = opts.QueueCap
@@ -280,7 +281,7 @@ func (s *Server) requeueRecovered(j *Job) {
 // sharded by the coordinator when one is configured, everything else
 // compiles to a local run.
 func (s *Server) compileFor(req JobRequest) (jobFunc, error) {
-	if s.coord != nil && (req.Kind == "matrix" || req.Kind == "sensitivity" || req.Kind == "contention") {
+	if s.coord != nil {
 		return s.coord.compile(req, s.opts.DefaultScale)
 	}
 	return compile(req, s.opts.DefaultScale)

@@ -129,27 +129,52 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// validatingDaemons returns a plain daemon and a coordinator fronting one
+// live worker. The coordinator validates through the daemon's own
+// compile, so both must reject the same submissions with 400.
+func validatingDaemons(t *testing.T) map[string]*httptest.Server {
+	t.Helper()
+	_, plain := newTestService(t, Options{Workers: 1})
+	_, worker := newTestService(t, Options{Workers: 1})
+	_, coord := newTestService(t, Options{Workers: 1, WorkerURLs: []string{worker.URL}})
+	return map[string]*httptest.Server{"daemon": plain, "coordinator": coord}
+}
+
+// expectRejected submits every body to both validating daemons and
+// requires a 400 with nothing enqueued.
+func expectRejected(t *testing.T, bodies map[string]string) {
+	t.Helper()
+	for daemon, ts := range validatingDaemons(t) {
+		t.Run(daemon, func(t *testing.T) {
+			for name, body := range bodies {
+				resp, _ := postJob(t, ts, body)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+				}
+			}
+			if st := mustStats(t, ts); st.Submitted != 0 {
+				t.Fatalf("stats.Submitted = %d after rejected submissions", st.Submitted)
+			}
+		})
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestService(t, Options{Workers: 1})
-	for name, body := range map[string]string{
-		"unknown kind":   `{"kind":"explode"}`,
-		"unknown scheme": `{"kind":"run","scheme":"NOPE"}`,
-		"unknown trace":  `{"kind":"run","trace":"nope"}`,
-		"bad scale":      `{"kind":"run","scale":7}`,
-		"bad timeout":    `{"kind":"run","timeout":"yesterday"}`,
-		"unknown field":  `{"kind":"run","shceme":"IPU"}`,
-		"matrix scheme":  `{"kind":"matrix","schemes":["IPU","NOPE"]}`,
-		"bad param":      `{"kind":"sensitivity","param":"warp"}`,
-	} {
-		resp, _ := postJob(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
-		}
-	}
-	// Nothing should have been enqueued.
-	if st := mustStats(t, ts); st.Submitted != 0 {
-		t.Fatalf("stats.Submitted = %d after rejected submissions", st.Submitted)
-	}
+	expectRejected(t, map[string]string{
+		"unknown kind":          `{"kind":"explode"}`,
+		"unknown scheme":        `{"kind":"run","scheme":"NOPE"}`,
+		"unknown trace":         `{"kind":"run","trace":"nope"}`,
+		"bad scale":             `{"kind":"run","scale":7}`,
+		"bad timeout":           `{"kind":"run","timeout":"yesterday"}`,
+		"unknown field":         `{"kind":"run","shceme":"IPU"}`,
+		"matrix scheme":         `{"kind":"matrix","schemes":["IPU","NOPE"]}`,
+		"bad param":             `{"kind":"sensitivity","param":"warp"}`,
+		"contention queueDepth": `{"kind":"contention","queueDepth":-1}`,
+		"contention cacheBytes": `{"kind":"contention","cacheBytes":-5}`,
+		"matrix parallelism":    `{"kind":"matrix","parallelism":-1}`,
+		"param on run":          `{"kind":"run","param":"slcratio"}`,
+		"negative peBaseline":   `{"kind":"run","peBaseline":-1}`,
+	})
 }
 
 func mustStats(t *testing.T, ts *httptest.Server) Stats {
@@ -488,8 +513,7 @@ func TestMultiTenantJobEndToEnd(t *testing.T) {
 // TestV3FieldValidation asserts the schema-v3 fields are rejected where
 // they make no sense.
 func TestV3FieldValidation(t *testing.T) {
-	_, ts := newTestService(t, Options{Workers: 1})
-	for name, body := range map[string]string{
+	expectRejected(t, map[string]string{
 		"tenants open-loop":    `{"kind":"run","tenants":[{"name":"a"}]}`,
 		"cache open-loop":      `{"kind":"run","writeCache":{"capacityBytes":1048576}}`,
 		"tenants on matrix":    `{"kind":"matrix","tenants":[{"name":"a"}]}`,
@@ -498,12 +522,7 @@ func TestV3FieldValidation(t *testing.T) {
 		"tenant bad weight":    `{"kind":"run","queueDepth":8,"tenants":[{"weight":-2}]}`,
 		"trace plus tenants":   `{"kind":"run","queueDepth":8,"trace":"ts0","tenants":[{"name":"a"}]}`,
 		"bad cache line":       `{"kind":"run","queueDepth":8,"writeCache":{"capacityBytes":1024,"lineBytes":4096}}`,
-	} {
-		resp, _ := postJob(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
-		}
-	}
+	})
 }
 
 // TestSchemesEndpoint asserts the daemon exposes the scheme registry.
