@@ -58,7 +58,9 @@ check-schemes:
 	$(GO) test -count 1 ./internal/scheme
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
 
-# The parallel-replay acceptance gate: the commit-pipeline units and the
+# The parallel-replay acceptance gate: the commit-pipeline units, the
+# read-cost memo (exact against the error model and dropped on Restore;
+# the pipeline fills it at dispatch while workers sum its costs), and the
 # parallel-vs-serial bit-identity differential over every admission mode
 # of the request loop — every scheme over every trace open-loop and every
 # closed-loop shape (stream, tenant mixes, write cache off/on), at
@@ -67,6 +69,7 @@ check-schemes:
 # all under the race detector.
 check-parallel:
 	$(GO) test -race -count 1 -run 'TestPipeline|TestParallel' ./internal/sim
+	$(GO) test -race -count 1 -run 'TestReadCostMemo' ./internal/scheme
 	$(GO) test -race -count 1 -run 'TestParallel|TestClosedLoopParallel' ./internal/core
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-reference

@@ -92,9 +92,14 @@ var (
 	traceCacheCap   = 24
 )
 
+// traceCacheEntry is one cached trace with its statistics. The stats are
+// analysed on first use by the report tables and live in the entry, so
+// they are evicted together with the trace and never pin it.
 type traceCacheEntry struct {
-	tr      *trace.Trace
-	lastUse uint64
+	tr        *trace.Trace
+	lastUse   uint64
+	statsOnce sync.Once
+	stats     trace.Stats
 }
 
 // ResetTraceCache drops every cached synthesised trace, releasing their
@@ -114,17 +119,38 @@ func SyntheticTrace(name string, seed int64, scale float64) (*trace.Trace, error
 	return cachedTrace(name, seed, scale)
 }
 
-// cachedTrace returns the synthesised trace for a profile, generating and
-// caching it on first use and evicting the least recently used trace
-// beyond the cache cap.
+// cachedTrace returns the synthesised trace for a profile through the
+// trace cache.
 func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
+	e, err := traceEntry(name, seed, scale)
+	if err != nil {
+		return nil, err
+	}
+	return e.tr, nil
+}
+
+// cachedTraceStats returns trace.Analyze of a cached trace, analysing it
+// at most once per cache entry.
+func cachedTraceStats(name string, seed int64, scale float64) (trace.Stats, error) {
+	e, err := traceEntry(name, seed, scale)
+	if err != nil {
+		return trace.Stats{}, err
+	}
+	e.statsOnce.Do(func() { e.stats = trace.Analyze(e.tr) })
+	return e.stats, nil
+}
+
+// traceEntry returns the cache entry of a profile's synthesised trace,
+// generating and caching it on first use and evicting the least recently
+// used entry beyond the cache cap.
+func traceEntry(name string, seed int64, scale float64) (*traceCacheEntry, error) {
 	key := traceKey{name, seed, scale}
 	traceCacheMu.Lock()
 	traceCacheClock++
 	if e, ok := traceCacheMap[key]; ok {
 		e.lastUse = traceCacheClock
 		traceCacheMu.Unlock()
-		return e.tr, nil
+		return e, nil
 	}
 	traceCacheMu.Unlock()
 
@@ -144,9 +170,10 @@ func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
 		// Another goroutine generated the same trace concurrently; keep
 		// the cached one so all jobs share a single instance.
 		e.lastUse = traceCacheClock
-		return e.tr, nil
+		return e, nil
 	}
-	traceCacheMap[key] = &traceCacheEntry{tr: tr, lastUse: traceCacheClock}
+	e := &traceCacheEntry{tr: tr, lastUse: traceCacheClock}
+	traceCacheMap[key] = e
 	for len(traceCacheMap) > traceCacheCap {
 		var victim traceKey
 		var oldest uint64
@@ -158,7 +185,7 @@ func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
 		}
 		delete(traceCacheMap, victim)
 	}
-	return tr, nil
+	return e, nil
 }
 
 // RunMatrixContext executes every (trace, scheme, P/E) combination of the

@@ -76,18 +76,18 @@ func (rs *ResultSet) defaultPE() int {
 // Tables 1-3
 
 // Table1 regenerates the update-size distribution of the synthetic
-// traces. Traces come from the shared trace cache, so rendering the
-// table after (or alongside) a run reuses the replay's synthesis.
+// traces. Traces and their statistics come from the shared trace cache,
+// so rendering the table after (or alongside) a run reuses the replay's
+// synthesis, and rendering it again reuses the analysis.
 func Table1(seed int64, scale float64) (*metrics.Table, error) {
 	t := metrics.NewTable("Table 1: size distribution of updated requests",
 		"Trace", "Size<=4K", "4K<Size<=8K", "Size>8K", "paper<=4K", "paper4-8K", "paper>8K")
 	for _, name := range trace.ProfileNames() {
 		p := trace.Profiles[name]
-		tr, err := cachedTrace(name, seed, scale)
+		s, err := cachedTraceStats(name, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		s := trace.Analyze(tr)
 		t.AddRow(name,
 			metrics.FormatPct(s.UpdateSizeDist.Small),
 			metrics.FormatPct(s.UpdateSizeDist.Medium),
@@ -122,17 +122,16 @@ func Table2(cfg *flash.Config) *metrics.Table {
 }
 
 // Table3 regenerates the trace specifications, reusing the shared trace
-// cache like Table1.
+// cache and its statistics like Table1.
 func Table3(seed int64, scale float64) (*metrics.Table, error) {
 	t := metrics.NewTable("Table 3: specifications of selected traces",
 		"Trace", "#Req", "WriteR", "WriteSZ", "HotWrite", "paperWriteR", "paperSZ", "paperHot")
 	for _, name := range trace.ProfileNames() {
 		p := trace.Profiles[name]
-		tr, err := cachedTrace(name, seed, scale)
+		s, err := cachedTraceStats(name, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		s := trace.Analyze(tr)
 		t.AddRow(name,
 			fmt.Sprint(s.Requests),
 			metrics.FormatPct(s.WriteRatio),

@@ -77,12 +77,14 @@ type Device struct {
 	unmappedCnt []int
 
 	// Read-path memos. berMemo caches the Fig. 2 base rate per erase
-	// count ([0] conventional, [1] partial); unmappedCost caches the
-	// constant ECC cost of reading never-written data. Both are pure
+	// count ([0] conventional, [1] partial); costMemo caches the ECC
+	// decode cost per effective BER (see readCost); unmappedCost caches
+	// the constant ECC cost of reading never-written data. All are pure
 	// caches of deterministic functions of the immutable (Cfg, Err) pair,
 	// so sharing them between the serial and pipelined read paths cannot
 	// change any result bit.
 	berMemo        [2][]float64
+	costMemo       *costMemo
 	unmappedCost   errmodel.ReadCost
 	unmappedCostOK bool
 
@@ -216,9 +218,11 @@ func (d *Device) Clone() *Device {
 	c.unmappedCnt = nil
 	// The memo values stay valid (the clone shares Cfg and Err) but the
 	// backing arrays must not be shared: clones run on other goroutines
-	// and grow their memos independently.
+	// and grow their memos independently. The cost table is rebuilt on
+	// the clone's first read.
 	c.berMemo[0] = append([]float64(nil), d.berMemo[0]...)
 	c.berMemo[1] = append([]float64(nil), d.berMemo[1]...)
+	c.costMemo = nil
 	c.pipe = nil
 	c.onReadCommit = nil
 	c.dispatchedReads = 0
@@ -253,7 +257,7 @@ func (d *Device) Restore(t *Device) {
 	excl := d.excl
 	slcMove, mlcMove := d.slcMoveFrames, d.mlcMoveFrames
 	readGroups, unmappedFr, unmappedCnt := d.readGroups, d.unmappedFr, d.unmappedCnt
-	berMemo := d.berMemo
+	berMemo, costs := d.berMemo, d.costMemo
 
 	*d = *t
 	d.Arr, d.Eng, d.Map, d.Met = arr, eng, m, met
@@ -264,10 +268,15 @@ func (d *Device) Restore(t *Device) {
 	d.readGroups, d.unmappedFr, d.unmappedCnt = readGroups, unmappedFr, unmappedCnt
 	// Keep d's own memo arrays (never t's — they may be shared with other
 	// restores of the same template) but drop their contents: Restore's
-	// contract is only "same geometry", and the memo is keyed by the
-	// error model and P/E baseline.
+	// contract is only "same geometry", and the memos are keyed by the
+	// error model and P/E baseline. The cost table is cleared in place, so
+	// a recycled device allocates it at most once.
 	d.berMemo[0] = berMemo[0][:0]
 	d.berMemo[1] = berMemo[1][:0]
+	d.costMemo = costs
+	if costs != nil {
+		*costs = costMemo{}
+	}
 	d.unmappedCostOK = false
 	d.pipe = nil
 	d.onReadCommit = nil
@@ -379,19 +388,27 @@ func (d *Device) SLCTotalPages() int { return d.slcTotalPages }
 // Logical address helpers
 
 // LSNRange converts a byte range into the logical subpages it touches,
-// wrapping modulo the logical space. The returned slice is device-owned
-// scratch, overwritten by the next LSNRange or Chunks call.
+// wrapping modulo the logical space. The offset must be non-negative and
+// the size positive, as trace validation guarantees. The returned slice
+// is device-owned scratch, overwritten by the next LSNRange or Chunks
+// call.
 func (d *Device) LSNRange(offset int64, size int) []flash.LSN {
+	// One division and at most one modulo per request: the loop walks
+	// subpage boundaries up to the range's end, and the run of LSNs is
+	// consecutive, so a compare finds where it wraps to 0.
 	sub := int64(d.Cfg.SubpageSizeBytes)
 	first := offset / sub
-	last := (offset + int64(size) - 1) / sub
-	out := d.lsnBuf[:0]
-	if n := int(last - first + 1); cap(out) < n {
-		out = make([]flash.LSN, 0, n)
-	}
 	logical := int64(d.Cfg.LogicalSubpages)
-	for s := first; s <= last; s++ {
-		out = append(out, flash.LSN(s%logical))
+	l := first
+	if l >= logical {
+		l %= logical
+	}
+	out := d.lsnBuf[:0]
+	for pos, end := first*sub, offset+int64(size); pos < end; pos += sub {
+		out = append(out, flash.LSN(l))
+		if l++; l == logical {
+			l = 0
+		}
 	}
 	d.lsnBuf = out
 	return out
@@ -920,14 +937,11 @@ func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 		var extra time.Duration
 		retries := 0
 		for _, s := range g.slot[:g.n] {
-			sp := d.Arr.Subpage(flash.NewPPA(g.pa.Block(), g.pa.Page(), int(s)))
-			ber := d.Err.StressedBER(d.rawBER(b.EraseCount, sp.Partial),
-				sp.InPageDisturb, sp.NeighborDisturb, sp.ReprogramStress)
-			cost := d.Err.CostFromBER(ber)
-			extra += cost.DecodeTime
-			retries += cost.Retries
-			d.Met.ReadBER.Add(cost.BER)
-			if cost.Uncorrectable {
+			cost := d.subpageCost(b, d.Arr.Subpage(flash.NewPPA(g.pa.Block(), g.pa.Page(), int(s))))
+			extra += cost.decode
+			retries += cost.retries
+			d.Met.ReadBER.Add(cost.ber())
+			if cost.unc {
 				d.Met.UncorrectableReads++
 			}
 		}

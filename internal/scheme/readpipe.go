@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"math"
 	"time"
 
 	"ipusim/internal/errmodel"
@@ -10,23 +11,23 @@ import (
 
 // The intra-run read pipeline. A replay is a single logical timeline —
 // writes, GC and the engine's chip/channel bookkeeping are deeply
-// sequential — but the expensive part of the read path is not: evaluating
-// per-subpage ECC cost (EffectiveBER + CostFromBER, two math.Pow calls per
-// subpage) is pure arithmetic over inputs that are fixed the moment the
-// request is dispatched. The pipeline therefore splits every host read in
-// two:
+// sequential — and with each subpage's ECC cost a lookup in the device's
+// read-cost memo (readCost), so is most of the read path. The pipeline
+// still moves each request's completion time and metric fold off the
+// dispatch call, splitting every host read in three:
 //
 //   - dispatch (issue thread): map lookup, page grouping, invariant
-//     checking, and the engine PerformMode calls — everything that touches
-//     or orders mutable device state. The reliability inputs of every
-//     subpage (memoised Fig. 2 base rate + disturb counters) are
-//     snapshotted into a slot of the operation ring, because a later write
-//     or GC may remap or re-stress them before the worker runs.
-//   - evaluate (worker, sharded by the first page's parallel unit):
-//     per-subpage effective BER, decode time, retries, and the request's
+//     checking, the engine PerformMode calls, and every subpage's ECC
+//     cost through subpageCost — the same helper serial ReadReq uses —
+//     summed per page. The costs are evaluated here rather than on a
+//     worker because the inputs (wear, disturb counters) are mutable
+//     device state a later write or GC may change, and because the memo
+//     then has exactly one writer.
+//   - evaluate (worker, sharded by the first page's parallel unit): turn
+//     each page's sums into its ECC extra and take the request's
 //     completion time. ECC time occupies neither chip nor channel
-//     (sim.Engine charges it after the flash op), so evaluating it off the
-//     timeline cannot change any scheduling decision.
+//     (sim.Engine charges it after the flash op), so evaluating it off
+//     the timeline cannot change any scheduling decision.
 //   - commit (issue thread, dispatch order): fold the results into the
 //     metrics. Every aggregate a read touches is either an integer sum,
 //     a latency histogram (order-free), or the ReadBER mean — a float sum
@@ -41,28 +42,17 @@ import (
 // operation.
 const readOpBatch = 8
 
-// readSubSnap is the dispatch-time snapshot of one subpage's reliability
-// inputs: the memoised base (Fig. 2) rate for its wear and programming
-// mode, plus the three stress counters.
-type readSubSnap struct {
-	base      float64
-	inPage    uint16
-	neighbor  uint16
-	reprogram uint16
-}
-
-// readGroupJob is one physical-page read of a request: n subpage
-// snapshots in, per-subpage BER plus decode/retry totals out. base is the
-// engine completion time before ECC extra, fixed at dispatch.
+// readGroupJob is one physical-page read of a request, filled at
+// dispatch: the n subpages' effective BERs and the page's decode time,
+// retry and uncorrectable totals. base is the engine completion time
+// before ECC extra.
 type readGroupJob struct {
-	n    int
-	slc  bool
-	mode flash.Mode
-	base int64
-	sub  [8]readSubSnap
-
-	// Results, filled by the worker.
+	n       int
+	slc     bool
+	mode    flash.Mode
+	base    int64
 	ber     [8]float64
+	decode  time.Duration
 	retries int
 	unc     int
 }
@@ -215,6 +205,11 @@ func (rp *readPipe) nextReq() *readReqJob {
 	req.now = 0
 	req.baseEnd = 0
 	req.groups = req.groups[:0]
+	if req.groups == nil {
+		// The ring is built fresh for every run; sizing a slot's page list
+		// for a typical read up front saves growing it page by page.
+		req.groups = make([]readGroupJob, 0, 8)
+	}
 	req.unmapped = req.unmapped[:0]
 	return req
 }
@@ -229,14 +224,68 @@ func (d *Device) rawBER(eraseCount int, partial bool) float64 {
 		idx = 1
 	}
 	memo := d.berMemo[idx]
+	if eraseCount < len(memo) && memo[eraseCount] >= 0 {
+		return memo[eraseCount]
+	}
 	for len(memo) <= eraseCount {
 		memo = append(memo, -1)
 	}
-	if memo[eraseCount] < 0 {
-		memo[eraseCount] = d.Err.RawBER(d.Cfg.PEBaseline+eraseCount, partial)
-	}
+	memo[eraseCount] = d.Err.RawBER(d.Cfg.PEBaseline+eraseCount, partial)
 	d.berMemo[idx] = memo
 	return memo[eraseCount]
+}
+
+// costMemoBits sizes the read-cost memo: 1<<costMemoBits slots of 32
+// bytes. One matrix cell evaluates a few hundred distinct BERs; at this
+// size about 0.5% of the paper matrix's lookups miss.
+const costMemoBits = 9
+
+// costSlot is one read-cost memo entry: the ECC outcome (Err.CostFromBER's
+// DecodeTime, Retries and Uncorrectable) of the effective BER whose bits
+// are key. A zero slot is empty.
+type costSlot struct {
+	key     uint64
+	decode  time.Duration
+	retries int
+	unc     bool
+	full    bool
+}
+
+// ber returns the effective BER the slot was filled from.
+func (s *costSlot) ber() float64 { return math.Float64frombits(s.key) }
+
+// costMemo is a direct-mapped table of ECC read costs keyed by the bits
+// of the effective BER.
+type costMemo [1 << costMemoBits]costSlot
+
+// readCost returns the ECC outcome of reading a subpage at effective BER
+// ber, memoised per device. The memo is exact: a slot answers only for
+// the BER bits it was filled from, and a collision overwrites the slot,
+// so the table stays bounded and never approximates. The returned slot is
+// valid until the next readCost call. Only the issue thread calls it
+// (serial reads and pipeline dispatch), so the table has a single writer.
+func (d *Device) readCost(ber float64) *costSlot {
+	memo := d.costMemo
+	if memo == nil {
+		memo = new(costMemo)
+		d.costMemo = memo
+	}
+	key := math.Float64bits(ber)
+	s := &memo[key*0x9e3779b97f4a7c15>>(64-costMemoBits)]
+	if !s.full || s.key != key {
+		c := d.Err.CostFromBER(ber)
+		*s = costSlot{key: key, decode: c.DecodeTime, retries: c.Retries, unc: c.Uncorrectable, full: true}
+	}
+	return s
+}
+
+// subpageCost is the read path's one ECC evaluation, shared by serial
+// ReadReq and pipeline dispatch: the memoised cost of a subpage's
+// effective BER (memoised base rate of block b plus the subpage's stress
+// counters).
+func (d *Device) subpageCost(b *flash.Block, sp *flash.Subpage) *costSlot {
+	return d.readCost(d.Err.StressedBER(d.rawBER(b.EraseCount, sp.Partial),
+		sp.InPageDisturb, sp.NeighborDisturb, sp.ReprogramStress))
 }
 
 // unmappedReadCost returns the constant ECC cost of reading never-written
@@ -250,9 +299,9 @@ func (d *Device) unmappedReadCost() *errmodel.ReadCost {
 }
 
 // readReqAsync is ReadReq's pipeline twin: it performs every state-
-// touching step of the read synchronously, snapshots the reliability
-// inputs into a ring slot, and defers the ECC arithmetic plus the metric
-// fold to the pipeline. Returns the completion time excluding ECC extra
+// touching step of the read synchronously, sums each page's ECC costs
+// into a ring slot, and defers the completion time plus the metric fold
+// to the pipeline. Returns the completion time excluding ECC extra
 // (the full latency is recorded at commit).
 func (d *Device) readReqAsync(now int64, lsns []flash.LSN) int64 {
 	d.groupRead(lsns)
@@ -269,12 +318,12 @@ func (d *Device) readReqAsync(now int64, lsns []flash.LSN) int64 {
 		b := d.Arr.Block(blk)
 		j := readGroupJob{n: g.n, mode: b.Mode, slc: b.Mode == flash.ModeSLC}
 		for i, s := range g.slot[:g.n] {
-			sp := d.Arr.Subpage(flash.NewPPA(blk, g.pa.Page(), int(s)))
-			j.sub[i] = readSubSnap{
-				base:      d.rawBER(b.EraseCount, sp.Partial),
-				inPage:    sp.InPageDisturb,
-				neighbor:  sp.NeighborDisturb,
-				reprogram: sp.ReprogramStress,
+			cost := d.subpageCost(b, d.Arr.Subpage(flash.NewPPA(blk, g.pa.Page(), int(s))))
+			j.ber[i] = cost.ber()
+			j.decode += cost.decode
+			j.retries += cost.retries
+			if cost.unc {
+				j.unc++
 			}
 		}
 		j.base = d.Eng.PerformMode(now, blk, sim.OpRead, b.Mode, g.n, 0)
@@ -313,9 +362,9 @@ func (d *Device) readReqAsync(now int64, lsns []flash.LSN) int64 {
 	return end
 }
 
-// evalReadOp is the worker half: pure arithmetic over the dispatch
-// snapshots. It may read only the op payload and the device's immutable
-// config and error model.
+// evalReadOp is the worker half: pure arithmetic over the per-page sums
+// taken at dispatch. It may read only the op payload and the device's
+// immutable config.
 func (d *Device) evalReadOp(slot int) {
 	op := &d.pipe.ops[slot]
 	for ri := 0; ri < op.n; ri++ {
@@ -323,21 +372,7 @@ func (d *Device) evalReadOp(slot int) {
 		end := req.baseEnd
 		for gi := range req.groups {
 			g := &req.groups[gi]
-			var extra time.Duration
-			retries, unc := 0, 0
-			for i := 0; i < g.n; i++ {
-				s := &g.sub[i]
-				ber := d.Err.StressedBER(s.base, s.inPage, s.neighbor, s.reprogram)
-				cost := d.Err.CostFromBER(ber)
-				g.ber[i] = ber
-				extra += cost.DecodeTime
-				retries += cost.Retries
-				if cost.Uncorrectable {
-					unc++
-				}
-			}
-			g.retries, g.unc = retries, unc
-			extra += time.Duration(retries) * d.cellReadTime(g.mode)
+			extra := g.decode + time.Duration(g.retries)*d.cellReadTime(g.mode)
 			if e := g.base + int64(extra); e > end {
 				end = e
 			}

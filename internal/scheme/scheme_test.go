@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ipusim/internal/errmodel"
@@ -118,6 +119,61 @@ func TestLSNRangeWrapsLogicalSpace(t *testing.T) {
 	lsns := d.LSNRange(bytes-4096, 8192)
 	if len(lsns) != 2 || lsns[0] != flash.LSN(cfg.LogicalSubpages-1) || lsns[1] != 0 {
 		t.Fatalf("wrap: %v", lsns)
+	}
+}
+
+// TestLSNRangeMatchesModulo checks the wrap-with-a-compare LSNRange, and
+// the Chunks built on it, against the direct per-subpage modulo, for
+// ranges inside the logical space, ending on and crossing its end, and
+// spanning it more than once.
+func TestLSNRangeMatchesModulo(t *testing.T) {
+	cfg := tinyConfig()
+	d := newScheme(t, "Baseline", cfg).Device()
+	sub := int64(cfg.SubpageSizeBytes)
+	logical := int64(cfg.LogicalSubpages)
+	bytes := logical * sub
+	slots := cfg.SlotsPerPage()
+
+	refLSNs := func(offset int64, size int) []flash.LSN {
+		var out []flash.LSN
+		for s := offset / sub; s <= (offset+int64(size)-1)/sub; s++ {
+			out = append(out, flash.LSN(s%logical))
+		}
+		return out
+	}
+	refChunks := func(lsns []flash.LSN) [][]flash.LSN {
+		var out [][]flash.LSN
+		for i, l := range lsns {
+			if i == 0 || l.Frame(slots) != lsns[i-1].Frame(slots) {
+				out = append(out, nil)
+			}
+			out[len(out)-1] = append(out[len(out)-1], l)
+		}
+		return out
+	}
+
+	type rng struct {
+		offset int64
+		size   int
+	}
+	cases := []rng{
+		{0, 1}, {0, 4096}, {1000, 4096}, {8192, 16384},
+		{bytes - 4096, 4096}, {bytes - 4096, 8192}, {bytes - 1, 2},
+		{bytes - 3*4096 - 17, 9 * 4096}, {bytes, 4096}, {3*bytes + 5, 12288},
+		{bytes - 4096, int(bytes) + 8192}, {5 * 4096, 2*int(bytes) + 1},
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		cases = append(cases, rng{r.Int63n(4 * bytes), 1 + r.Intn(64*4096)})
+	}
+	for _, c := range cases {
+		want := refLSNs(c.offset, c.size)
+		if got := d.LSNRange(c.offset, c.size); !reflect.DeepEqual(got, want) {
+			t.Fatalf("LSNRange(%d, %d) = %v, want %v", c.offset, c.size, got, want)
+		}
+		if got := d.Chunks(c.offset, c.size); !reflect.DeepEqual(got, refChunks(want)) {
+			t.Fatalf("Chunks(%d, %d) = %v, want %v", c.offset, c.size, got, refChunks(want))
+		}
 	}
 }
 
