@@ -465,6 +465,7 @@ func BenchmarkTenantContention(b *testing.B) {
 			if _, err := core.RunTenantContentionContext(context.Background(), s); err != nil {
 				b.Fatal(err) // warm the snapshot/trace caches
 			}
+			warmSnapshotPools(b, s, arm.workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows, err := core.RunTenantContentionContext(context.Background(), s)
@@ -476,6 +477,31 @@ func BenchmarkTenantContention(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// warmSnapshotPools checks out n devices of each of spec's schemes at
+// once, then releases them all, so each template's free pool holds n
+// clones. With at most n cells in flight, every timed cell then recycles a
+// pooled clone instead of sometimes cloning afresh, which would make the
+// concurrent arm's B/op depend on how the warm-up run's cells overlapped.
+func warmSnapshotPools(b *testing.B, spec core.TenantContentionSpec, n int) {
+	b.Helper()
+	var sims []*core.Simulator
+	for _, name := range spec.Schemes {
+		cfg := core.DefaultConfig()
+		cfg.Flash = *spec.Flash
+		cfg.Scheme = name
+		for i := 0; i < n; i++ {
+			sim, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sims = append(sims, sim)
+		}
+	}
+	for _, sim := range sims {
+		sim.Release()
 	}
 }
 

@@ -308,9 +308,10 @@ func (c *Checker) structural() error {
 			}
 			// Map/array bijection, array side: every valid slot must be
 			// the current mapping of the LSN it stores.
-			for s := range pg.Slots {
-				sp := &pg.Slots[s]
-				if sp.ReprogramStress > 0 && !b.Switched {
+			slots := b.PageSlots(p)
+			for s := range slots {
+				sp := &slots[s]
+				if sp.ReprogramStress() > 0 && !b.Switched {
 					return fmt.Errorf("check: block %d page %d slot %d records reprogram stress outside a switched block", id, p, s)
 				}
 				if b.Switched && b.NextFreePage > 0 {
@@ -326,7 +327,7 @@ func (c *Checker) structural() error {
 					case flash.SubFree:
 						return fmt.Errorf("check: switched block %d page %d slot %d still free (not sealed by the reprogram pass)", id, p, s)
 					case flash.SubValid, flash.SubInvalid:
-						if sp.ReprogramStress == 0 {
+						if sp.ReprogramStress() == 0 {
 							return fmt.Errorf("check: switched block %d page %d slot %d holds LSN %d with no reprogram pass (stale pre-switch version)",
 								id, p, s, sp.LSN)
 						}
@@ -385,10 +386,10 @@ func (c *Checker) CheckReclaim(now int64, blockID int) error {
 		return fmt.Errorf("check: reclaim of block %d at t=%d with %d valid subpages", blockID, now, b.ValidSub)
 	}
 	for p := range b.Pages {
-		for s := range b.Pages[p].Slots {
-			if b.Pages[p].Slots[s].State == flash.SubValid {
+		for s, sp := range b.PageSlots(p) {
+			if sp.State == flash.SubValid {
 				return fmt.Errorf("check: reclaim of block %d at t=%d would destroy live LSN %d (page %d slot %d)",
-					blockID, now, b.Pages[p].Slots[s].LSN, p, s)
+					blockID, now, sp.LSN, p, s)
 			}
 		}
 	}
@@ -421,8 +422,8 @@ func (c *Checker) CheckSLCGauges(freePages int, validSub, pagesWithValid int64) 
 		wantFree += b.FreePages()
 		wantValid += int64(b.ValidSub)
 		for p := range b.Pages {
-			for s := range b.Pages[p].Slots {
-				if b.Pages[p].Slots[s].State == flash.SubValid {
+			for _, sp := range b.PageSlots(p) {
+				if sp.State == flash.SubValid {
 					wantPages++
 					break
 				}

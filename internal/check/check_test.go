@@ -37,13 +37,12 @@ func fixture(t *testing.T, level Level, prefilled bool) (*flash.Config, *flash.A
 // page and records the mappings.
 func program(t *testing.T, arr *flash.Array, m *ftl.Map, blk, page int, now int64, base flash.LSN, n int) {
 	t.Helper()
-	pg := arr.PageOf(flash.NewPPA(blk, page, 0))
 	writes := make([]flash.SlotWrite, 0, n)
-	for s := range pg.Slots {
+	for s, sp := range arr.Block(blk).PageSlots(page) {
 		if len(writes) == n {
 			break
 		}
-		if pg.Slots[s].State == flash.SubFree {
+		if sp.State == flash.SubFree {
 			writes = append(writes, flash.SlotWrite{Slot: s, LSN: base + flash.LSN(len(writes))})
 		}
 	}
@@ -154,6 +153,39 @@ func TestCheckerDetectsBudgetViolation(t *testing.T) {
 	arr.PageOf(flash.NewPPA(0, 0, 0)).ProgramCount = uint8(cfg.MaxProgramsPerSLCPage + 1)
 	if err := c.CheckEvent(6, "test"); err == nil {
 		t.Fatal("program-budget violation not caught")
+	}
+}
+
+// TestCheckerDetectsStressCounterOverflow: a slot's disturb and reprogram
+// counters are narrow fields, exact only within the bounds the geometry
+// implies. One past a bound must fail the structural sweep, and a
+// counter at its bound must not.
+func TestCheckerDetectsStressCounterOverflow(t *testing.T) {
+	cases := []struct {
+		name    string
+		set     func(s *flash.Subpage, slots int)
+		overrun bool
+	}{
+		{"in-page at bound", func(s *flash.Subpage, slots int) { s.InPageDisturb = uint8(slots - 1) }, false},
+		{"in-page over", func(s *flash.Subpage, slots int) { s.InPageDisturb = uint8(slots) }, true},
+		{"neighbour at bound", func(s *flash.Subpage, slots int) { s.NeighborDisturb = uint8(2 * (slots - 1)) }, false},
+		{"neighbour over", func(s *flash.Subpage, slots int) { s.NeighborDisturb = uint8(2*(slots-1) + 1) }, true},
+		{"reprogram over", func(s *flash.Subpage, _ int) { s.SetReprogramStress(2) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, arr, m, c := fixture(t, Full, false)
+			program(t, arr, m, 0, 0, 5, 0, 1)
+			c.NoteWrite(5, []flash.LSN{0})
+			tc.set(arr.Subpage(flash.NewPPA(0, 0, 0)), cfg.SlotsPerPage())
+			err := c.CheckEvent(6, "test")
+			if tc.overrun && (err == nil || !strings.Contains(err.Error(), "exceeds")) {
+				t.Fatalf("counter overflow not caught: %v", err)
+			}
+			if !tc.overrun && err != nil {
+				t.Fatalf("counter at its bound rejected: %v", err)
+			}
+		})
 	}
 }
 

@@ -49,7 +49,7 @@ type snapshotEntry struct {
 const snapshotFreeCap = 4
 
 // snapshotCacheCap bounds the number of resident templates. A template at
-// the default geometry holds the whole flash array (~18 MB), and
+// the default geometry holds the whole flash array (~8.5 MB), and
 // sensitivity sweeps create one key per config variation, so the cache
 // evicts least-recently-used templates beyond the cap. The default keeps a
 // full P/E sweep (4 baselines x 3 schemes) resident with headroom.

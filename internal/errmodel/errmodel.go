@@ -125,7 +125,7 @@ func (m *Model) RawBER(pe int, partial bool) float64 {
 // neighbouring-page disturb and in-place reprogram stress. With zero
 // stress counts the result is exactly the base rate.
 func (m *Model) EffectiveBER(pe int, sp *flash.Subpage) float64 {
-	return m.StressedBER(m.RawBER(pe, sp.Partial), sp.InPageDisturb, sp.NeighborDisturb, sp.ReprogramStress)
+	return m.StressedBER(m.RawBER(pe, sp.Partial()), int(sp.InPageDisturb), int(sp.NeighborDisturb), sp.ReprogramStress())
 }
 
 // StressedBER applies the disturb and reprogram stress terms to an already
@@ -133,7 +133,7 @@ func (m *Model) EffectiveBER(pe int, sp *flash.Subpage) float64 {
 // split out so callers that memoise RawBER (the device's read path)
 // evaluate the exact same expression and stay bit-identical with the
 // direct path.
-func (m *Model) StressedBER(base float64, inPage, neighbor, reprogram uint16) float64 {
+func (m *Model) StressedBER(base float64, inPage, neighbor, reprogram int) float64 {
 	return base * (1 +
 		m.InPageAlpha*float64(inPage) +
 		m.NeighborBeta*float64(neighbor) +

@@ -88,6 +88,15 @@ func TestBERClampsNonPositivePE(t *testing.T) {
 	}
 }
 
+// validSubpage builds a valid slot with the given partial bit, disturb
+// counts and reprogram stress.
+func validSubpage(partial bool, inPage, neighbor uint8, reprogram int) flash.Subpage {
+	sp := flash.Subpage{State: flash.SubValid, InPageDisturb: inPage, NeighborDisturb: neighbor}
+	sp.SetPartial(partial)
+	sp.SetReprogramStress(reprogram)
+	return sp
+}
+
 func TestEffectiveBERDisturbScaling(t *testing.T) {
 	m := Default()
 	clean := flash.Subpage{State: flash.SubValid}
@@ -103,7 +112,7 @@ func TestEffectiveBERDisturbScaling(t *testing.T) {
 	if got, want := m.EffectiveBER(4000, &neigh), base*(1+5*m.NeighborBeta); math.Abs(got-want) > 1e-12 {
 		t.Errorf("neighbour disturbed BER = %g, want %g", got, want)
 	}
-	both := flash.Subpage{State: flash.SubValid, Partial: true, InPageDisturb: 2, NeighborDisturb: 2}
+	both := validSubpage(true, 2, 2, 0)
 	want := m.RawBER(4000, true) * (1 + 2*m.InPageAlpha + 2*m.NeighborBeta)
 	if got := m.EffectiveBER(4000, &both); math.Abs(got-want) > 1e-12 {
 		t.Errorf("combined BER = %g, want %g", got, want)
@@ -123,11 +132,11 @@ func TestEffectiveBERReprogramStress(t *testing.T) {
 		want float64
 	}{
 		{"zero stress equals base", flash.Subpage{State: flash.SubValid}, base},
-		{"one pass", flash.Subpage{State: flash.SubValid, ReprogramStress: 1}, base * (1 + m.ReprogramGamma)},
-		{"three passes", flash.Subpage{State: flash.SubValid, ReprogramStress: 3}, base * (1 + 3*m.ReprogramGamma)},
-		{"stress with partial", flash.Subpage{State: flash.SubValid, Partial: true, ReprogramStress: 2},
+		{"one pass", validSubpage(false, 0, 0, 1), base * (1 + m.ReprogramGamma)},
+		{"three passes", validSubpage(false, 0, 0, 3), base * (1 + 3*m.ReprogramGamma)},
+		{"stress with partial", validSubpage(true, 0, 0, 2),
 			m.RawBER(4000, true) * (1 + 2*m.ReprogramGamma)},
-		{"stress with disturb", flash.Subpage{State: flash.SubValid, InPageDisturb: 2, NeighborDisturb: 1, ReprogramStress: 1},
+		{"stress with disturb", validSubpage(false, 2, 1, 1),
 			base * (1 + 2*m.InPageAlpha + 1*m.NeighborBeta + 1*m.ReprogramGamma)},
 	}
 	for _, c := range cases {
@@ -142,8 +151,8 @@ func TestEffectiveBERReprogramStress(t *testing.T) {
 func TestEffectiveBERMonotonicInReprogramStress(t *testing.T) {
 	m := Default()
 	prev := 0.0
-	for stress := uint16(0); stress <= 16; stress++ {
-		sp := flash.Subpage{State: flash.SubValid, ReprogramStress: stress}
+	for stress := 0; stress <= 16; stress++ {
+		sp := validSubpage(false, 0, 0, stress)
 		got := m.EffectiveBER(4000, &sp)
 		if got <= prev {
 			t.Fatalf("BER not increasing at stress=%d: %g <= %g", stress, got, prev)
@@ -216,7 +225,7 @@ func TestReadRetryPath(t *testing.T) {
 func TestSubpageReadCostUsesDisturb(t *testing.T) {
 	m := Default()
 	clean := flash.Subpage{State: flash.SubValid}
-	dirty := flash.Subpage{State: flash.SubValid, Partial: true, InPageDisturb: 3}
+	dirty := validSubpage(true, 3, 0, 0)
 	cc := m.SubpageReadCost(4000, &clean)
 	cd := m.SubpageReadCost(4000, &dirty)
 	if cd.BER <= cc.BER {

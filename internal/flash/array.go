@@ -19,10 +19,10 @@ type Array struct {
 	cfg    *Config
 	blocks []Block
 
-	// pages and subs are the device-wide backing stores every Block.Pages
-	// and Page.Slots slice points into. Keeping them flat makes Clone two
-	// bulk copies plus slice-header rebinding instead of a per-block
-	// allocation walk.
+	// pages and subs are the device-wide backing stores every block's
+	// Pages and slot views point into. Keeping them flat makes Clone two
+	// bulk copies plus per-block view rebinding instead of an allocation
+	// walk, and keeps Page pointer-free.
 	pages []Page
 	subs  []Subpage
 
@@ -93,36 +93,33 @@ func NewArray(cfg *Config) (*Array, error) {
 	for i := range a.subs {
 		a.subs[i].LSN = InvalidLSN
 	}
-	pageOff := 0
 	for id := range a.blocks {
 		b := &a.blocks[id]
 		b.ID = id
-		pages := cfg.MLCPagesPerBlock
 		b.Mode = ModeMLC
 		b.Level = LevelHighDensity
 		if id < nSLC {
-			pages = cfg.SLCPagesPerBlock
 			b.Mode = ModeSLC
 			b.Level = LevelWork
 			a.slcIDs = append(a.slcIDs, id)
 		} else {
 			a.mlcIDs = append(a.mlcIDs, id)
 		}
-		b.Pages = a.pages[pageOff : pageOff+pages : pageOff+pages]
-		pageOff += pages
+		a.bindBlock(id)
 	}
-	a.bindSlots()
 	return a, nil
 }
 
-// bindSlots points every page's Slots header at its run of the flat
-// subpage store. The layout is positional, so rebinding after a bulk copy
-// reproduces the exact structure of the source array.
-func (a *Array) bindSlots() {
-	slots := a.cfg.SlotsPerPage()
-	for i := range a.pages {
-		a.pages[i].Slots = a.subs[i*slots : (i+1)*slots : (i+1)*slots]
-	}
+// bindBlock points block id's page and slot views at its runs of a's flat
+// stores. The layout is positional, so rebinding after a struct copy from
+// another array of the same geometry reproduces the source's structure.
+func (a *Array) bindBlock(id int) {
+	b := &a.blocks[id]
+	po, n := a.pageOffset(id), a.pagesIn(id)
+	spp := a.cfg.SlotsPerPage()
+	b.Pages = a.pages[po : po+n : po+n]
+	b.slots = a.subs[po*spp : (po+n)*spp : (po+n)*spp]
+	b.spp = int32(spp)
 }
 
 // markDirty records that block id's struct diverged from whatever template
@@ -166,11 +163,19 @@ func (a *Array) pageOffset(id int) int {
 	return id * a.cfg.SLCPagesPerBlock
 }
 
+// pagesIn returns the page count of block id, fixed by its home region.
+func (a *Array) pagesIn(id int) int {
+	if id < a.cfg.SLCBlocks() {
+		return a.cfg.SLCPagesPerBlock
+	}
+	return a.cfg.MLCPagesPerBlock
+}
+
 // Clone returns a deep copy of the array sharing only the immutable config
 // and block-ID index slices. The copy is two bulk memmoves of the flat
-// page/subpage stores plus header rebinding, independent of how much of
-// the device has been programmed — the heart of the precondition-snapshot
-// layer.
+// page/subpage stores plus per-block view rebinding, independent of how
+// much of the device has been programmed — the heart of the
+// precondition-snapshot layer.
 func (a *Array) Clone() *Array {
 	c := &Array{
 		blocks:      make([]Block, len(a.blocks)),
@@ -190,10 +195,10 @@ func (a *Array) Clone() *Array {
 //
 // When a was already restored from this exact template and t has not been
 // mutated since (checked by pointer and generation), only the blocks and
-// pages a dirtied in between are re-copied and rebound; everything else
-// is known to still equal t. A short replay touches a small fraction of
-// the device, so this turns the dominant full-store memmove into a few
-// per-block struct copies and per-page slot copies.
+// pages a dirtied in between are re-copied; everything else is known to
+// still equal t. A short replay touches a small fraction of the device, so
+// this turns the dominant full-store memmove into a few per-block struct
+// copies and per-page slot copies.
 func (a *Array) Restore(t *Array) {
 	blocks, pages, subs, used := a.blocks, a.pages, a.subs, a.slcUsed
 	dirtyB, dirtyP := a.dirtyBlocks, a.dirtyPages
@@ -210,10 +215,8 @@ func (a *Array) Restore(t *Array) {
 			for word != 0 {
 				id := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				po := t.pageOffset(id)
-				n := len(t.blocks[id].Pages)
 				blocks[id] = t.blocks[id]
-				blocks[id].Pages = pages[po : po+n : po+n]
+				a.bindBlock(id)
 			}
 		}
 		for w := range dirtyP {
@@ -226,7 +229,6 @@ func (a *Array) Restore(t *Array) {
 				i := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				pages[i] = t.pages[i]
-				pages[i].Slots = subs[i*slots : (i+1)*slots : (i+1)*slots]
 				copy(subs[i*slots:(i+1)*slots], t.subs[i*slots:(i+1)*slots])
 			}
 		}
@@ -252,13 +254,9 @@ func (a *Array) Restore(t *Array) {
 	if fast {
 		return
 	}
-	pageOff := 0
 	for id := range a.blocks {
-		n := len(a.blocks[id].Pages)
-		a.blocks[id].Pages = a.pages[pageOff : pageOff+n : pageOff+n]
-		pageOff += n
+		a.bindBlock(id)
 	}
-	a.bindSlots()
 }
 
 // Config returns the geometry the array was built with.
@@ -285,7 +283,7 @@ func (a *Array) ChannelOf(blockID int) int { return a.cfg.ChannelOfUnit(a.ChipOf
 
 // Subpage returns the slot at a physical address.
 func (a *Array) Subpage(p PPA) *Subpage {
-	return &a.blocks[p.Block()].Pages[p.Page()].Slots[p.Slot()]
+	return a.blocks[p.Block()].Slot(p.Page(), p.Slot())
 }
 
 // PageOf returns the page at a physical address.
@@ -313,6 +311,7 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 		return false, fmt.Errorf("flash: page %d out of range in block %d", pageIdx, blockID)
 	}
 	pg := &b.Pages[pageIdx]
+	slots := b.PageSlots(pageIdx)
 	partial = pg.ProgramCount > 0
 	if partial {
 		if b.Mode != ModeSLC {
@@ -327,14 +326,15 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 	a.markPageDirty(a.pageOffset(blockID) + pageIdx)
 	written := 0
 	for _, w := range writes {
-		if w.Slot < 0 || w.Slot >= len(pg.Slots) {
+		if w.Slot < 0 || w.Slot >= len(slots) {
 			return false, fmt.Errorf("flash: slot %d out of range", w.Slot)
 		}
-		s := &pg.Slots[w.Slot]
+		s := &slots[w.Slot]
 		if s.State != SubFree {
 			return false, fmt.Errorf("flash: programming %s slot b%d p%d s%d", s.State, blockID, pageIdx, w.Slot)
 		}
-		*s = Subpage{LSN: w.LSN, WriteTime: now, State: SubValid, Partial: partial}
+		*s = Subpage{LSN: w.LSN, WriteTime: now, State: SubValid}
+		s.SetPartial(partial)
 		written++
 	}
 	// Maintain the Eq. 2 aggregates: a first program adds its subpages to
@@ -354,13 +354,13 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 		for _, w := range writes {
 			justWritten |= 1 << w.Slot
 		}
-		for i := range pg.Slots {
-			if justWritten&(1<<i) == 0 && pg.Slots[i].State == SubValid {
+		for i := range slots {
+			if justWritten&(1<<i) == 0 && slots[i].State == SubValid {
 				b.JCount--
-				b.JSumWT -= pg.Slots[i].WriteTime
+				b.JSumWT -= slots[i].WriteTime
 				if b.Mode == ModeSLC {
 					a.SLCJCount--
-					a.SLCJSumWT -= pg.Slots[i].WriteTime
+					a.SLCJSumWT -= slots[i].WriteTime
 				}
 			}
 		}
@@ -396,10 +396,10 @@ func (a *Array) applyDisturb(b *Block, pageIdx int, writes []SlotWrite) {
 	for _, w := range writes {
 		justWritten |= 1 << w.Slot
 	}
-	pg := &b.Pages[pageIdx]
-	for i := range pg.Slots {
-		if justWritten&(1<<i) == 0 && pg.Slots[i].State == SubValid {
-			pg.Slots[i].InPageDisturb++
+	slots := b.PageSlots(pageIdx)
+	for i := range slots {
+		if justWritten&(1<<i) == 0 && slots[i].State == SubValid {
+			slots[i].InPageDisturb++
 		}
 	}
 	for _, n := range [2]int{pageIdx - 1, pageIdx + 1} {
@@ -407,10 +407,10 @@ func (a *Array) applyDisturb(b *Block, pageIdx int, writes []SlotWrite) {
 			continue
 		}
 		a.markPageDirty(a.pageOffset(b.ID) + n)
-		np := &b.Pages[n].Slots
-		for i := range *np {
-			if (*np)[i].State == SubValid {
-				(*np)[i].NeighborDisturb++
+		ns := b.PageSlots(n)
+		for i := range ns {
+			if ns[i].State == SubValid {
+				ns[i].NeighborDisturb++
 			}
 		}
 	}
@@ -421,14 +421,14 @@ func (a *Array) applyDisturb(b *Block, pageIdx int, writes []SlotWrite) {
 // than a page of data.
 func (a *Array) MarkDead(blockID, pageIdx int, slots ...int) error {
 	b := &a.blocks[blockID]
-	pg := &b.Pages[pageIdx]
+	ps := b.PageSlots(pageIdx)
 	a.markDirty(blockID)
 	a.markPageDirty(a.pageOffset(blockID) + pageIdx)
 	for _, s := range slots {
-		if pg.Slots[s].State != SubFree {
-			return fmt.Errorf("flash: MarkDead on %s slot b%d p%d s%d", pg.Slots[s].State, blockID, pageIdx, s)
+		if ps[s].State != SubFree {
+			return fmt.Errorf("flash: MarkDead on %s slot b%d p%d s%d", ps[s].State, blockID, pageIdx, s)
 		}
-		pg.Slots[s].State = SubDead
+		ps[s].State = SubDead
 		b.DeadSub++
 	}
 	return nil
@@ -439,7 +439,7 @@ func (a *Array) MarkDead(blockID, pageIdx int, slots ...int) error {
 func (a *Array) Invalidate(ppa PPA) error {
 	b := &a.blocks[ppa.Block()]
 	pg := &b.Pages[ppa.Page()]
-	s := &pg.Slots[ppa.Slot()]
+	s := b.Slot(ppa.Page(), ppa.Slot())
 	if s.State != SubValid {
 		return fmt.Errorf("flash: invalidating %s slot %v", s.State, ppa)
 	}
@@ -469,11 +469,10 @@ func (a *Array) Erase(blockID int) error {
 	a.markDirty(blockID)
 	a.markPageRangeDirty(a.pageOffset(blockID), len(b.Pages))
 	for p := range b.Pages {
-		pg := &b.Pages[p]
-		pg.ProgramCount = 0
-		for i := range pg.Slots {
-			pg.Slots[i] = Subpage{LSN: InvalidLSN}
-		}
+		b.Pages[p].ProgramCount = 0
+	}
+	for i := range b.slots {
+		b.slots[i] = Subpage{LSN: InvalidLSN}
 	}
 	b.EraseCount++
 	b.NextFreePage = 0
@@ -499,7 +498,7 @@ func (a *Array) Erase(blockID int) error {
 // untouched) but every cell is re-shifted to high-density voltage levels
 // without an erase, so:
 //
-//   - valid slots accumulate one ReprogramStress pass each;
+//   - valid slots accumulate one reprogram stress pass each;
 //   - obsolete (invalid) slots are physically overwritten by the
 //     reprogramming pass — no stale version of any logical subpage can
 //     survive a switch, so they become dead with no LSN;
@@ -519,21 +518,18 @@ func (a *Array) SwitchToMLC(blockID int) error {
 	}
 	a.markDirty(blockID)
 	a.markPageRangeDirty(a.pageOffset(blockID), len(b.Pages))
-	for p := range b.Pages {
-		pg := &b.Pages[p]
-		for i := range pg.Slots {
-			s := &pg.Slots[i]
-			switch s.State {
-			case SubValid:
-				s.ReprogramStress++
-			case SubInvalid:
-				*s = Subpage{LSN: InvalidLSN, State: SubDead}
-				b.InvalidSub--
-				b.DeadSub++
-			case SubFree:
-				s.State = SubDead
-				b.DeadSub++
-			}
+	for i := range b.slots {
+		s := &b.slots[i]
+		switch s.State {
+		case SubValid:
+			s.SetReprogramStress(s.ReprogramStress() + 1)
+		case SubInvalid:
+			*s = Subpage{LSN: InvalidLSN, State: SubDead}
+			b.InvalidSub--
+			b.DeadSub++
+		case SubFree:
+			s.State = SubDead
+			b.DeadSub++
 		}
 	}
 	a.SLCJCount -= int64(b.JCount)
@@ -573,20 +569,23 @@ func (a *Array) SwitchToSLC(blockID int) error {
 func (a *Array) UsedSLCWords() []uint64 { return a.slcUsed }
 
 // CheckInvariants walks the array verifying that cached counters match slot
-// states. It is O(device size) and intended for tests.
+// states and that every slot's stress counters are within the bounds that
+// make Subpage's narrow fields exact. It is O(device size) and intended for
+// tests.
 func (a *Array) CheckInvariants() error {
 	var slcJCount, slcJSum int64
+	maxInPage := a.cfg.SlotsPerPage() - 1
 	for id := range a.blocks {
 		b := &a.blocks[id]
 		var valid, invalid, dead int
 		var jCount int
 		var jSum int64
 		for p := range b.Pages {
-			if pg := &b.Pages[p]; pg.ProgramCount <= 1 {
-				for i := range pg.Slots {
-					if pg.Slots[i].State == SubValid {
+			if b.Pages[p].ProgramCount <= 1 {
+				for _, sp := range b.PageSlots(p) {
+					if sp.State == SubValid {
 						jCount++
-						jSum += pg.Slots[i].WriteTime
+						jSum += sp.WriteTime
 					}
 				}
 			}
@@ -605,9 +604,26 @@ func (a *Array) CheckInvariants() error {
 		}
 		for p := range b.Pages {
 			pg := &b.Pages[p]
+			slots := b.PageSlots(p)
 			anyUsed := false
-			for i := range pg.Slots {
-				switch pg.Slots[i].State {
+			for i := range slots {
+				sp := &slots[i]
+				// Every program consumes a free slot, so a slot sees at
+				// most slots-1 later programs of its own page and as many
+				// of each neighbour; a block switches to MLC at most once
+				// per erase.
+				switch {
+				case int(sp.InPageDisturb) > maxInPage:
+					return fmt.Errorf("block %d page %d slot %d: in-page disturb %d exceeds %d",
+						id, p, i, sp.InPageDisturb, maxInPage)
+				case int(sp.NeighborDisturb) > 2*maxInPage:
+					return fmt.Errorf("block %d page %d slot %d: neighbour disturb %d exceeds %d",
+						id, p, i, sp.NeighborDisturb, 2*maxInPage)
+				case sp.ReprogramStress() > 1:
+					return fmt.Errorf("block %d page %d slot %d: reprogram stress %d exceeds 1",
+						id, p, i, sp.ReprogramStress())
+				}
+				switch sp.State {
 				case SubValid:
 					valid++
 					anyUsed = true
@@ -618,20 +634,20 @@ func (a *Array) CheckInvariants() error {
 					dead++
 					anyUsed = true
 				case SubFree:
-					if pg.Slots[i].LSN != InvalidLSN {
-						return fmt.Errorf("block %d page %d slot %d: free slot with LSN %d", id, p, i, pg.Slots[i].LSN)
+					if sp.LSN != InvalidLSN {
+						return fmt.Errorf("block %d page %d slot %d: free slot with LSN %d", id, p, i, sp.LSN)
 					}
 				}
 			}
 			if anyUsed && p >= b.NextFreePage {
 				return fmt.Errorf("block %d page %d used but NextFreePage=%d", id, p, b.NextFreePage)
 			}
-			if anyUsed && pg.ProgramCount == 0 && pg.Slots[0].State != SubDead {
+			if anyUsed && pg.ProgramCount == 0 && slots[0].State != SubDead {
 				// A page can be all-dead without programs only if every slot
 				// was skipped, which MarkDead permits.
 				allDead := true
-				for i := range pg.Slots {
-					if pg.Slots[i].State != SubDead {
+				for i := range slots {
+					if slots[i].State != SubDead {
 						allDead = false
 						break
 					}

@@ -101,11 +101,11 @@ func TestProgramConventionalThenPartial(t *testing.T) {
 		t.Errorf("counters: valid=%d ops=%d partial=%d", b.ValidSub, b.ProgramOps, b.PartialOps)
 	}
 	s := a.Subpage(NewPPA(blk, 0, 2))
-	if !s.Partial || s.LSN != 12 || s.WriteTime != 200 || s.State != SubValid {
+	if !s.Partial() || s.LSN != 12 || s.WriteTime != 200 || s.State != SubValid {
 		t.Errorf("partial slot state: %+v", *s)
 	}
 	s0 := a.Subpage(NewPPA(blk, 0, 0))
-	if s0.Partial {
+	if s0.Partial() {
 		t.Error("conventionally programmed slot marked partial")
 	}
 	if a.SLCPrograms != 2 || a.PartialPrograms != 1 {
@@ -329,8 +329,8 @@ func TestRandomizedInvariants(t *testing.T) {
 				continue
 			}
 			slot := -1
-			for i := range pg.Slots {
-				if pg.Slots[i].State == SubFree {
+			for i, sp := range b.PageSlots(page) {
+				if sp.State == SubFree {
 					slot = i
 					break
 				}
@@ -377,24 +377,5 @@ func mustProgram(t *testing.T, a *Array, blk, page int, writes []SlotWrite, now 
 	t.Helper()
 	if _, err := a.ProgramPage(blk, page, writes, now); err != nil {
 		t.Fatalf("ProgramPage(b%d,p%d): %v", blk, page, err)
-	}
-}
-
-func TestPageFreeSlots(t *testing.T) {
-	a := newTestArray(t)
-	blk := a.SLCBlockIDs()[0]
-	pg := &a.Block(blk).Pages[0]
-	if pg.FreeSlots() != 4 {
-		t.Fatalf("fresh page FreeSlots = %d", pg.FreeSlots())
-	}
-	mustProgram(t, a, blk, 0, []SlotWrite{{0, 1}, {1, 2}}, 0)
-	if pg.FreeSlots() != 2 {
-		t.Errorf("FreeSlots = %d, want 2", pg.FreeSlots())
-	}
-	if err := a.MarkDead(blk, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if pg.FreeSlots() != 1 {
-		t.Errorf("FreeSlots = %d, want 1", pg.FreeSlots())
 	}
 }

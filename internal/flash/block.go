@@ -34,51 +34,77 @@ func (s SubpageState) String() string {
 }
 
 // Subpage is the unit of partial programming and of mapping bookkeeping.
+// It is 16 bytes: the device holds one per 4 KiB of raw capacity, so its
+// size sets the simulator's memory footprint. The narrow counters are
+// exact, not saturating: Config.Validate caps a page at 8 slots and every
+// program consumes a free slot, so InPageDisturb never exceeds slots-1,
+// NeighborDisturb never exceeds 2*(slots-1) and the reprogram count never
+// exceeds 1 (see Array.CheckInvariants).
 type Subpage struct {
-	// LSN is the logical subpage stored here, or InvalidLSN.
-	LSN LSN
 	// WriteTime is the simulation time (ns) at which the slot was
 	// programmed. Used by the ISR garbage-collection metric (Eq. 2).
 	WriteTime int64
+	// LSN is the logical subpage stored here, or InvalidLSN.
+	LSN LSN
 	// State is the slot lifecycle state.
 	State SubpageState
-	// Partial records that the slot was written by a partial-programming
-	// operation (any program after the first on its page), which carries a
-	// higher raw bit error rate (Fig. 2).
-	Partial bool
+	// flags packs the partial-programming bit (bit 0) and the reprogram
+	// stress count (bits 1-7); read them through Partial and
+	// ReprogramStress.
+	flags uint8
 	// InPageDisturb counts partial-programming operations applied to other
 	// slots of the same page while this slot held valid data.
-	InPageDisturb uint16
+	InPageDisturb uint8
 	// NeighborDisturb counts partial-programming operations applied to
 	// physically adjacent pages while this slot held valid data.
-	NeighborDisturb uint16
-	// ReprogramStress counts in-place reprogramming passes (SLC-to-MLC
-	// switches) the slot survived while holding valid data. Reprogramming
-	// re-shifts the cell's threshold voltage without an erase, which
-	// raises its bit error rate; the error model charges a penalty per
-	// accumulated pass. Reset by erase.
-	ReprogramStress uint16
+	NeighborDisturb uint8
 }
 
-// Page is a physical 16 KiB page: a run of subpage slots plus a program
-// counter that enforces the partial-programming limit.
+const (
+	flagPartial    = 1 << 0
+	reprogramShift = 1
+	// maxReprogramStress is the largest reprogram count a Subpage can
+	// hold.
+	maxReprogramStress = 1<<(8-reprogramShift) - 1
+)
+
+// Partial reports that the slot was written by a partial-programming
+// operation (any program after the first on its page), which carries a
+// higher raw bit error rate (Fig. 2).
+func (s *Subpage) Partial() bool { return s.flags&flagPartial != 0 }
+
+// SetPartial sets or clears the partial-programming bit.
+func (s *Subpage) SetPartial(partial bool) {
+	s.flags &^= flagPartial
+	if partial {
+		s.flags |= flagPartial
+	}
+}
+
+// ReprogramStress counts in-place reprogramming passes (SLC-to-MLC
+// switches) the slot survived while holding valid data. Reprogramming
+// re-shifts the cell's threshold voltage without an erase, which raises
+// its bit error rate; the error model charges a penalty per accumulated
+// pass. Reset by erase.
+func (s *Subpage) ReprogramStress() int { return int(s.flags >> reprogramShift) }
+
+// SetReprogramStress sets the reprogram count. It panics outside
+// [0, maxReprogramStress]: a wrapped count would silently understate the
+// error rate.
+func (s *Subpage) SetReprogramStress(n int) {
+	if n < 0 || n > maxReprogramStress {
+		panic(fmt.Sprintf("flash: reprogram stress %d out of range [0, %d]", n, maxReprogramStress))
+	}
+	s.flags = s.flags&flagPartial | uint8(n)<<reprogramShift
+}
+
+// Page is a physical 16 KiB page's program counter, which enforces the
+// partial-programming limit. Its slots live in the owning block's subpage
+// run: Block.PageSlots.
 type Page struct {
 	// ProgramCount is the number of program operations applied since the
 	// last erase. Operations beyond the first are partial programs.
 	ProgramCount uint8
-	// Slots holds SlotsPerPage subpages.
-	Slots []Subpage
-}
-
-// FreeSlots returns the number of still-programmable slots.
-func (p *Page) FreeSlots() int {
-	n := 0
-	for i := range p.Slots {
-		if p.Slots[i].State == SubFree {
-			n++
-		}
-	}
-	return n
 }
 
 // Block is a physical erase block with cached validity counters.
@@ -97,6 +123,9 @@ type Block struct {
 	// Level is the IPU hot/cold level. MLC blocks stay at LevelHighDensity;
 	// SLC blocks are assigned Work/Monitor/Hot by the scheme.
 	Level BlockLevel
+	// spp is the slots per page, kept here (in what would be padding) so
+	// slot lookups cost a multiply rather than a division.
+	spp int32
 	// EraseCount counts erases performed by this simulation. Effective
 	// wear is Config.PEBaseline + EraseCount.
 	EraseCount int
@@ -105,6 +134,9 @@ type Block struct {
 	NextFreePage int
 	// Pages holds the physical pages.
 	Pages []Page
+	// slots is the block's run of the array's flat subpage store, page by
+	// page.
+	slots []Subpage
 
 	// Cached counters, maintained by Array mutators.
 
@@ -126,13 +158,20 @@ type Block struct {
 	JSumWT int64
 }
 
-// TotalSlots returns the number of subpage slots in the block.
-func (b *Block) TotalSlots() int {
-	if len(b.Pages) == 0 {
-		return 0
-	}
-	return len(b.Pages) * len(b.Pages[0].Slots)
+// PageSlots returns the subpage slots of page p.
+func (b *Block) PageSlots(p int) []Subpage {
+	n := int(b.spp)
+	i := p * n
+	return b.slots[i : i+n : i+n]
 }
+
+// Slot returns slot s of page p with a single bounds check on the block's
+// run. s must be below the slots per page, as it is for any address built
+// by NewPPA from a programmed slot; loops over a page use PageSlots.
+func (b *Block) Slot(p, s int) *Subpage { return &b.slots[p*int(b.spp)+s] }
+
+// TotalSlots returns the number of subpage slots in the block.
+func (b *Block) TotalSlots() int { return len(b.slots) }
 
 // UsedSlots returns the number of slots ever programmed since the last
 // erase (valid + invalid). Dead slots were skipped, not programmed.

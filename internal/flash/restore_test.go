@@ -21,20 +21,20 @@ func requireEqualArrays(t *testing.T, got, want *Array) {
 			t.Fatalf("block %d page count %d != %d", id, len(g.Pages), len(w.Pages))
 		}
 		for p := range g.Pages {
-			gp, wp := &g.Pages[p], &w.Pages[p]
-			if gp.ProgramCount != wp.ProgramCount {
-				t.Fatalf("block %d page %d ProgramCount %d != %d", id, p, gp.ProgramCount, wp.ProgramCount)
+			if gp, wp := g.Pages[p], w.Pages[p]; gp != wp {
+				t.Fatalf("block %d page %d: %+v != %+v", id, p, gp, wp)
 			}
-			if len(gp.Slots) != len(wp.Slots) {
-				t.Fatalf("block %d page %d slot count mismatch", id, p)
-			}
-			for s := range gp.Slots {
-				if gp.Slots[s] != wp.Slots[s] {
-					t.Fatalf("block %d page %d slot %d: %+v != %+v", id, p, s, gp.Slots[s], wp.Slots[s])
-				}
+		}
+		if len(g.slots) != len(w.slots) {
+			t.Fatalf("block %d slot count %d != %d", id, len(g.slots), len(w.slots))
+		}
+		for i := range g.slots {
+			if g.slots[i] != w.slots[i] {
+				t.Fatalf("block %d page %d slot %d: %+v != %+v", id, i/int(g.spp), i%int(g.spp), g.slots[i], w.slots[i])
 			}
 		}
 		g.Pages, w.Pages = nil, nil
+		g.slots, w.slots = nil, nil
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("block %d: %+v != %+v", id, g, w)
 		}
@@ -64,23 +64,23 @@ func requireEqualArrays(t *testing.T, got, want *Array) {
 	}
 }
 
-// requireSelfContained fails unless every slice header in a points into
-// a's own backing stores — a restored array must never alias its template.
+// requireSelfContained fails unless every block's page and slot views
+// point into a's own backing stores — a restored array must never alias
+// its template.
 func requireSelfContained(t *testing.T, a *Array) {
 	t.Helper()
 	pageOff := 0
 	slots := a.cfg.SlotsPerPage()
 	for id := range a.blocks {
-		n := len(a.blocks[id].Pages)
-		if n > 0 && &a.blocks[id].Pages[0] != &a.pages[pageOff] {
-			t.Fatalf("block %d Pages header does not point into own store", id)
+		b := &a.blocks[id]
+		n := len(b.Pages)
+		if n > 0 && &b.Pages[0] != &a.pages[pageOff] {
+			t.Fatalf("block %d Pages view does not point into own store", id)
+		}
+		if len(b.slots) != n*slots || (n > 0 && &b.slots[0] != &a.subs[pageOff*slots]) {
+			t.Fatalf("block %d slot view does not point into own store", id)
 		}
 		pageOff += n
-	}
-	for i := range a.pages {
-		if len(a.pages[i].Slots) > 0 && &a.pages[i].Slots[0] != &a.subs[i*slots] {
-			t.Fatalf("page %d Slots header does not point into own store", i)
-		}
 	}
 }
 
@@ -108,8 +108,8 @@ func mutationStorm(a *Array, rng *rand.Rand, steps int, next *LSN) {
 				continue
 			}
 			slot := -1
-			for i := range pg.Slots {
-				if pg.Slots[i].State == SubFree {
+			for i, sp := range b.PageSlots(page) {
+				if sp.State == SubFree {
 					slot = i
 					break
 				}
@@ -140,8 +140,8 @@ func mutationStorm(a *Array, rng *rand.Rand, steps int, next *LSN) {
 			if pg.ProgramCount == 0 {
 				continue
 			}
-			for i := range pg.Slots {
-				if pg.Slots[i].State == SubFree {
+			for i, sp := range b.PageSlots(page) {
+				if sp.State == SubFree {
 					if err := a.MarkDead(blk, page, i); err != nil {
 						panic(err)
 					}
@@ -247,4 +247,52 @@ func TestRestoreFromDifferentTemplate(t *testing.T) {
 	recycled.Restore(t1)
 	requireEqualArrays(t, recycled, t1.Clone())
 	requireSelfContained(t, recycled)
+}
+
+// BenchmarkArrayRestore measures recycled-clone start-up on the default
+// geometry. The dirty arm invalidates one slot in each of 64 blocks spread
+// over the device and restores from the same template, so Restore
+// re-copies only those blocks and pages (the 64 invalidates are inside the
+// timed loop; they are what makes the next Restore non-trivial). The full
+// arm alternates between two templates, so every Restore falls back to
+// the whole-store copy.
+func BenchmarkArrayRestore(b *testing.B) {
+	cfg := DefaultConfig()
+	template, err := NewArray(&cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var touched []PPA
+	for id := 0; id < template.NumBlocks(); id += template.NumBlocks() / 64 {
+		if _, err := template.ProgramPage(id, 0, []SlotWrite{{0, LSN(id)}}, 1); err != nil {
+			b.Fatal(err)
+		}
+		touched = append(touched, NewPPA(id, 0, 0))
+	}
+	b.Run("dirty", func(b *testing.B) {
+		a := template.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, p := range touched {
+				if err := a.Invalidate(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			a.Restore(template)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		other := template.Clone()
+		if err := other.Invalidate(touched[0]); err != nil {
+			b.Fatal(err)
+		}
+		templates := [2]*Array{template, other}
+		a := template.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.Restore(templates[i&1^1])
+		}
+	})
 }

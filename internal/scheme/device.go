@@ -443,11 +443,12 @@ func (d *Device) Chunks(offset int64, size int) [][]flash.LSN {
 // ---------------------------------------------------------------------------
 // Mapping maintenance
 
-// pageValidCount counts valid slots in a physical page.
-func pageValidCount(pg *flash.Page) int {
+// pageValidCount counts valid slots in page p of block b.
+func pageValidCount(b *flash.Block, p int) int {
 	n := 0
-	for i := range pg.Slots {
-		if pg.Slots[i].State == flash.SubValid {
+	slots := b.PageSlots(p)
+	for i := range slots {
+		if slots[i].State == flash.SubValid {
 			n++
 		}
 	}
@@ -465,7 +466,7 @@ func (d *Device) invalidate(lsn flash.LSN) {
 	must(d.Arr.Invalidate(ppa))
 	if b.Mode == flash.ModeSLC {
 		d.slcValidSub--
-		if pageValidCount(&b.Pages[ppa.Page()]) == 0 {
+		if pageValidCount(b, ppa.Page()) == 0 {
 			d.slcPagesWithValid--
 		}
 	}
@@ -516,11 +517,14 @@ func (d *Device) openExcludes() *ExcludeSet {
 }
 
 // popMinErase removes and returns the block with the lowest erase count —
-// the static wear-levelling rule of Table 2.
+// the static wear-levelling rule of Table 2. Ties go to the earliest list
+// position. Erase counts are never negative, so the scan stops at the
+// first zero: nothing later can beat it, which keeps pre-fill (every count
+// zero) linear rather than quadratic.
 func popMinErase(list *[]int, arr *flash.Array) int {
 	l := *list
 	best := 0
-	for i := 1; i < len(l); i++ {
+	for i := 1; i < len(l) && arr.Block(l[best]).EraseCount > 0; i++ {
 		if arr.Block(l[i]).EraseCount < arr.Block(l[best]).EraseCount {
 			best = i
 		}
@@ -532,7 +536,8 @@ func popMinErase(list *[]int, arr *flash.Array) int {
 }
 
 // popMinEraseReady is popMinErase restricted to blocks whose background
-// erase has completed by now. It returns -1 when no block is ready.
+// erase has completed by now, with the same first-zero exit. It returns -1
+// when no block is ready.
 func (d *Device) popMinEraseReady(list *[]int, now int64) int {
 	l := *list
 	best := -1
@@ -540,8 +545,11 @@ func (d *Device) popMinEraseReady(list *[]int, now int64) int {
 		if d.blockReadyAt[l[i]] > now {
 			continue
 		}
-		if best < 0 || d.Arr.Block(l[i]).EraseCount < d.Arr.Block(l[best]).EraseCount {
+		if ec := d.Arr.Block(l[i]).EraseCount; best < 0 || ec < d.Arr.Block(l[best]).EraseCount {
 			best = i
+			if ec == 0 {
+				break
+			}
 		}
 	}
 	if best < 0 {
@@ -599,14 +607,14 @@ func (d *Device) allocSLCPage(now int64, level flash.BlockLevel) (blk, page int,
 // (Baseline's whole-page programming).
 func (d *Device) programSLC(now int64, blk, page int, writes []flash.SlotWrite, deadRest bool) int64 {
 	b := d.Arr.Block(blk)
-	pg := &b.Pages[page]
-	hadValid := pageValidCount(pg) > 0
+	hadValid := pageValidCount(b, page) > 0
 	_, err := d.Arr.ProgramPage(blk, page, writes, now)
 	must(err)
 	if deadRest {
 		nDead := 0
-		for i := range pg.Slots {
-			if pg.Slots[i].State == flash.SubFree {
+		slots := b.PageSlots(page)
+		for i := range slots {
+			if slots[i].State == flash.SubFree {
 				d.deadBuf[nDead] = i
 				nDead++
 			}
@@ -710,12 +718,9 @@ func (d *Device) ensureMLCSpace(now int64) {
 		}
 		d.Met.MLCGCs++
 		d.moveMLCVictim(now, v)
-		b := d.Arr.Block(v)
-		freeBefore := b.FreePages()
 		must(d.Arr.Erase(v))
 		d.perform(now, v, sim.OpErase, 0, 0)
 		d.blockReadyAt[v] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(v))
-		_ = freeBefore
 		d.mlcFree = append(d.mlcFree, v)
 		d.afterGC(now, "mlc-gc")
 	}
@@ -747,12 +752,12 @@ func (d *Device) moveMLCVictim(now int64, victim int) {
 	c.reset(d.frames)
 	slots := d.Cfg.SlotsPerPage()
 	for p := range b.Pages {
-		pg := &b.Pages[p]
 		valid := 0
-		for s := range pg.Slots {
-			if pg.Slots[s].State == flash.SubValid {
+		ps := b.PageSlots(p)
+		for s := range ps {
+			if sp := &ps[s]; sp.State == flash.SubValid {
 				valid++
-				c.add(pg.Slots[s].LSN.Frame(slots), pg.Slots[s].LSN)
+				c.add(sp.LSN.Frame(slots), sp.LSN)
 			}
 		}
 		if valid > 0 {
@@ -936,8 +941,9 @@ func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 		b := d.Arr.Block(g.pa.Block())
 		var extra time.Duration
 		retries := 0
+		slots := b.PageSlots(g.pa.Page())
 		for _, s := range g.slot[:g.n] {
-			cost := d.subpageCost(b, d.Arr.Subpage(flash.NewPPA(g.pa.Block(), g.pa.Page(), int(s))))
+			cost := d.subpageCost(b, &slots[s])
 			extra += cost.decode
 			retries += cost.retries
 			d.Met.ReadBER.Add(cost.ber())

@@ -236,12 +236,12 @@ func MoveFlushAll(d *Device, now int64, victim int) {
 	c := &d.slcMoveFrames
 	c.reset(d.frames)
 	for p := range b.Pages {
-		pg := &b.Pages[p]
 		valid := 0
-		for s := range pg.Slots {
-			if pg.Slots[s].State == flash.SubValid {
+		ps := b.PageSlots(p)
+		for s := range ps {
+			if sp := &ps[s]; sp.State == flash.SubValid {
 				valid++
-				c.add(pg.Slots[s].LSN.Frame(slots), pg.Slots[s].LSN)
+				c.add(sp.LSN.Frame(slots), sp.LSN)
 			}
 		}
 		if valid > 0 {
@@ -277,16 +277,16 @@ func MoveIPU(d *Device, now int64, victim int) {
 func moveIPUPage(d *Device, now int64, victim int, level flash.BlockLevel, p int) int {
 	b := d.Arr.Block(victim)
 	slots := d.Cfg.SlotsPerPage()
-	pg := &b.Pages[p]
 	fr := &d.pageFrames
 	nf := 0
 	valid := 0
-	for s := range pg.Slots {
-		if pg.Slots[s].State != flash.SubValid {
+	ps := b.PageSlots(p)
+	for s := range ps {
+		if ps[s].State != flash.SubValid {
 			continue
 		}
 		valid++
-		l := pg.Slots[s].LSN
+		l := ps[s].LSN
 		f := l.Frame(slots)
 		gi := -1
 		for i := 0; i < nf; i++ {
@@ -309,7 +309,7 @@ func moveIPUPage(d *Device, now int64, victim int, level flash.BlockLevel, p int
 	d.perform(now, victim, sim.OpRead, valid, 0)
 	d.Met.GCMovedSubpages += int64(valid)
 	dest := level
-	if pg.ProgramCount <= 1 {
+	if b.Pages[p].ProgramCount <= 1 {
 		dest-- // never updated here: degrade
 	}
 	for i := 0; i < nf; i++ {

@@ -220,7 +220,7 @@ func (s *IPS) switchInPlace(now int64, v int) {
 	freePages := b.FreePages()
 	var pagesWithValid int64
 	for p := range b.Pages {
-		n := pageValidCount(&b.Pages[p])
+		n := pageValidCount(b, p)
 		if n == 0 {
 			continue
 		}

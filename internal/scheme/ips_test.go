@@ -48,13 +48,12 @@ func TestIPSSwitchesMostlyValidVictims(t *testing.T) {
 			t.Fatalf("switched block %d: mode %v Switched=%v", v, b.Mode, b.Switched)
 		}
 		for p := range b.Pages {
-			for sl := range b.Pages[p].Slots {
-				sp := &b.Pages[p].Slots[sl]
+			for sl, sp := range b.PageSlots(p) {
 				if sp.State != flash.SubValid {
 					continue
 				}
 				found = true
-				if sp.ReprogramStress == 0 {
+				if sp.ReprogramStress() == 0 {
 					t.Fatalf("valid subpage in switched block %d has no reprogram stress", v)
 				}
 				if got := d.Map.Get(sp.LSN); got != flash.NewPPA(v, p, sl) {
@@ -126,9 +125,9 @@ func TestIPSReadsFromSwitchedBlocksPayMLC(t *testing.T) {
 	for _, v := range s.switched {
 		b := d.Arr.Block(v)
 		for p := range b.Pages {
-			for sl := range b.Pages[p].Slots {
-				if b.Pages[p].Slots[sl].State == flash.SubValid {
-					target = b.Pages[p].Slots[sl].LSN
+			for _, sp := range b.PageSlots(p) {
+				if sp.State == flash.SubValid {
+					target = sp.LSN
 					foundTarget = true
 				}
 			}
@@ -159,7 +158,7 @@ func TestIPSIntraPageUpdate(t *testing.T) {
 	if second.PageAddr() != first.PageAddr() {
 		t.Fatal("update did not stay in the old page")
 	}
-	if !d.Arr.Subpage(second).Partial {
+	if !d.Arr.Subpage(second).Partial() {
 		t.Error("intra-page update must be a partial program")
 	}
 	if d.Arr.Subpage(first).State != flash.SubInvalid {

@@ -222,8 +222,9 @@ func intraPageRoom(d *Device, oldPage flash.PPA, n int) (free [8]int, ok bool) {
 		return free, false
 	}
 	nFree := 0
-	for s := range pg.Slots {
-		if pg.Slots[s].State == flash.SubFree {
+	slots := b.PageSlots(oldPage.Page())
+	for s := range slots {
+		if slots[s].State == flash.SubFree {
 			free[nFree] = s
 			nFree++
 			if nFree == n {
@@ -329,15 +330,16 @@ func (u *IPU) appendCold(now int64, chunk []flash.LSN) (int64, bool) {
 			continue
 		}
 		pp := u.combine[slot]
-		pg := &d.Arr.Block(pp.Block()).Pages[pp.Page()]
-		if int(pg.ProgramCount) >= u.v.CombineBudget {
+		b := d.Arr.Block(pp.Block())
+		if int(b.Pages[pp.Page()].ProgramCount) >= u.v.CombineBudget {
 			u.hasCombine[slot] = false
 			continue
 		}
 		var free [8]int
 		nFree := 0
-		for s := range pg.Slots {
-			if pg.Slots[s].State == flash.SubFree {
+		slots := b.PageSlots(pp.Page())
+		for s := range slots {
+			if slots[s].State == flash.SubFree {
 				free[nFree] = s
 				nFree++
 			}

@@ -18,8 +18,7 @@ func isrDevice(t *testing.T) *Device {
 // first nInvalid of them.
 func fillPage(t testing.TB, d *Device, blk, page int, wt int64, nInvalid int) {
 	t.Helper()
-	pg := d.Arr.PageOf(flash.NewPPA(blk, page, 0))
-	writes := make([]flash.SlotWrite, len(pg.Slots))
+	writes := make([]flash.SlotWrite, d.Cfg.SlotsPerPage())
 	for s := range writes {
 		writes[s] = flash.SlotWrite{Slot: s, LSN: flash.LSN(blk*1000 + page*10 + s)}
 	}
@@ -38,10 +37,10 @@ func fillPage(t testing.TB, d *Device, blk, page int, wt int64, nInvalid int) {
 // slots. The block ends with JCount == 0 for this page.
 func updatePage(t testing.TB, d *Device, blk, page int, wt int64, nInvalid int) {
 	t.Helper()
-	pg := d.Arr.PageOf(flash.NewPPA(blk, page, 0))
-	half := len(pg.Slots) / 2
+	slots := d.Cfg.SlotsPerPage()
+	half := slots / 2
 	var first, second []flash.SlotWrite
-	for s := range pg.Slots {
+	for s := 0; s < slots; s++ {
 		w := flash.SlotWrite{Slot: s, LSN: flash.LSN(blk*1000 + page*10 + s)}
 		if s < half {
 			first = append(first, w)

@@ -90,12 +90,13 @@ func (m *MGA) roomAt(slot int) (free [8]int, nFree int) {
 		return free, 0
 	}
 	pp := m.openPages[slot]
-	pg := &m.dev.Arr.Block(pp.Block()).Pages[pp.Page()]
-	if int(pg.ProgramCount) >= m.dev.Cfg.MaxProgramsPerSLCPage {
+	b := m.dev.Arr.Block(pp.Block())
+	if int(b.Pages[pp.Page()].ProgramCount) >= m.dev.Cfg.MaxProgramsPerSLCPage {
 		return free, 0
 	}
-	for s := range pg.Slots {
-		if pg.Slots[s].State == flash.SubFree {
+	slots := b.PageSlots(pp.Page())
+	for s := range slots {
+		if slots[s].State == flash.SubFree {
 			free[nFree] = s
 			nFree++
 		}

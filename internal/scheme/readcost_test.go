@@ -161,8 +161,9 @@ func TestReadCostMemoRestore(t *testing.T) {
 			for id := 0; id < d.Arr.NumBlocks(); id++ {
 				b := d.Arr.Block(id)
 				for p := range b.Pages {
-					for s := range b.Pages[p].Slots {
-						sp := &b.Pages[p].Slots[s]
+					slots := b.PageSlots(p)
+					for s := range slots {
+						sp := &slots[s]
 						if sp.State != flash.SubValid {
 							continue
 						}

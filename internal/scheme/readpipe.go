@@ -284,8 +284,8 @@ func (d *Device) readCost(ber float64) *costSlot {
 // effective BER (memoised base rate of block b plus the subpage's stress
 // counters).
 func (d *Device) subpageCost(b *flash.Block, sp *flash.Subpage) *costSlot {
-	return d.readCost(d.Err.StressedBER(d.rawBER(b.EraseCount, sp.Partial),
-		sp.InPageDisturb, sp.NeighborDisturb, sp.ReprogramStress))
+	return d.readCost(d.Err.StressedBER(d.rawBER(b.EraseCount, sp.Partial()),
+		int(sp.InPageDisturb), int(sp.NeighborDisturb), sp.ReprogramStress()))
 }
 
 // unmappedReadCost returns the constant ECC cost of reading never-written
@@ -317,8 +317,9 @@ func (d *Device) readReqAsync(now int64, lsns []flash.LSN) int64 {
 		blk := g.pa.Block()
 		b := d.Arr.Block(blk)
 		j := readGroupJob{n: g.n, mode: b.Mode, slc: b.Mode == flash.ModeSLC}
+		slots := b.PageSlots(g.pa.Page())
 		for i, s := range g.slot[:g.n] {
-			cost := d.subpageCost(b, d.Arr.Subpage(flash.NewPPA(blk, g.pa.Page(), int(s))))
+			cost := d.subpageCost(b, &slots[s])
 			j.ber[i] = cost.ber()
 			j.decode += cost.decode
 			j.retries += cost.retries

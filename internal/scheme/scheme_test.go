@@ -62,8 +62,7 @@ func checkConsistency(t *testing.T, d *Device) {
 	for id := 0; id < d.Arr.NumBlocks(); id++ {
 		b := d.Arr.Block(id)
 		for p := range b.Pages {
-			for s := range b.Pages[p].Slots {
-				sp := &b.Pages[p].Slots[s]
+			for s, sp := range b.PageSlots(p) {
 				if sp.State != flash.SubValid {
 					continue
 				}
@@ -261,10 +260,10 @@ func TestMGAAggregatesRequests(t *testing.T) {
 	if got := d.Arr.Subpage(a).InPageDisturb; got != 1 {
 		t.Errorf("first write's disturb = %d, want 1", got)
 	}
-	if !d.Arr.Subpage(b).Partial {
+	if !d.Arr.Subpage(b).Partial() {
 		t.Error("second write must be partially programmed")
 	}
-	if d.Arr.Subpage(a).Partial {
+	if d.Arr.Subpage(a).Partial() {
 		t.Error("first write must be conventionally programmed")
 	}
 	checkConsistency(t, d)
@@ -336,7 +335,7 @@ func TestIPUIntraPageUpdate(t *testing.T) {
 		t.Fatal("update reused the same slot")
 	}
 	sp := d.Arr.Subpage(second)
-	if !sp.Partial {
+	if !sp.Partial() {
 		t.Error("intra-page update must be a partial program")
 	}
 	// The paper's key claim: the new valid data has no in-page disturb,

@@ -132,7 +132,7 @@ func TestCombineColdKeepsUpdatesIntraPage(t *testing.T) {
 	if d.Map.Get(0).PageAddr() != pageA {
 		t.Fatal("update left the shared page despite free slots")
 	}
-	if d.Arr.Subpage(d.Map.Get(0)).Partial != true {
+	if !d.Arr.Subpage(d.Map.Get(0)).Partial() {
 		t.Error("update must be a partial program")
 	}
 	checkConsistency(t, d)
