@@ -3,8 +3,9 @@
 //
 // Parse mode (default) reads benchmark output on stdin and writes one JSON
 // document with every benchmark's ns/op, B/op, allocs/op and custom
-// metrics. A second benchmark output may be embedded as the baseline, so
-// one file records a before/after pair:
+// metrics; repeated runs of one benchmark (`-count N`) merge into one
+// entry by median. A second benchmark output may be embedded as the
+// baseline, so one file records a before/after pair:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_0.json
 //	benchjson -o BENCH_0.json -baseline before.txt < after.txt
@@ -126,8 +127,8 @@ func main() {
 
 // Parse reads `go test -bench` output. Unrecognised lines (PASS, ok,
 // test log chatter) are skipped. Repeated runs of one benchmark (`-count
-// N`) are merged into a single entry by arithmetic mean, so a record
-// always holds one entry per benchmark name.
+// N`) are merged into a single entry by median, so a record always holds
+// one entry per benchmark name.
 func Parse(r io.Reader) (*Record, error) {
 	rec := &Record{}
 	sc := bufio.NewScanner(r)
@@ -166,45 +167,58 @@ func Parse(r io.Reader) (*Record, error) {
 	return rec, nil
 }
 
-// mergeRuns averages repeated runs of the same benchmark, preserving
-// first-seen order. Iteration counts are summed.
+// mergeRuns merges repeated runs of the same benchmark into one entry,
+// preserving first-seen order. Every metric takes the median of the runs
+// that report it, so one outlier run (a noisy neighbour, a stray GC)
+// cannot drag the merged value the way it drags a mean. Iteration counts
+// are summed.
 func mergeRuns(in []*Benchmark) []*Benchmark {
-	byName := make(map[string]*Benchmark, len(in))
-	counts := make(map[string]float64, len(in))
+	runs := make(map[string][]*Benchmark, len(in))
 	var out []*Benchmark
 	for _, b := range in {
-		m, ok := byName[b.Name]
-		if !ok {
-			byName[b.Name] = b
-			counts[b.Name] = 1
+		if _, seen := runs[b.Name]; !seen {
 			out = append(out, b)
-			continue
 		}
-		m.Iterations += b.Iterations
-		m.NsPerOp += b.NsPerOp
-		m.BytesPerOp += b.BytesPerOp
-		m.AllocsPerOp += b.AllocsPerOp
-		for unit, v := range b.Metrics {
-			if m.Metrics == nil {
-				m.Metrics = make(map[string]float64)
-			}
-			m.Metrics[unit] += v
-		}
-		counts[b.Name]++
+		runs[b.Name] = append(runs[b.Name], b)
 	}
-	for _, m := range out {
-		n := counts[m.Name]
-		if n == 1 {
+	for i, first := range out {
+		rs := runs[first.Name]
+		if len(rs) == 1 {
 			continue
 		}
-		m.NsPerOp /= n
-		m.BytesPerOp /= n
-		m.AllocsPerOp /= n
-		for unit := range m.Metrics {
-			m.Metrics[unit] /= n
+		m := &Benchmark{Name: first.Name}
+		var ns, bytes, allocs []float64
+		units := make(map[string][]float64)
+		for _, r := range rs {
+			m.Iterations += r.Iterations
+			ns = append(ns, r.NsPerOp)
+			bytes = append(bytes, r.BytesPerOp)
+			allocs = append(allocs, r.AllocsPerOp)
+			for unit, v := range r.Metrics {
+				units[unit] = append(units[unit], v)
+			}
 		}
+		m.NsPerOp, m.BytesPerOp, m.AllocsPerOp = median(ns), median(bytes), median(allocs)
+		if len(units) > 0 {
+			m.Metrics = make(map[string]float64, len(units))
+			for unit, vs := range units {
+				m.Metrics[unit] = median(vs)
+			}
+		}
+		out[i] = m
 	}
 	return out
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when len(vs) is even. It reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine decodes one result line:

@@ -51,7 +51,7 @@ func TestParse(t *testing.T) {
 }
 
 // TestParseMergesCounts feeds a -count 3 style output and checks repeated
-// runs collapse into one mean entry per name.
+// runs collapse into one entry per name.
 func TestParseMergesCounts(t *testing.T) {
 	const counted = `BenchmarkA 	 10	 100 ns/op	 50 req/s	 8 B/op	 2 allocs/op
 BenchmarkA 	 10	 200 ns/op	 70 req/s	 8 B/op	 2 allocs/op
@@ -71,6 +71,29 @@ BenchmarkB 	 1	 5 ns/op
 	}
 	if a.Metrics["req/s"] != 70 {
 		t.Errorf("merged req/s = %v, want 70", a.Metrics["req/s"])
+	}
+}
+
+// TestParseMergesMedian checks that one outlier among three runs does not
+// move the merged entry: every metric merges to the middle run's value.
+func TestParseMergesMedian(t *testing.T) {
+	const counted = `BenchmarkC-2 	 10	 44000000 ns/op	 900 req/s	 4096 B/op	 3 allocs/op
+BenchmarkC-2 	 10	 64000000 ns/op	 100 req/s	 9000 B/op	 9 allocs/op
+BenchmarkC-2 	 10	 46000000 ns/op	 950 req/s	 4000 B/op	 3 allocs/op
+`
+	rec, err := Parse(strings.NewReader(counted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Benchmarks) != 1 {
+		t.Fatalf("benchmarks = %d, want 1 after merging", len(rec.Benchmarks))
+	}
+	c := rec.Benchmarks[0]
+	if c.NsPerOp != 46000000 || c.BytesPerOp != 4096 || c.AllocsPerOp != 3 || c.Iterations != 30 {
+		t.Errorf("merged = %+v, want the middle run: 46000000 ns/op, 4096 B/op, 3 allocs/op over 30 iterations", c)
+	}
+	if c.Metrics["req/s"] != 900 {
+		t.Errorf("merged req/s = %v, want 900", c.Metrics["req/s"])
 	}
 }
 

@@ -196,27 +196,38 @@ func (s traceSource) Record(i int) (int64, bool, int64, int) {
 	return r.Time, r.Op == trace.OpWrite, r.Offset, r.Size
 }
 
-// buildTenantSchedule synthesises every tenant's trace and merges the
-// shaped streams into one deterministic schedule, returning it with the
+// buildTenantSchedule returns the spec's merged tenant schedule with the
 // tenants' normalised QoS weights.
 func (s *Simulator) buildTenantSchedule(spec *ClosedLoopSpec) (*workload.Schedule, []float64, error) {
 	specs := workload.NormalizeTenants(spec.Tenants, DefaultTenantTrace, spec.Seed, spec.Scale)
-	if err := workload.ValidateTenants(specs); err != nil {
-		return nil, nil, err
-	}
-	sources := make([]workload.RecordSource, len(specs))
-	weights := make([]float64, len(specs))
-	for i, t := range specs {
-		tr, err := cachedTrace(t.Trace, t.Seed, t.Scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		sources[i] = traceSource{tr}
-		weights[i] = t.Weight
-	}
-	sched, err := workload.BuildSchedule(specs, sources, s.cfg.Flash.LogicalBytes())
+	sched, err := tenantSchedule(specs, s.cfg.Flash.LogicalBytes())
 	if err != nil {
 		return nil, nil, err
 	}
+	weights := make([]float64, len(specs))
+	for i, t := range specs {
+		weights[i] = t.Weight
+	}
 	return sched, weights, nil
+}
+
+// tenantSchedule returns the merged schedule of normalised tenant specs
+// over a logical space through the schedule cache: the first call per
+// (specs, logicalBytes) synthesises the tenants' traces and merges their
+// shaped streams; later calls share that one immutable schedule.
+func tenantSchedule(specs []workload.TenantSpec, logicalBytes int64) (*workload.Schedule, error) {
+	if err := workload.ValidateTenants(specs); err != nil {
+		return nil, err
+	}
+	return schedules.get(scheduleKeyOf(specs, logicalBytes), func() (*workload.Schedule, error) {
+		sources := make([]workload.RecordSource, len(specs))
+		for i, t := range specs {
+			tr, err := cachedTrace(t.Trace, t.Seed, t.Scale)
+			if err != nil {
+				return nil, err
+			}
+			sources[i] = traceSource{tr}
+		}
+		return workload.BuildSchedule(specs, sources, logicalBytes)
+	})
 }

@@ -56,28 +56,33 @@ func TestContentionCellsEnumeration(t *testing.T) {
 }
 
 // TestContentionConcurrentMatchesSerial is the determinism check for the
-// pooled study: rows from a concurrent run must be DeepEqual — results,
-// order, everything — to a serial one, and each row must land at its
-// cell's enumeration index.
+// pooled study: rows from a concurrent run over both default mixes must
+// be DeepEqual — results, order, everything — to a serial one, and each
+// row must land at its cell's enumeration index. Every run starts from
+// empty trace and schedule caches, so each builds its own schedules.
 func TestContentionConcurrentMatchesSerial(t *testing.T) {
+	defer ResetTraceCache()
 	spec := smallContentionSpec()
-
-	serial := spec
-	serial.Workers = 1
-	want, err := RunTenantContentionContext(context.Background(), serial)
-	if err != nil {
-		t.Fatal(err)
+	spec.Mixes = DefaultTenantMixes()
+	run := func(workers int) []ContentionRow {
+		t.Helper()
+		ResetTraceCache()
+		s := spec
+		s.Workers = workers
+		rows, err := RunTenantContentionContext(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
 
-	concurrent := spec
-	concurrent.Workers = 4
-	got, err := RunTenantContentionContext(context.Background(), concurrent)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("concurrent contention rows diverged from serial:\n got %+v\nwant %+v", got, want)
+	want := run(1)
+	var got []ContentionRow
+	for _, workers := range []int{2, 4} {
+		got = run(workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Workers: %d contention rows diverged from serial:\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
 	cells, err := ContentionCells(spec)
 	if err != nil {

@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ipusim/internal/flash"
 	"ipusim/internal/trace"
+	"ipusim/internal/workload"
 )
 
 // MatrixSpec describes a sweep over traces, schemes and P/E baselines —
@@ -78,37 +81,142 @@ type traceKey struct {
 	scale float64
 }
 
-// traceCache memoises trace synthesis across RunMatrixContext calls.
+// lru is a mutex-guarded map bounded to cap entries, evicting the least
+// recently used entry beyond it. Values are built outside the lock, so a
+// slow build never blocks hits on other keys; concurrent misses on one
+// key may both build, and the first to insert wins, so every caller
+// shares one instance.
+type lru[K comparable, V any] struct {
+	mu    sync.Mutex
+	m     map[K]*lruSlot[V]
+	clock uint64
+	cap   int
+}
+
+type lruSlot[V any] struct {
+	v       V
+	lastUse uint64
+}
+
+// get returns key's cached value, building and caching it on a miss.
+func (c *lru[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	c.clock++
+	if s, ok := c.m[key]; ok {
+		s.lastUse = c.clock
+		c.mu.Unlock()
+		return s.v, nil
+	}
+	c.mu.Unlock()
+
+	v, err := build()
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock++
+	if s, ok := c.m[key]; ok {
+		// Another goroutine built the same value concurrently; keep the
+		// cached one so all callers share a single instance.
+		s.lastUse = c.clock
+		return s.v, nil
+	}
+	if c.m == nil {
+		c.m = make(map[K]*lruSlot[V])
+	}
+	c.m[key] = &lruSlot[V]{v: v, lastUse: c.clock}
+	for len(c.m) > c.cap {
+		var victim K
+		var oldest uint64
+		first := true
+		for k, s := range c.m {
+			if first || s.lastUse < oldest {
+				victim, oldest, first = k, s.lastUse, false
+			}
+		}
+		delete(c.m, victim)
+	}
+	return v, nil
+}
+
+// reset drops every entry.
+func (c *lru[K, V]) reset() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
+// len returns the number of cached entries.
+func (c *lru[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// traces memoises trace synthesis across RunMatrixContext calls.
 // Sweeps (sensitivity, replicate, benchmark loops) call it many times with
 // the same (name, seed, scale) tuples; traces are immutable once built, so
 // regenerating them per call is pure waste. The cache is LRU-bounded: a
 // full-scale trace holds millions of records, and a long multi-scale or
 // multi-seed sweep would otherwise accumulate every variant it ever
 // replayed.
-var (
-	traceCacheMu    sync.Mutex
-	traceCacheMap   = map[traceKey]*traceCacheEntry{}
-	traceCacheClock uint64
-	traceCacheCap   = 24
-)
+var traces = lru[traceKey, *traceCacheEntry]{cap: 24}
 
 // traceCacheEntry is one cached trace with its statistics. The stats are
 // analysed on first use by the report tables and live in the entry, so
 // they are evicted together with the trace and never pin it.
 type traceCacheEntry struct {
 	tr        *trace.Trace
-	lastUse   uint64
 	statsOnce sync.Once
 	stats     trace.Stats
 }
 
-// ResetTraceCache drops every cached synthesised trace, releasing their
-// memory. Long-running drivers call it between sweep phases that use
-// disjoint (seed, scale) settings.
+// scheduleKey identifies one merged multi-tenant schedule: the logical
+// space it partitions and its normalised tenant specs, encoded exactly by
+// scheduleKeyOf.
+type scheduleKey struct {
+	logicalBytes int64
+	specs        string
+}
+
+// scheduleKeyOf encodes every TenantSpec field — Name and Weight too,
+// which the schedule's Tenants copy — into the cache key: strings length-
+// prefixed, integers and float bit patterns as fixed 8-byte words, so two
+// keys are equal exactly when the inputs are.
+func scheduleKeyOf(specs []workload.TenantSpec, logicalBytes int64) scheduleKey {
+	b := make([]byte, 0, 96*len(specs))
+	word := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	str := func(v string) { word(uint64(len(v))); b = append(b, v...) }
+	for _, s := range specs {
+		str(s.Name)
+		str(s.Trace)
+		word(uint64(s.Seed))
+		word(math.Float64bits(s.Scale))
+		word(math.Float64bits(s.Weight))
+		word(uint64(s.PhaseNS))
+		word(uint64(s.DiurnalPeriodNS))
+		word(math.Float64bits(s.DiurnalAmplitude))
+		word(math.Float64bits(s.BurstLen))
+		word(uint64(s.BurstSpacingNS))
+	}
+	return scheduleKey{logicalBytes: logicalBytes, specs: string(b)}
+}
+
+// schedules memoises workload.BuildSchedule: every contention cell and
+// closed-loop run of one tenant mix replays the same immutable schedule,
+// whatever its scheme or write-cache arm. The cap holds both default
+// mixes with room to spare; DESIGN §5 states its worst-case footprint.
+var schedules = lru[scheduleKey, *workload.Schedule]{cap: 4}
+
+// ResetTraceCache drops every cached synthesised trace and every cached
+// multi-tenant schedule, releasing their memory. Long-running drivers
+// call it between sweep phases that use disjoint (seed, scale) settings.
 func ResetTraceCache() {
-	traceCacheMu.Lock()
-	traceCacheMap = map[traceKey]*traceCacheEntry{}
-	traceCacheMu.Unlock()
+	traces.reset()
+	schedules.reset()
 }
 
 // SyntheticTrace returns the synthesised trace for a profile through the
@@ -141,51 +249,19 @@ func cachedTraceStats(name string, seed int64, scale float64) (trace.Stats, erro
 }
 
 // traceEntry returns the cache entry of a profile's synthesised trace,
-// generating and caching it on first use and evicting the least recently
-// used entry beyond the cache cap.
+// generating and caching it on first use.
 func traceEntry(name string, seed int64, scale float64) (*traceCacheEntry, error) {
-	key := traceKey{name, seed, scale}
-	traceCacheMu.Lock()
-	traceCacheClock++
-	if e, ok := traceCacheMap[key]; ok {
-		e.lastUse = traceCacheClock
-		traceCacheMu.Unlock()
-		return e, nil
-	}
-	traceCacheMu.Unlock()
-
-	p, ok := trace.Profiles[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown trace profile %q", name)
-	}
-	tr, err := trace.Generate(p, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-
-	traceCacheMu.Lock()
-	defer traceCacheMu.Unlock()
-	traceCacheClock++
-	if e, ok := traceCacheMap[key]; ok {
-		// Another goroutine generated the same trace concurrently; keep
-		// the cached one so all jobs share a single instance.
-		e.lastUse = traceCacheClock
-		return e, nil
-	}
-	e := &traceCacheEntry{tr: tr, lastUse: traceCacheClock}
-	traceCacheMap[key] = e
-	for len(traceCacheMap) > traceCacheCap {
-		var victim traceKey
-		var oldest uint64
-		first := true
-		for k, e := range traceCacheMap {
-			if first || e.lastUse < oldest {
-				victim, oldest, first = k, e.lastUse, false
-			}
+	return traces.get(traceKey{name, seed, scale}, func() (*traceCacheEntry, error) {
+		p, ok := trace.Profiles[name]
+		if !ok {
+			return nil, fmt.Errorf("core: unknown trace profile %q", name)
 		}
-		delete(traceCacheMap, victim)
-	}
-	return e, nil
+		tr, err := trace.Generate(p, seed, scale)
+		if err != nil {
+			return nil, err
+		}
+		return &traceCacheEntry{tr: tr}, nil
+	})
 }
 
 // RunMatrixContext executes every (trace, scheme, P/E) combination of the

@@ -237,9 +237,9 @@ func TestResetSnapshotCache(t *testing.T) {
 // TestTraceCacheBoundedAndResettable exercises the trace-cache LRU bound
 // and ResetTraceCache.
 func TestTraceCacheBoundedAndResettable(t *testing.T) {
-	oldCap := traceCacheCap
-	traceCacheCap = 3
-	defer func() { traceCacheCap = oldCap }()
+	oldCap := traces.cap
+	traces.cap = 3
+	defer func() { traces.cap = oldCap }()
 	ResetTraceCache()
 
 	for seed := int64(1); seed <= 5; seed++ {
@@ -247,9 +247,7 @@ func TestTraceCacheBoundedAndResettable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	traceCacheMu.Lock()
-	n := len(traceCacheMap)
-	traceCacheMu.Unlock()
+	n := traces.len()
 	if n > 3 {
 		t.Errorf("trace cache holds %d entries, cap is 3", n)
 	}
@@ -268,9 +266,7 @@ func TestTraceCacheBoundedAndResettable(t *testing.T) {
 	}
 
 	ResetTraceCache()
-	traceCacheMu.Lock()
-	n = len(traceCacheMap)
-	traceCacheMu.Unlock()
+	n = traces.len()
 	if n != 0 {
 		t.Errorf("trace cache holds %d entries after Reset", n)
 	}

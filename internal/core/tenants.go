@@ -157,6 +157,18 @@ func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLo
 	return run
 }
 
+// contentionConfig returns the simulator configuration of a cell replaying
+// schemeName.
+func contentionConfig(spec *TenantContentionSpec, schemeName string) Config {
+	cfg := DefaultConfig()
+	if spec.Flash != nil {
+		cfg.Flash = *spec.Flash
+	}
+	cfg.Scheme = schemeName
+	cfg.Parallelism = spec.Parallelism
+	return cfg
+}
+
 // RunContentionCellContext replays one contention cell on a snapshot-
 // cached device and returns its row. It is the unit a cluster
 // coordinator dispatches — and the local fallback when a remote worker
@@ -164,13 +176,7 @@ func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLo
 // honoured.
 func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, cell ContentionCell) (ContentionRow, error) {
 	spec.normalize()
-	cfg := DefaultConfig()
-	if spec.Flash != nil {
-		cfg.Flash = *spec.Flash
-	}
-	cfg.Scheme = cell.Scheme
-	cfg.Parallelism = spec.Parallelism
-	res, err := runOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
+	res, err := runOn(ctx, contentionConfig(&spec, cell.Scheme), func(sim *Simulator) (*Result, error) {
 		return sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
 	})
 	if err != nil {
@@ -179,36 +185,26 @@ func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, ce
 	return ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}, nil
 }
 
-// contentionMixRequests synthesises (and caches) a mix's tenant traces
-// and returns the request count of its merged schedule — the per-cell
-// progress total.
+// contentionMixRequests builds a mix's merged schedule through the
+// schedule cache, exactly as its cells will, and returns its request
+// count — the per-cell progress total. Every cell of the mix then shares
+// the cached schedule instead of building its own.
 func contentionMixRequests(spec *TenantContentionSpec, mix TenantMix) (int, error) {
-	seed, scale := spec.Seed, spec.Scale
-	if seed == 0 {
-		seed = 42
-	}
-	if scale == 0 {
-		scale = 0.05
-	}
-	specs := workload.NormalizeTenants(mix.Tenants, DefaultTenantTrace, seed, scale)
-	if err := workload.ValidateTenants(specs); err != nil {
+	run := contentionRunSpec(spec, ContentionCell{Mix: mix})
+	run.normalize()
+	specs := workload.NormalizeTenants(run.Tenants, DefaultTenantTrace, run.Seed, run.Scale)
+	cfg := contentionConfig(spec, "")
+	sched, err := tenantSchedule(specs, cfg.Flash.LogicalBytes())
+	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, t := range specs {
-		tr, err := cachedTrace(t.Trace, t.Seed, t.Scale)
-		if err != nil {
-			return 0, err
-		}
-		total += tr.Len()
-	}
-	return total, nil
+	return sched.Len(), nil
 }
 
 // RunTenantContentionContext replays every (mix, buffer arm, scheme) cell
 // of the contention study on a fixed pool of spec.Workers goroutines.
-// Each mix's tenant traces are synthesised once up front and shared
-// read-only by its cells; devices come from the snapshot cache and are
+// Each mix's merged schedule is built once up front and shared read-only
+// by its cells; devices come from the snapshot cache and are
 // released back to it. Rows come back in the deterministic
 // mix/buffer/scheme enumeration order with results bit-identical to a
 // serial (Workers=1) study, independent of scheduling.
@@ -223,7 +219,7 @@ func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) 
 		return nil, err
 	}
 
-	// Warm the trace cache before the fan-out and total the study's
+	// Warm the schedule cache before the fan-out and total the study's
 	// requests for aggregated progress (each mix runs 2*len(Schemes)
 	// cells: one per scheme and buffer arm).
 	var totalRequests int64

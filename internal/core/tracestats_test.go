@@ -116,12 +116,12 @@ func traceCollected(done <-chan struct{}, n int) bool {
 
 // TestTraceStatsCacheBounded checks that cached statistics leave with
 // their trace: after ResetTraceCache and after LRU eviction past
-// traceCacheCap, nothing in the package keeps the dropped trace alive, and
+// the trace cache's cap, nothing in the package keeps the dropped trace alive, and
 // asking again analyses a newly synthesised instance.
 func TestTraceStatsCacheBounded(t *testing.T) {
-	oldCap := traceCacheCap
-	traceCacheCap = 2
-	defer func() { traceCacheCap = oldCap }()
+	oldCap := traces.cap
+	traces.cap = 2
+	defer func() { traces.cap = oldCap }()
 	ResetTraceCache()
 	defer ResetTraceCache()
 
@@ -162,11 +162,9 @@ func TestTraceStatsCacheBounded(t *testing.T) {
 	watch(3)
 	watch(4)
 	watch(5)
-	traceCacheMu.Lock()
-	n := len(traceCacheMap)
-	traceCacheMu.Unlock()
-	if n != traceCacheCap {
-		t.Fatalf("trace cache holds %d entries, cap is %d", n, traceCacheCap)
+	n := traces.len()
+	if n != traces.cap {
+		t.Fatalf("trace cache holds %d entries, cap is %d", n, traces.cap)
 	}
 	if !traceCollected(done, 2) {
 		t.Fatal("evicted traces and their stats stayed alive")

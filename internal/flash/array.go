@@ -18,6 +18,9 @@ type SlotWrite struct {
 type Array struct {
 	cfg    *Config
 	blocks []Block
+	// nSLC and spp are cfg's SLC block count and slots per page, derived
+	// once so addressing does no float or division arithmetic per call.
+	nSLC, spp int
 
 	// pages and subs are the device-wide backing stores every block's
 	// Pages and slot views point into. Keeping them flat makes Clone two
@@ -81,9 +84,8 @@ func NewArray(cfg *Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{cfg: cfg, blocks: make([]Block, cfg.Blocks)}
-	slots := cfg.SlotsPerPage()
-	nSLC := cfg.SLCBlocks()
+	slots, nSLC := cfg.SlotsPerPage(), cfg.SLCBlocks()
+	a := &Array{cfg: cfg, blocks: make([]Block, cfg.Blocks), nSLC: nSLC, spp: slots}
 	a.slcUsed = make([]uint64, (nSLC+63)/64)
 	a.dirtyBlocks = make([]uint64, (cfg.Blocks+63)/64)
 	totalPages := nSLC*cfg.SLCPagesPerBlock + (cfg.Blocks-nSLC)*cfg.MLCPagesPerBlock
@@ -115,8 +117,7 @@ func NewArray(cfg *Config) (*Array, error) {
 // another array of the same geometry reproduces the source's structure.
 func (a *Array) bindBlock(id int) {
 	b := &a.blocks[id]
-	po, n := a.pageOffset(id), a.pagesIn(id)
-	spp := a.cfg.SlotsPerPage()
+	po, n, spp := a.pageOffset(id), a.pagesIn(id), a.spp
 	b.Pages = a.pages[po : po+n : po+n]
 	b.slots = a.subs[po*spp : (po+n)*spp : (po+n)*spp]
 	b.spp = int32(spp)
@@ -157,15 +158,15 @@ func (a *Array) MarkBlockDirty(id int) {
 // pageOffset returns block id's first index in the flat page store. SLC
 // blocks occupy the low IDs, so the offset is a two-term product.
 func (a *Array) pageOffset(id int) int {
-	if nSLC := a.cfg.SLCBlocks(); id >= nSLC {
-		return nSLC*a.cfg.SLCPagesPerBlock + (id-nSLC)*a.cfg.MLCPagesPerBlock
+	if id >= a.nSLC {
+		return a.nSLC*a.cfg.SLCPagesPerBlock + (id-a.nSLC)*a.cfg.MLCPagesPerBlock
 	}
 	return id * a.cfg.SLCPagesPerBlock
 }
 
 // pagesIn returns the page count of block id, fixed by its home region.
 func (a *Array) pagesIn(id int) int {
-	if id < a.cfg.SLCBlocks() {
+	if id < a.nSLC {
 		return a.cfg.SLCPagesPerBlock
 	}
 	return a.cfg.MLCPagesPerBlock
@@ -205,7 +206,7 @@ func (a *Array) Restore(t *Array) {
 	gen := a.gen
 	fast := a.restoredFrom == t && a.restoredGen == t.gen
 	if fast {
-		slots := t.cfg.SlotsPerPage()
+		slots := t.spp
 		for w := range dirtyB {
 			word := dirtyB[w]
 			if word == 0 {
@@ -509,7 +510,7 @@ func (a *Array) Erase(blockID int) error {
 // array-wide Eq. 2 sums and its used bit is cleared so GC victim scans
 // skip it. It rejoins the cache only through SwitchToSLC after an erase.
 func (a *Array) SwitchToMLC(blockID int) error {
-	if blockID >= a.cfg.SLCBlocks() {
+	if blockID >= a.nSLC {
 		return fmt.Errorf("flash: switching non-SLC-home block %d", blockID)
 	}
 	b := &a.blocks[blockID]
@@ -546,7 +547,7 @@ func (a *Array) SwitchToMLC(blockID int) error {
 // SwitchToMLC. The block must be erased first: switch-back is a voltage
 // re-calibration of empty cells, not a data transformation.
 func (a *Array) SwitchToSLC(blockID int) error {
-	if blockID >= a.cfg.SLCBlocks() {
+	if blockID >= a.nSLC {
 		return fmt.Errorf("flash: switch-back of non-SLC-home block %d", blockID)
 	}
 	b := &a.blocks[blockID]

@@ -67,6 +67,7 @@ type Device struct {
 	// MLC GC), and MoveIPU's per-page frame groups.
 	excl          ExcludeSet
 	frames        int // logical frame count, sizes the collectors
+	slots         int // Cfg.SlotsPerPage(), derived once for the hot paths
 	slcMoveFrames frameCollector
 	mlcMoveFrames frameCollector
 	pageFrames    [8]frameGroup
@@ -178,7 +179,8 @@ func NewDevice(cfg *flash.Config, em *errmodel.Model) (*Device, error) {
 	d.slcFreePages = d.slcTotalPages
 	d.blockReadyAt = make([]int64, cfg.Blocks)
 	d.excl = *NewExcludeSet(cfg.Blocks)
-	d.frames = (cfg.LogicalSubpages + cfg.SlotsPerPage() - 1) / cfg.SlotsPerPage()
+	d.slots = cfg.SlotsPerPage()
+	d.frames = (cfg.LogicalSubpages + d.slots - 1) / d.slots
 	if cfg.PreFillMLC {
 		d.preFill()
 	}
@@ -291,7 +293,7 @@ func (d *Device) Restore(t *Device) {
 // report. This models a device already in service, matching the non-zero
 // P/E baseline of Table 2.
 func (d *Device) preFill() {
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	frames := (d.Cfg.LogicalSubpages + slots - 1) / slots
 	for f := 0; f < frames; f++ {
 		blk, page := d.allocMLCPage()
@@ -421,7 +423,7 @@ func (d *Device) LSNRange(offset int64, size int) []flash.LSN {
 // call.
 func (d *Device) Chunks(offset int64, size int) [][]flash.LSN {
 	lsns := d.LSNRange(offset, size)
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	out := d.chunkBuf[:0]
 	start := 0
 	curFrame := int32(-1)
@@ -750,7 +752,7 @@ func (d *Device) moveMLCVictim(now int64, victim int) {
 	b := d.Arr.Block(victim)
 	c := &d.mlcMoveFrames
 	c.reset(d.frames)
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	for p := range b.Pages {
 		valid := 0
 		ps := b.PageSlots(p)
@@ -777,7 +779,7 @@ func (d *Device) moveMLCVictim(now int64, victim int) {
 // subpages of the frame whose newest version lives in SLC stay there.
 // Returns the program completion time.
 func (d *Device) WriteFrameMLC(now int64, lsns []flash.LSN) int64 {
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	frame := lsns[0].Frame(slots)
 	// Any nested MLC GC completes here, before the scratch buffers below
 	// are touched, so one device-owned set of buffers suffices.
@@ -874,7 +876,7 @@ type readGroup struct {
 // request's subpage count), so first-seen linear probing beats the map
 // allocations it replaces.
 func (d *Device) groupRead(lsns []flash.LSN) {
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	groups := d.readGroups[:0]
 	uf := d.unmappedFr[:0]
 	uc := d.unmappedCnt[:0]

@@ -232,7 +232,7 @@ func (c *frameCollector) add(f int32, l flash.LSN) {
 // flushed to the MLC region, frame groups consolidated page-by-page.
 func MoveFlushAll(d *Device, now int64, victim int) {
 	b := d.Arr.Block(victim)
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	c := &d.slcMoveFrames
 	c.reset(d.frames)
 	for p := range b.Pages {
@@ -276,7 +276,7 @@ func MoveIPU(d *Device, now int64, victim int) {
 // collector, which processes a bounded number of pages per host request.
 func moveIPUPage(d *Device, now int64, victim int, level flash.BlockLevel, p int) int {
 	b := d.Arr.Block(victim)
-	slots := d.Cfg.SlotsPerPage()
+	slots := d.slots
 	fr := &d.pageFrames
 	nf := 0
 	valid := 0

@@ -298,13 +298,13 @@ func (u *IPU) writeChunk(now int64, chunk []flash.LSN) int64 {
 	// Data entering the cache: brand-new, scattered, or the first update
 	// of MLC-resident data — infrequent by definition, the target of the
 	// adaptive-combine extension.
-	if u.v.CombineCold && len(chunk) < d.Cfg.SlotsPerPage() {
+	if u.v.CombineCold && len(chunk) < d.slots {
 		if e, ok := u.appendCold(now, chunk); ok {
 			return e
 		}
 	}
 	if e, ok := d.WriteChunkSLC(now, flash.LevelWork, chunk, false); ok {
-		if u.v.CombineCold && len(chunk) < d.Cfg.SlotsPerPage() {
+		if u.v.CombineCold && len(chunk) < d.slots {
 			// The fresh page becomes its stripe's shared cold page.
 			slot := u.combineRR % len(u.combine)
 			u.combineRR++

@@ -147,8 +147,8 @@ func (m *MGA) Write(now int64, offset int64, size int) int64 {
 				break
 			}
 			n := len(pending)
-			if n > d.Cfg.SlotsPerPage() {
-				n = d.Cfg.SlotsPerPage()
+			if n > d.slots {
+				n = d.slots
 			}
 			head := pending[:n]
 			pending = pending[n:]

@@ -53,9 +53,16 @@ type OpStats struct {
 // multilevel-parallelism model: a block's chip is fixed by block ID, so
 // consecutive blocks exploit channel and chip parallelism.
 type Engine struct {
-	cfg      *flash.Config
-	chipFree []int64 // next instant each parallel unit (plane) is idle
-	chanFree []int64 // next instant each channel bus is idle
+	cfg *flash.Config
+	// unitOf maps a block to its parallel unit and chanOf a unit to its
+	// channel; slcBlocks is the SLC/MLC partition point. All three are
+	// derived from cfg once in NewEngine and shared read-only by clones,
+	// so the per-operation path does no geometry arithmetic.
+	unitOf    []int32
+	chanOf    []int32
+	slcBlocks int
+	chipFree  []int64 // next instant each parallel unit (plane) is idle
+	chanFree  []int64 // next instant each channel bus is idle
 	// gcBacklog is deferred background (GC) work per chip, in nanoseconds.
 	// Background work drains into the idle gaps between host operations —
 	// the host-priority scheduling real FTLs use, with erase-suspend — and
@@ -77,18 +84,28 @@ const ScanCostPerBlockNS = 50
 
 // NewEngine builds an engine for the given geometry.
 func NewEngine(cfg *flash.Config) *Engine {
+	units := cfg.ParallelUnits()
 	e := &Engine{
 		cfg:       cfg,
-		chipFree:  make([]int64, cfg.ParallelUnits()),
+		unitOf:    make([]int32, cfg.Blocks),
+		chanOf:    make([]int32, units),
+		slcBlocks: cfg.SLCBlocks(),
+		chipFree:  make([]int64, units),
 		chanFree:  make([]int64, cfg.Channels),
-		gcBacklog: make([]int64, cfg.ParallelUnits()),
+		gcBacklog: make([]int64, units),
 	}
-	e.Stats.BusyPerChip = make([]int64, cfg.ParallelUnits())
+	for id := range e.unitOf {
+		e.unitOf[id] = int32(cfg.UnitOf(id))
+	}
+	for u := range e.chanOf {
+		e.chanOf[u] = int32(cfg.ChannelOfUnit(u))
+	}
+	e.Stats.BusyPerChip = make([]int64, units)
 	return e
 }
 
 // Clone returns a deep copy of the engine sharing only the immutable
-// config.
+// config and its derived geometry tables.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{
 		chipFree:  make([]int64, len(e.chipFree)),
@@ -149,8 +166,8 @@ func (e *Engine) Perform(arrival int64, blockID int, kind OpKind, subpages int, 
 // in MLC mode while occupying SLC-home IDs, so schemes that switch blocks
 // must pass the block's actual mode.
 func (e *Engine) PerformMode(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int, extra time.Duration) int64 {
-	chip := e.cfg.UnitOf(blockID)
-	ch := e.cfg.ChannelOfUnit(chip)
+	chip := e.unitOf[blockID]
+	ch := e.chanOf[chip]
 	xfer := int64(e.cfg.Timing.TransferPerSubpage) * int64(subpages)
 	cell := int64(e.cellTime(kind, mode))
 
@@ -203,7 +220,7 @@ func (e *Engine) PerformBackground(arrival int64, blockID int, kind OpKind, subp
 // PerformBackgroundMode is PerformBackground with an explicit cell mode,
 // for operations on in-place switched blocks.
 func (e *Engine) PerformBackgroundMode(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int) int64 {
-	chip := e.cfg.UnitOf(blockID)
+	chip := e.unitOf[blockID]
 	xfer := int64(e.cfg.Timing.TransferPerSubpage) * int64(subpages)
 	busy := int64(e.cellTime(kind, mode)) + xfer
 	e.gcBacklog[chip] += busy
@@ -237,7 +254,7 @@ func (e *Engine) ChipAvailableAt(chip int) int64 {
 // modeOf derives a block's mode from the SLC/MLC partition (SLC blocks
 // occupy the low IDs, mirroring flash.NewArray).
 func (e *Engine) modeOf(blockID int) flash.Mode {
-	if blockID < e.cfg.SLCBlocks() {
+	if blockID < e.slcBlocks {
 		return flash.ModeSLC
 	}
 	return flash.ModeMLC

@@ -184,6 +184,11 @@ func (s *Schedule) Name() string {
 // into one arrival-ordered schedule. specs must be normalised and
 // validated; sources[i] is tenant i's raw stream. The result is fully
 // deterministic: same specs and sources, same schedule.
+//
+// Each tenant is shaped lazily, one request ahead of the merge, so the
+// only allocation proportional to the request count is the schedule
+// itself. A built schedule is immutable: callers may share it read-only
+// across concurrent replays.
 func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int64) (*Schedule, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("workload: schedule needs at least one tenant")
@@ -209,22 +214,19 @@ func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int6
 	}
 
 	sch := &Schedule{Tenants: make([]TenantInfo, len(specs))}
+	cursors := make([]tenantCursor, len(specs))
 	total := 0
-	for _, src := range sources {
-		total += src.Len()
-	}
-	sch.reqs = make([]Request, 0, total)
-
-	streams := make([][]Request, len(specs))
 	for ti, spec := range specs {
 		src := sources[ti]
 		n := src.Len()
 		sch.Tenants[ti] = TenantInfo{Name: spec.Name, Trace: spec.Trace, Weight: spec.Weight, Requests: n}
-		reqs := make([]Request, n)
+		total += n
+		c := &cursors[ti]
+		*c = tenantCursor{src: src, n: n, tenant: int32(ti), base: int64(ti) * span, span: span,
+			periodNS: spec.DiurnalPeriodNS, amplitude: spec.DiurnalAmplitude, phaseNS: spec.PhaseNS}
 
 		// Burst re-timing: replace the stream's timestamps with an on/off
 		// burst process of the same long-run mean rate, seeded per tenant.
-		var arrivals *Arrivals
 		if spec.BurstLen > 1 && n > 1 {
 			last, _, _, _ := src.Record(n - 1)
 			mean := time.Duration(last / int64(n-1))
@@ -236,59 +238,81 @@ func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int6
 				spacing = mean / 2
 			}
 			var err error
-			arrivals, err = NewBurstyArrivals(rand.New(rand.NewSource(spec.Seed)), mean, spec.BurstLen, spacing)
+			c.arrivals, err = NewBurstyArrivals(rand.New(rand.NewSource(spec.Seed)), mean, spec.BurstLen, spacing)
 			if err != nil {
 				return nil, fmt.Errorf("workload: tenant %d: %w", ti, err)
 			}
 		}
-
-		base := int64(ti) * span
-		for i := 0; i < n; i++ {
-			t, isWrite, off, size := src.Record(i)
-			if arrivals != nil {
-				t = arrivals.Next()
-			}
-			t = diurnalWarp(t, spec.DiurnalPeriodNS, spec.DiurnalAmplitude, spec.PhaseNS)
-			// Remap into the tenant's partition; requests wrap within it.
-			if int64(size) > span {
-				size = int(span)
-			}
-			off %= span
-			if off+int64(size) > span {
-				off = 0
-			}
-			reqs[i] = Request{
-				Time:   t,
-				Offset: base + off,
-				Tenant: int32(ti),
-				Size:   int32(size),
-				Write:  isWrite,
-			}
-		}
-		streams[ti] = reqs
+		c.advance()
 	}
 
-	// K-way merge by shaped time; ties broken by tenant index (cursor
-	// order is per-tenant sequence order, so the merge is stable).
-	cursors := make([]int, len(streams))
+	// K-way merge by shaped time; ties broken by tenant index (each
+	// cursor yields its tenant's requests in sequence order, so the merge
+	// is stable).
+	sch.reqs = make([]Request, 0, total)
 	for {
 		best := -1
-		var bestT int64
-		for ti, c := range cursors {
-			if c >= len(streams[ti]) {
-				continue
-			}
-			if t := streams[ti][c].Time; best < 0 || t < bestT {
-				best, bestT = ti, t
+		for ti := range cursors {
+			if c := &cursors[ti]; c.live && (best < 0 || c.head.Time < cursors[best].head.Time) {
+				best = ti
 			}
 		}
 		if best < 0 {
 			break
 		}
-		sch.reqs = append(sch.reqs, streams[best][cursors[best]])
-		cursors[best]++
+		sch.reqs = append(sch.reqs, cursors[best].head)
+		cursors[best].advance()
 	}
 	return sch, nil
+}
+
+// tenantCursor shapes one tenant's stream on demand: head is the next
+// shaped request while live is set. Shaping in sequence order keeps the
+// burst re-timing draws identical to shaping the whole stream up front.
+type tenantCursor struct {
+	src      RecordSource
+	arrivals *Arrivals // nil keeps the source's timestamps
+	next, n  int       // next source record to shape; record count
+
+	tenant     int32
+	base, span int64 // the tenant's address partition
+
+	periodNS, phaseNS int64
+	amplitude         float64
+
+	head Request
+	live bool
+}
+
+// advance shapes the cursor's next source record into head, or clears
+// live once the stream is exhausted.
+func (c *tenantCursor) advance() {
+	if c.next >= c.n {
+		c.live = false
+		return
+	}
+	t, isWrite, off, size := c.src.Record(c.next)
+	c.next++
+	if c.arrivals != nil {
+		t = c.arrivals.Next()
+	}
+	t = diurnalWarp(t, c.periodNS, c.amplitude, c.phaseNS)
+	// Remap into the tenant's partition; requests wrap within it.
+	if int64(size) > c.span {
+		size = int(c.span)
+	}
+	off %= c.span
+	if off+int64(size) > c.span {
+		off = 0
+	}
+	c.head = Request{
+		Time:   t,
+		Offset: c.base + off,
+		Tenant: c.tenant,
+		Size:   int32(size),
+		Write:  isWrite,
+	}
+	c.live = true
 }
 
 // diurnalWarp applies a monotone sinusoidal time warp modelling a diurnal
