@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-parallel check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
 
 all: build test
 
@@ -58,20 +58,6 @@ check-schemes:
 	$(GO) test -count 1 ./internal/scheme
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
 
-# The parallel-replay acceptance gate: the commit-pipeline units, the
-# read-cost memo (exact against the error model and dropped on Restore;
-# the pipeline fills it at dispatch while workers sum its costs), and the
-# parallel-vs-serial bit-identity differential over every admission mode
-# of the request loop — every scheme over every trace open-loop and every
-# closed-loop shape (stream, tenant mixes, write cache off/on), at
-# Parallelism 1 vs N compared with reflect.DeepEqual on full results —
-# plus progress/cancel parity and the cancellation goroutine-leak check,
-# all under the race detector.
-check-parallel:
-	$(GO) test -race -count 1 -run 'TestPipeline|TestParallel' ./internal/sim
-	$(GO) test -race -count 1 -run 'TestReadCostMemo' ./internal/scheme
-	$(GO) test -race -count 1 -run 'TestParallel|TestClosedLoopParallel' ./internal/core
-
 # The multi-tenant/spec-API acceptance gate: the spec-vs-reference
 # bit-identity differential across every scheme, multi-tenant replay
 # determinism, cancelled-run per-tenant partials, the write-cache
@@ -88,9 +74,10 @@ check-tenants:
 
 # The closed-loop fast-path acceptance gate: the slab write cache
 # (eviction-order scripts, the fuzz differential against a map-backed
-# reference, the zero-alloc steady state), the closed-loop behaviour and
-# parallel-vs-serial bit-identity tests, the zero-alloc request loop, the
-# closed-loop entry's validation and cancellation, the concurrent
+# reference, the zero-alloc steady state), the closed-loop behaviour
+# tests, the progress/cancel contract (ticks, SimTime, cancel at an exact
+# request), the zero-alloc request loop, the closed-loop entry's
+# validation and cancellation, the concurrent
 # contention study (concurrent == serial rows, standalone cell == study
 # row, aggregated progress/cancel), the shared schedule cache (cold ==
 # warm rows, Workers 2 == Workers 1 from a cold cache, a warm cell

@@ -346,55 +346,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(reqs)/time.Since(start).Seconds(), "requests/s")
 }
 
-// BenchmarkParallelReplay measures the plane-pipeline replay path: the
-// same single-trace replay shape as BenchmarkSimulatorThroughput but on a
-// read-heavy trace with the read-path evaluation spread over GOMAXPROCS
-// workers. Results are bit-identical to serial (asserted by
-// TestParallelMatchesSerial); this benchmark tracks the wall time the
-// pipeline buys. One untimed warm-up iteration seeds the snapshot free
-// pool, so every timed New restores a recycled device in place — without
-// it, the first iteration's template clone is amortised over b.N and the
-// reported B/op and allocs/op would vary with -benchtime.
-func BenchmarkParallelReplay(b *testing.B) {
-	tr, err := trace.Generate(trace.Profiles["lun2"], benchSeed, benchScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Flash = *benchFlash()
-	cfg.Parallelism = runtime.GOMAXPROCS(0)
-	{
-		sim, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.RunContext(context.Background(), tr); err != nil {
-			b.Fatal(err)
-		}
-		sim.Release()
-	}
-	b.ResetTimer()
-	var reqs int
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		sim, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.RunContext(context.Background(), tr); err != nil {
-			b.Fatal(err)
-		}
-		sim.Release()
-		reqs += tr.Len()
-	}
-	b.ReportMetric(float64(reqs)/time.Since(start).Seconds(), "requests/s")
-}
-
 // BenchmarkClosedLoopTenants measures the multi-tenant closed-loop
-// serving path — two QoS-weighted tenants behind a shared queue with the
-// DRAM write cache on — serial vs pipelined read evaluation. The two
-// arms produce bit-identical Results (asserted by
-// TestClosedLoopParallelMatchesSerial); the delta is wall time only.
+// serving path: two QoS-weighted tenants behind a shared queue with the
+// DRAM write cache on.
 func BenchmarkClosedLoopTenants(b *testing.B) {
 	spec := core.ClosedLoopSpec{
 		Depth:      16,
@@ -403,39 +357,28 @@ func BenchmarkClosedLoopTenants(b *testing.B) {
 		Scale:      benchScale,
 		WriteCache: &cache.Config{CapacityBytes: 1 << 20},
 	}
-	for _, arm := range []struct {
-		name string
-		par  int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Flash = *benchFlash()
-			cfg.Parallelism = arm.par
-			run := func() int {
-				sim, err := core.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.RunClosedLoopSpec(context.Background(), spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim.Release()
-				return res.Requests
-			}
-			run() // warm the snapshot/trace caches
-			b.ResetTimer()
-			var reqs int
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				reqs += run()
-			}
-			b.ReportMetric(float64(reqs)/time.Since(start).Seconds(), "requests/s")
-		})
+	cfg := core.DefaultConfig()
+	cfg.Flash = *benchFlash()
+	run := func() int {
+		sim, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.RunClosedLoopSpec(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Release()
+		return res.Requests
 	}
+	run() // warm the snapshot/trace caches
+	b.ResetTimer()
+	var reqs int
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		reqs += run()
+	}
+	b.ReportMetric(float64(reqs)/time.Since(start).Seconds(), "requests/s")
 }
 
 // BenchmarkTenantContention measures the contention study — every
@@ -506,8 +449,8 @@ func warmSnapshotPools(b *testing.B, spec core.TenantContentionSpec, n int) {
 }
 
 // BenchmarkFullGeometryReplay replays a trace against the paper's full
-// 65536-block Table 2 geometry with the parallel read pipeline on — the
-// configuration EXPERIMENTS.md quotes replay times for. Each iteration
+// 65536-block Table 2 geometry — the configuration EXPERIMENTS.md quotes
+// replay times for. Each iteration
 // replays against a freshly built device: reusing one device has no
 // steady state (erase counts only grow, so BER and retry work climb
 // forever), and the snapshot cache is bypassed because pinning a
@@ -523,7 +466,6 @@ func BenchmarkFullGeometryReplay(b *testing.B) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Flash = flash.PaperConfig()
-	cfg.Parallelism = runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	var reqs int
 	var elapsed time.Duration

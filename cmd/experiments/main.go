@@ -8,7 +8,7 @@
 // Usage:
 //
 //	experiments [-scale 0.05] [-seed 42] [-traces ts0,ads] [-schemes IPU]
-//	            [-pesweep] [-ablate] [-full] [-workers N] [-parallel N]
+//	            [-pesweep] [-ablate] [-full] [-workers N]
 //	            [-progress] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -pesweep additionally runs the Fig. 13/14 endurance sweep (4 P/E
@@ -56,7 +56,6 @@ func main() {
 		csvdir   = flag.String("csvdir", "", "also write every table as CSV into this directory")
 		full     = flag.Bool("full", false, "use the paper's full Table 2 geometry")
 		workers  = flag.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
-		parallel = flag.Int("parallel", 0, "read-path evaluation workers per simulation (0/1 = serial; metrics are identical either way)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		progress = flag.Bool("progress", false, "report aggregated sweep progress on stderr")
@@ -83,7 +82,7 @@ func main() {
 		Scale: *scale, Seed: *seed, Traces: *traces, Schemes: *schemes,
 		PESweep: *pesweep, Ablate: *ablate, Sensitivity: *sens,
 		CSVDir: *csvdir, Replicate: *repl, Full: *full, Workers: *workers,
-		Parallel: *parallel, Tenants: *tenants,
+		Tenants: *tenants,
 	}
 	if *progress {
 		o.Progress = os.Stderr
@@ -138,7 +137,6 @@ type runOpts struct {
 	Replicate   int
 	Full        bool
 	Workers     int
-	Parallel    int
 	// Progress, when non-nil, receives aggregated sweep progress lines.
 	Progress io.Writer
 }
@@ -196,13 +194,12 @@ func run(ctx context.Context, out io.Writer, o runOpts) error {
 
 	// Main matrix.
 	spec := core.MatrixSpec{
-		Traces:      splitList(o.Traces),
-		Schemes:     splitList(o.Schemes),
-		Scale:       scale,
-		Seed:        seed,
-		Flash:       &fc,
-		Workers:     o.Workers,
-		Parallelism: o.Parallel,
+		Traces:  splitList(o.Traces),
+		Schemes: splitList(o.Schemes),
+		Scale:   scale,
+		Seed:    seed,
+		Flash:   &fc,
+		Workers: o.Workers,
 	}
 	if o.Progress != nil {
 		spec.OnProgress = core.ProgressPrinter(o.Progress, 0)
@@ -242,13 +239,12 @@ func run(ctx context.Context, out io.Writer, o runOpts) error {
 
 	if o.Tenants {
 		tenSpec := core.TenantContentionSpec{
-			Schemes:     splitList(o.Schemes),
-			Seed:        seed,
-			Scale:       scale,
-			Flash:       &fc,
-			Workers:     o.Workers,
-			Parallelism: o.Parallel,
-			OnProgress:  spec.OnProgress,
+			Schemes:    splitList(o.Schemes),
+			Seed:       seed,
+			Scale:      scale,
+			Flash:      &fc,
+			Workers:    o.Workers,
+			OnProgress: spec.OnProgress,
 		}
 		rows, err := core.RunTenantContentionContext(ctx, tenSpec)
 		if err != nil {

@@ -68,7 +68,6 @@ func runCell(ctx context.Context, spec MatrixSpec, cell MatrixCell, tr *trace.Tr
 		cfg.Flash.PEBaseline = cell.PE
 	}
 	cfg.Scheme = cell.Scheme
-	cfg.Parallelism = spec.Parallelism
 	res, err := runOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
 		if onProgress != nil {
 			sim.OnProgress(spec.ProgressEvery, onProgress)

@@ -128,7 +128,7 @@ func (a *tenantAccum) result(info workload.TenantInfo, slots int) TenantResult {
 // the way a benchmark driver with a fixed queue depth behaves, so under
 // saturation the loop self-paces instead of building unbounded queues.
 // It runs on the same request loop as RunContext, with the same
-// progress, cancellation and Parallelism contract; the spec's OnProgress,
+// progress and cancellation contract; the spec's OnProgress,
 // when set, overrides the simulator's registered callback for this run.
 //
 // Multi-tenant runs return per-tenant partial results even when

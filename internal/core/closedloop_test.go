@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
+	"ipusim/internal/cache"
 	"ipusim/internal/trace"
 )
 
@@ -113,5 +116,173 @@ func TestClosedLoopMatchesOpenLoopWhenIdle(t *testing.T) {
 	if open.AvgWriteLatency != closed.AvgWriteLatency || open.SLCPrograms != closed.SLCPrograms {
 		t.Errorf("idle-trace divergence: open %v/%d, closed %v/%d",
 			open.AvgWriteLatency, open.SLCPrograms, closed.AvgWriteLatency, closed.SLCPrograms)
+	}
+}
+
+// mustGenerate synthesises a profile's trace or fails the test.
+func mustGenerate(t *testing.T, profile string, seed int64, scale float64) *trace.Trace {
+	t.Helper()
+	tr, err := trace.Generate(trace.Profiles[profile], seed, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestClosedLoopProgressAndCancel checks the request loop's progress and
+// cancellation contract for the open loop and the depth-8 stream: a tick
+// at every 7th request and at the last, each tick's SimTime equal to its
+// request's completion time, and a callback cancel at request 42
+// returning context.Canceled after exactly 42 requests, with ticks that
+// are a prefix of the full run's.
+func TestClosedLoopProgressAndCancel(t *testing.T) {
+	const every, stopAt = 7, 42
+	cases := []struct {
+		name  string
+		tr    *trace.Trace
+		depth int
+		run   func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error
+	}{
+		{
+			name: "open",
+			tr:   mustGenerate(t, "ads", 11, 0.005),
+			run: func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error {
+				sim.OnProgress(every, fn)
+				_, err := sim.RunContext(ctx, tr)
+				return err
+			},
+		},
+		{
+			name:  "stream",
+			tr:    mustGenerate(t, "ts0", 11, 0.003),
+			depth: 8,
+			run: func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error {
+				_, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{
+					Trace: tr, Depth: 8, ProgressEvery: every, OnProgress: fn,
+				})
+				return err
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(cancelAt int) ([]Progress, error) {
+				cfg := DefaultConfig()
+				cfg.Flash = smallFlash()
+				sim, err := NewFresh(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var ticks []Progress
+				err = c.run(ctx, sim, c.tr, func(p Progress) {
+					ticks = append(ticks, p)
+					if p.Replayed == cancelAt {
+						cancel()
+					}
+				})
+				return ticks, err
+			}
+
+			n := c.tr.Len()
+			full, err := run(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int
+			for i := every; i < n; i += every {
+				want = append(want, i)
+			}
+			want = append(want, n)
+			got := make([]int, len(full))
+			for i, p := range full {
+				got[i] = p.Replayed
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ticks at requests %v, want %v", got, want)
+			}
+			cfg := DefaultConfig()
+			cfg.Flash = smallFlash()
+			ref, err := NewFresh(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ends := referenceReplay(t, ref, c.tr, c.depth)
+			for _, p := range full {
+				if p.Total != n {
+					t.Fatalf("tick %d: total %d, want %d", p.Replayed, p.Total, n)
+				}
+				if p.SimTime != ends[p.Replayed-1] {
+					t.Fatalf("tick %d: SimTime %d, want that request's completion %d",
+						p.Replayed, p.SimTime, ends[p.Replayed-1])
+				}
+			}
+
+			part, err := run(stopAt)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+			}
+			if len(part) == 0 || part[len(part)-1].Replayed != stopAt {
+				t.Fatalf("cancelled run stopped after %+v, want request %d", part, stopAt)
+			}
+			if !reflect.DeepEqual(part, full[:len(part)]) {
+				t.Fatalf("cancelled run's ticks are not a prefix of the full run's:\n got %+v\nwant %+v",
+					part, full[:len(part)])
+			}
+		})
+	}
+}
+
+// TestClosedLoopSteadyStateZeroAllocs pins the zero-allocation property
+// of the steady-state request loop with the write-cache front-end on:
+// after warm-up, replaying requests through the loop's production step
+// path allocates nothing — for the single stream and for tenants alike.
+func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
+	specs := map[string]ClosedLoopSpec{
+		"stream": {Trace: mustGenerate(t, "ts0", 11, 0.003), Depth: 8},
+		"tenants": {
+			Depth:   16,
+			Seed:    13,
+			Scale:   0.003,
+			Tenants: DefaultTenantMixes()[0].Tenants,
+		},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Flash = smallFlash()
+			sim, err := NewFresh(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.WriteCache = &cache.Config{CapacityBytes: 256 << 10}
+			spec.normalize()
+			l, err := sim.closedLoop(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := l.src.len()
+			replay := func() {
+				for ti := range l.rings {
+					clear(l.rings[ti])
+				}
+				clear(l.counts)
+				clear(l.accums)
+				l.last = 0
+				for i := 0; i < n; i++ {
+					l.step(i)
+				}
+				l.wb.Drain(l.last)
+			}
+			// Warm until the device's memo tables, the write-cache slab,
+			// and the GC paths have reached their steady footprint.
+			for i := 0; i < 4; i++ {
+				replay()
+			}
+			if avg := testing.AllocsPerRun(3, replay); avg != 0 {
+				t.Fatalf("steady-state %s loop allocates %.2f/replay, want 0", name, avg)
+			}
+		})
 	}
 }

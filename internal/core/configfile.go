@@ -14,9 +14,9 @@ import (
 // ConfigSchemaVersion is the config file schema this build reads. Files
 // state it in a top-level "version" field; an absent field is read as
 // version 1 (the pre-versioning schema is identical). Version 2 adds the
-// top-level "parallelism" knob; version-1 files remain readable. Any
-// other value is rejected so a future-schema file fails loudly instead of
-// being half applied.
+// top-level "parallelism" key, which is accepted and ignored; version-1
+// files remain readable. Any other value is rejected so a future-schema
+// file fails loudly instead of being half applied.
 const ConfigSchemaVersion = 2
 
 // configMinSchemaVersion is the oldest schema this build still reads.
@@ -60,9 +60,9 @@ type fileConfig struct {
 	// Check selects the invariant-checking level: "off", "shadow" or
 	// "full" (see internal/check). Absent means off.
 	Check string `json:"check,omitempty"`
-	// Parallelism is the intra-run read-pipeline worker count (schema
-	// version 2; see Config.Parallelism). Absent, 0 and 1 all mean a
-	// serial replay.
+	// Parallelism is accepted (schema version 2) and ignored: every
+	// replay is serial. It stays so that existing v2 files, which the
+	// unknown-key check would otherwise reject, keep loading.
 	Parallelism *int `json:"parallelism,omitempty"`
 
 	Flash struct {
@@ -142,11 +142,8 @@ func LoadConfig(r io.Reader) (Config, error) {
 	if fc.Scheme != "" {
 		cfg.Scheme = fc.Scheme
 	}
-	if fc.Parallelism != nil {
-		if *fc.Parallelism < 0 {
-			return cfg, fmt.Errorf("core: config: parallelism %d must be non-negative", *fc.Parallelism)
-		}
-		cfg.Parallelism = *fc.Parallelism
+	if fc.Parallelism != nil && *fc.Parallelism < 0 {
+		return cfg, fmt.Errorf("core: config: parallelism %d must be non-negative", *fc.Parallelism)
 	}
 	lvl, err := check.ParseLevel(fc.Check)
 	if err != nil {

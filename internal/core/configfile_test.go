@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +157,14 @@ func TestLoadConfigSchemaVersion(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`{"scheme": "MGA"}`)); err != nil {
 		t.Errorf("unversioned config rejected: %v", err)
 	}
-	// Version 2 (the current schema) is accepted and reads parallelism.
+	// Version 2 (the current schema) is accepted; its parallelism key
+	// still loads but changes nothing.
 	cfg, err = LoadConfig(strings.NewReader(`{"version": 2, "parallelism": 4}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Parallelism != 4 {
-		t.Errorf("parallelism = %d, want 4", cfg.Parallelism)
+	if !reflect.DeepEqual(cfg, DefaultConfig()) {
+		t.Errorf("parallelism changed the config: %+v", cfg)
 	}
 	// A future version is rejected, naming the supported range.
 	_, err = LoadConfig(strings.NewReader(`{"version": 3}`))

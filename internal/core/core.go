@@ -38,18 +38,6 @@ type Config struct {
 	// verifies every host request; check.Full adds an O(device)
 	// structural sweep after every GC event. Keep it off for benchmarks.
 	Check check.Level
-	// Parallelism sets the intra-run read-pipeline worker count: per-
-	// subpage ECC evaluation is dispatched to this many workers and
-	// committed back in simulated-time order, so results stay
-	// bit-identical to a serial run. 0 or 1 (the default) replays
-	// serially. Every replay mode honours it: a queue-depth gate that
-	// needs an in-flight read's true completion time forces exactly the
-	// pending commits it depends on, and a progress snapshot commits
-	// every in-flight read first, so its SimTime and GCs equal a serial
-	// replay's. Parallelism never changes any metric or progress value —
-	// only wall time — so it is not part of the snapshot-cache or
-	// job-cache key.
-	Parallelism int
 }
 
 // DefaultConfig returns the scaled-down Table 2 geometry with the paper's
@@ -197,11 +185,11 @@ func (s *Simulator) Read(now int64, offset int64, size int) (int64, error) {
 //
 // A callback registered with OnProgress receives a snapshot every
 // `every` requests and at the last one; its SimTime is that request's own
-// completion time, the same at any Parallelism. ctx is polled every 64
-// requests and right after each progress callback, so cancellation stops
-// the replay within 64 requests — at exactly the reporting request when
-// the callback itself cancels — and RunContext returns nil with ctx's
-// error. Contexts that cannot be cancelled cost the loop nothing.
+// completion time. ctx is polled every 64 requests and right after each
+// progress callback, so cancellation stops the replay within 64 requests
+// — at exactly the reporting request when the callback itself cancels —
+// and RunContext returns nil with ctx's error. Contexts that cannot be
+// cancelled cost the loop nothing.
 func (s *Simulator) RunContext(ctx context.Context, tr *trace.Trace) (*Result, error) {
 	if s.scheme == nil {
 		return nil, ErrReleased

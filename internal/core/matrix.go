@@ -33,11 +33,7 @@ type MatrixSpec struct {
 	Flash *flash.Config
 	// Workers bounds concurrent runs; 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism sets each run's intra-run read-pipeline worker count
-	// (Config.Parallelism); 0 or 1 replays each cell serially. Results
-	// are bit-identical either way. Cross-cell Workers parallelism is
-	// usually the better lever for sweeps; intra-run parallelism pays off
-	// when a sweep has fewer cells than cores or one dominant run.
+	// Deprecated: ignored; every replay is serial.
 	Parallelism int
 	// OnProgress, if set, receives aggregated Progress snapshots while the
 	// sweep runs: Replayed/Total count requests across every run in the

@@ -11,32 +11,32 @@ import (
 	"ipusim/internal/workload"
 )
 
-// referenceClosedLoop replays tr as a fixed-depth closed loop, hand-rolled
-// from the public Write/Read entry points: a ring of completion gates,
-// request i waiting on request i-depth. The spec-based engine must be
+// referenceReplay replays tr hand-rolled from the public Write/Read entry
+// points and returns the Result plus every request's completion time.
+// With depth > 0 it is a fixed-depth closed loop: a ring of completion
+// gates, request i waiting on request i-depth. Depth 0 issues every
+// request at its timestamp (the open loop). The request loop must be
 // bit-identical to this.
-func referenceClosedLoop(t *testing.T, sim *Simulator, tr *trace.Trace, depth int) *Result {
+func referenceReplay(t *testing.T, sim *Simulator, tr *trace.Trace, depth int) (*Result, []int64) {
 	t.Helper()
-	ring := make([]int64, depth)
-	for i := 0; i < tr.Len(); i++ {
+	ends := make([]int64, tr.Len())
+	for i := range ends {
 		r := tr.At(i)
 		issue := r.Time
-		if gate := ring[i%depth]; gate > issue {
-			issue = gate
+		if depth > 0 && i >= depth && ends[i-depth] > issue {
+			issue = ends[i-depth]
 		}
-		var end int64
 		var err error
 		if r.Op == trace.OpWrite {
-			end, err = sim.Write(issue, r.Offset, r.Size)
+			ends[i], err = sim.Write(issue, r.Offset, r.Size)
 		} else {
-			end, err = sim.Read(issue, r.Offset, r.Size)
+			ends[i], err = sim.Read(issue, r.Offset, r.Size)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring[i%depth] = end
 	}
-	return sim.Result(tr.Name, tr.Len())
+	return sim.Result(tr.Name, tr.Len()), ends
 }
 
 // TestSpecPathMatchesLegacyAllSchemes is the single-stream reference
@@ -58,7 +58,7 @@ func TestSpecPathMatchesLegacyAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := referenceClosedLoop(t, ref, tr, depth)
+		want, _ := referenceReplay(t, ref, tr, depth)
 
 		sim, err := NewFresh(cfg)
 		if err != nil {

@@ -63,8 +63,7 @@ type TenantContentionSpec struct {
 	// Rows are deterministic regardless: cells are enumerated and indexed
 	// up front, so scheduling never reorders them.
 	Workers int
-	// Parallelism sets each cell's intra-run read-pipeline worker count
-	// (Config.Parallelism); results are bit-identical either way.
+	// Deprecated: ignored; every replay is serial.
 	Parallelism int
 	// OnProgress, if set, receives aggregated Progress snapshots:
 	// Replayed/Total count requests across every cell of the study
@@ -165,15 +164,13 @@ func contentionConfig(spec *TenantContentionSpec, schemeName string) Config {
 		cfg.Flash = *spec.Flash
 	}
 	cfg.Scheme = schemeName
-	cfg.Parallelism = spec.Parallelism
 	return cfg
 }
 
 // RunContentionCellContext replays one contention cell on a snapshot-
 // cached device and returns its row. It is the unit a cluster
 // coordinator dispatches — and the local fallback when a remote worker
-// dies. The spec's Workers field is irrelevant here; Parallelism is
-// honoured.
+// dies. The spec's Workers field is irrelevant here.
 func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, cell ContentionCell) (ContentionRow, error) {
 	spec.normalize()
 	res, err := runOn(ctx, contentionConfig(&spec, cell.Scheme), func(sim *Simulator) (*Result, error) {

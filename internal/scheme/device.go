@@ -82,29 +82,11 @@ type Device struct {
 	// decode cost per effective BER (see readCost); unmappedCost caches
 	// the constant ECC cost of reading never-written data. All are pure
 	// caches of deterministic functions of the immutable (Cfg, Err) pair,
-	// so sharing them between the serial and pipelined read paths cannot
-	// change any result bit.
+	// so they cannot change any result bit.
 	berMemo        [2][]float64
 	costMemo       *costMemo
 	unmappedCost   errmodel.ReadCost
 	unmappedCostOK bool
-
-	// pipe, when non-nil, routes host reads through the intra-run
-	// parallel pipeline (see readpipe.go). Managed by StartReadPipeline/
-	// StopReadPipeline; always nil on clones, templates and pooled
-	// devices.
-	pipe *readPipe
-
-	// onReadCommit, when non-nil, receives each pipelined host read's true
-	// completion time (including the deferred ECC extra) as its result
-	// commits — always in dispatch order. Closed-loop drivers use it to
-	// resolve queue-depth gates without flushing the whole pipeline.
-	// dispatchedReads counts host read requests handed to the pipeline, so
-	// a front-end can tell a DRAM-served read (no device dispatch) from one
-	// whose completion will arrive through the hook. Both are per-run
-	// transient state: nil/zero on clones, templates and pooled devices.
-	onReadCommit    func(end int64)
-	dispatchedReads int64
 
 	// Check, when non-nil, is the attached invariant checker: host writes,
 	// trims and reads are mirrored into its shadow store, and every GC
@@ -225,9 +207,6 @@ func (d *Device) Clone() *Device {
 	c.berMemo[0] = append([]float64(nil), d.berMemo[0]...)
 	c.berMemo[1] = append([]float64(nil), d.berMemo[1]...)
 	c.costMemo = nil
-	c.pipe = nil
-	c.onReadCommit = nil
-	c.dispatchedReads = 0
 	c.Check = nil
 	c.TestHooks.AfterHostWrite = nil
 	return c
@@ -280,9 +259,6 @@ func (d *Device) Restore(t *Device) {
 		*costs = costMemo{}
 	}
 	d.unmappedCostOK = false
-	d.pipe = nil
-	d.onReadCommit = nil
-	d.dispatchedReads = 0
 	d.Check = nil
 	d.TestHooks.AfterHostWrite = nil
 }
@@ -924,16 +900,11 @@ func (d *Device) groupRead(lsns []flash.LSN) {
 // physical pages (one flash read per distinct page, with per-subpage ECC
 // cost from the error model); unmapped subpages model data written before
 // the trace began and are charged as clean MLC reads. Returns the request
-// completion time and records latency and BER metrics. With the read
-// pipeline enabled the ECC evaluation and metric fold are deferred
-// (bit-identically) and the returned time excludes the ECC extra.
+// completion time and records latency and BER metrics.
 func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 	lsns := d.LSNRange(offset, size)
 	if d.Check != nil {
 		must(d.Check.CheckRead(now, lsns))
-	}
-	if d.pipe != nil {
-		return d.readReqAsync(now, lsns)
 	}
 	d.groupRead(lsns)
 

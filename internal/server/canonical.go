@@ -24,9 +24,8 @@ import (
 // requested kind zeroed, and lifecycle-only fields (Timeout) cleared.
 func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 	req.Timeout = ""
-	// Parallelism changes how fast a result is computed, never the result
-	// itself (bit-identical by the scheme's in-order commit), so serial and
-	// parallel submissions of the same experiment share one address.
+	// Parallelism is ignored, so submissions that differ only in it share
+	// one address.
 	req.Parallelism = 0
 	if req.Scale == 0 {
 		req.Scale = defaultScale

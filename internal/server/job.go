@@ -86,9 +86,10 @@ type JobRequest struct {
 	Mixes      []core.TenantMix `json:"mixes,omitempty"`
 	CacheBytes int64            `json:"cacheBytes,omitempty"`
 
-	// Parallelism sets per-run read-path evaluation workers (0/1 =
-	// serial). It never changes results — metrics are bit-identical either
-	// way — so it is excluded from the job's content address.
+	// Parallelism is accepted and ignored: every replay is serial. It
+	// stays on the wire so existing clients keep working; negative values
+	// are still rejected, and canonicalisation zeroes it, so it never
+	// enters the job's content address.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	// Timeout caps the job's wall-clock run time (Go duration string,
@@ -309,7 +310,6 @@ func compileRun(req JobRequest) (jobFunc, error) {
 			cfg.Flash = *fc
 		}
 		cfg.Scheme = req.Scheme
-		cfg.Parallelism = req.Parallelism
 		if req.PEBaseline > 0 {
 			cfg.Flash.PEBaseline = req.PEBaseline
 		}
@@ -371,7 +371,6 @@ func compileMatrix(req JobRequest) (jobFunc, error) {
 			PEBaselines: req.PEBaselines,
 			Scale:       req.Scale,
 			Seed:        req.Seed,
-			Parallelism: req.Parallelism,
 			OnProgress:  report,
 		}
 		return core.RunMatrixContext(ctx, spec)
@@ -416,14 +415,13 @@ func compileContention(req JobRequest) (jobFunc, error) {
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.TenantContentionSpec{
-			Mixes:       req.Mixes,
-			Schemes:     req.Schemes,
-			Depth:       req.QueueDepth,
-			CacheBytes:  req.CacheBytes,
-			Seed:        req.Seed,
-			Scale:       req.Scale,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
+			Mixes:      req.Mixes,
+			Schemes:    req.Schemes,
+			Depth:      req.QueueDepth,
+			CacheBytes: req.CacheBytes,
+			Seed:       req.Seed,
+			Scale:      req.Scale,
+			OnProgress: report,
 		}
 		return core.RunTenantContentionContext(ctx, spec)
 	}, nil
@@ -445,12 +443,11 @@ func compileSensitivity(req JobRequest) (jobFunc, error) {
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.MatrixSpec{
-			Traces:      req.Traces,
-			Schemes:     req.Schemes,
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			Parallelism: req.Parallelism,
-			OnProgress:  report,
+			Traces:     req.Traces,
+			Schemes:    req.Schemes,
+			Scale:      req.Scale,
+			Seed:       req.Seed,
+			OnProgress: report,
 		}
 		return core.RunSensitivityContext(ctx, req.Param, spec)
 	}, nil

@@ -95,6 +95,10 @@ func NormalizeTenants(specs []TenantSpec, defaultTrace string, baseSeed int64, b
 func ValidateTenants(specs []TenantSpec) error {
 	for i, s := range specs {
 		switch {
+		// NaN fails every range check below and +Inf passes some, so
+		// non-finite values are rejected first.
+		case !finite(s.Scale, s.Weight, s.DiurnalAmplitude, s.BurstLen):
+			return fmt.Errorf("workload: tenant %d has a non-finite scale, weight, diurnal amplitude or burst length", i)
 		case s.Scale <= 0 || s.Scale > 1:
 			return fmt.Errorf("workload: tenant %d scale %.3f out of (0,1]", i, s.Scale)
 		case s.Weight <= 0:
@@ -112,6 +116,16 @@ func ValidateTenants(specs []TenantSpec) error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // RecordSource is one tenant's raw request stream — an already-synthesised

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -59,6 +60,12 @@ func TestValidateTenantsRejects(t *testing.T) {
 		{Scale: 0.5, Weight: 1, DiurnalAmplitude: 0.5}, // amplitude without period
 		{Scale: 0.5, Weight: 1, BurstLen: 0.5},
 		{Scale: 0.5, Weight: 1, BurstSpacingNS: -3},
+		{Scale: math.NaN(), Weight: 1},
+		{Scale: 0.5, Weight: math.NaN()},
+		{Scale: 0.5, Weight: math.Inf(1)},
+		{Scale: 0.5, Weight: 1, DiurnalAmplitude: math.NaN(), DiurnalPeriodNS: 100},
+		{Scale: 0.5, Weight: 1, BurstLen: math.NaN()},
+		{Scale: 0.5, Weight: 1, BurstLen: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := ValidateTenants([]TenantSpec{s}); err == nil {
