@@ -49,7 +49,7 @@ func cellsOf(spec MatrixSpec) []MatrixCell {
 // which is what makes cells safe to farm out and memoise.
 func RunCellContext(ctx context.Context, spec MatrixSpec, cell MatrixCell) (*Result, error) {
 	spec.normalize()
-	tr, err := cachedTrace(cell.Trace, spec.Seed, spec.Scale)
+	tr, err := SyntheticTrace(cell.Trace, spec.Seed, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -68,10 +68,8 @@ func runCell(ctx context.Context, spec MatrixSpec, cell MatrixCell, tr *trace.Tr
 		cfg.Flash.PEBaseline = cell.PE
 	}
 	cfg.Scheme = cell.Scheme
-	res, err := runOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
-		if onProgress != nil {
-			sim.OnProgress(spec.ProgressEvery, onProgress)
-		}
+	res, err := RunOn(ctx, cfg, func(sim *Simulator) (*Result, error) {
+		sim.OnProgress(spec.ProgressEvery, onProgress)
 		return sim.RunContext(ctx, tr)
 	})
 	if err != nil {
@@ -81,12 +79,12 @@ func runCell(ctx context.Context, spec MatrixSpec, cell MatrixCell, tr *trace.Tr
 	return res, nil
 }
 
-// runOn replays on a snapshot-cached simulator for cfg that the caller
-// fully owns. The device rejoins the snapshot cache's free pool after a
+// RunOn runs replay on a snapshot-cached simulator for cfg that it owns
+// for the call. The device rejoins its template's free pool after a
 // completed or cancelled replay — a cancelled one stopped between
 // requests, so it is consistent, and a recycled device is restored in
 // place before reuse — while any other failure drops it.
-func runOn(ctx context.Context, cfg Config, replay func(*Simulator) (*Result, error)) (*Result, error) {
+func RunOn(ctx context.Context, cfg Config, replay func(*Simulator) (*Result, error)) (*Result, error) {
 	sim, err := New(cfg)
 	if err != nil {
 		return nil, err

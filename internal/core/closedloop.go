@@ -38,11 +38,6 @@ type ClosedLoopSpec struct {
 	// override per tenant). Zero means the evaluation defaults (42, 0.05).
 	Seed  int64
 	Scale float64
-	// OnProgress overrides the simulator's registered progress callback
-	// for this run; ProgressEvery is its granularity in requests
-	// (non-positive means DefaultProgressEvery).
-	OnProgress    ProgressFunc
-	ProgressEvery int
 }
 
 // DefaultTenantTrace is the profile a tenant without an explicit trace
@@ -128,8 +123,7 @@ func (a *tenantAccum) result(info workload.TenantInfo, slots int) TenantResult {
 // the way a benchmark driver with a fixed queue depth behaves, so under
 // saturation the loop self-paces instead of building unbounded queues.
 // It runs on the same request loop as RunContext, with the same
-// progress and cancellation contract; the spec's OnProgress,
-// when set, overrides the simulator's registered callback for this run.
+// progress and cancellation contract.
 //
 // Multi-tenant runs return per-tenant partial results even when
 // cancelled: the returned Result (alongside ctx's error) carries a
@@ -155,19 +149,11 @@ func (s *Simulator) RunClosedLoopSpec(ctx context.Context, spec ClosedLoopSpec) 
 	}
 	spec.normalize()
 
-	fn, every := spec.OnProgress, spec.ProgressEvery
-	if fn == nil {
-		fn, every = s.progress, s.progressEvery
-	}
-	if every <= 0 {
-		every = DefaultProgressEvery
-	}
-
 	l, err := s.closedLoop(&spec)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, l, fn, every)
+	return s.run(ctx, l)
 }
 
 // closedLoop builds the replay state of a validated, normalized spec. A
@@ -219,10 +205,10 @@ func tenantSchedule(specs []workload.TenantSpec, logicalBytes int64) (*workload.
 	if err := workload.ValidateTenants(specs); err != nil {
 		return nil, err
 	}
-	return schedules.get(scheduleKeyOf(specs, logicalBytes), func() (*workload.Schedule, error) {
+	return schedules.Get(scheduleKeyOf(specs, logicalBytes), func() (*workload.Schedule, error) {
 		sources := make([]workload.RecordSource, len(specs))
 		for i, t := range specs {
-			tr, err := cachedTrace(t.Trace, t.Seed, t.Scale)
+			tr, err := SyntheticTrace(t.Trace, t.Seed, t.Scale)
 			if err != nil {
 				return nil, err
 			}

@@ -157,9 +157,8 @@ func TestClosedLoopProgressAndCancel(t *testing.T) {
 			tr:    mustGenerate(t, "ts0", 11, 0.003),
 			depth: 8,
 			run: func(ctx context.Context, sim *Simulator, tr *trace.Trace, fn ProgressFunc) error {
-				_, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{
-					Trace: tr, Depth: 8, ProgressEvery: every, OnProgress: fn,
-				})
+				sim.OnProgress(every, fn)
+				_, err := sim.RunClosedLoopSpec(ctx, ClosedLoopSpec{Trace: tr, Depth: 8})
 				return err
 			},
 		},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ipusim/internal/flash"
 	"ipusim/internal/trace"
 )
 
@@ -134,14 +135,19 @@ func TestRunProgressSnapshots(t *testing.T) {
 	}
 }
 
-// poolFreeTotal counts the released devices currently pooled across every
-// snapshot-cache template.
-func poolFreeTotal() int {
-	snapshotMu.Lock()
-	defer snapshotMu.Unlock()
+// poolFreeTotal counts the released devices currently pooled across the
+// cached templates of every registered scheme on fc.
+func poolFreeTotal(fc flash.Config) int {
 	total := 0
-	for _, e := range snapshotCache {
-		total += len(e.free)
+	for _, name := range SchemeNames {
+		key := snapshotKey{flash: fc, err: DefaultConfig().Error, scheme: name}
+		t, err := snapshots.Get(key, func() (*template, error) { return nil, errors.New("not cached") })
+		if err != nil {
+			continue
+		}
+		t.mu.Lock()
+		total += len(t.free)
+		t.mu.Unlock()
 	}
 	return total
 }
@@ -175,7 +181,7 @@ func TestRunMatrixContextCancelReturnsDevicesToPool(t *testing.T) {
 	if res != nil {
 		t.Fatalf("cancelled sweep returned results")
 	}
-	if free := poolFreeTotal(); free == 0 {
+	if free := poolFreeTotal(fc); free == 0 {
 		t.Fatal("no cancelled device returned to the snapshot free pool")
 	}
 
@@ -229,7 +235,7 @@ func TestRunMatrixAggregatedProgress(t *testing.T) {
 	if _, err := RunMatrixContext(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := cachedTrace("ts0", 7, 0.005)
+	tr, err := SyntheticTrace("ts0", 7, 0.005)
 	if err != nil {
 		t.Fatal(err)
 	}

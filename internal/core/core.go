@@ -89,10 +89,9 @@ type Simulator struct {
 	cfg    Config
 	scheme scheme.Scheme
 
-	// key and pooled record the snapshot-cache identity of the scheme
-	// instance, so Release can hand it back for recycling.
-	key    snapshotKey
-	pooled bool
+	// tmpl is the snapshot-cache template the scheme was cloned from, so
+	// Release can hand it back for recycling; nil for NewFresh.
+	tmpl *template
 
 	// progress, if non-nil, is invoked every progressEvery requests (and
 	// at completion) by RunContext and RunClosedLoopSpec.
@@ -108,12 +107,12 @@ type Simulator struct {
 // of the start-up cost. The invariant checker is attached per instance,
 // after cloning.
 func New(cfg Config) (*Simulator, error) {
-	s, key, err := snapshotScheme(cfg)
+	s, tmpl, err := snapshotScheme(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.Device().AttachChecker(cfg.Check)
-	return &Simulator{cfg: cfg, scheme: s, key: key, pooled: true}, nil
+	return &Simulator{cfg: cfg, scheme: s, tmpl: tmpl}, nil
 }
 
 // NewFresh builds a simulator from scratch, bypassing the snapshot cache.
@@ -145,8 +144,8 @@ func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
 	s.progress = fn
 }
 
-// Release hands the scheme instance back to the snapshot cache's free pool
-// for recycling and invalidates the simulator: every later Write, Read or
+// Release hands the scheme instance back to its template's free pool for
+// recycling and invalidates the simulator: every later Write, Read or
 // run on it fails with ErrReleased. Only callers that fully own the
 // simulator (matrix workers, daemon jobs) may call it — a released
 // device is overwritten in place by a later job. Release is idempotent.
@@ -154,13 +153,13 @@ func (s *Simulator) Release() {
 	if s.scheme == nil {
 		return
 	}
-	if s.pooled {
+	if s.tmpl != nil {
 		d := s.scheme.Device()
 		d.Check = nil
 		d.TestHooks.AfterHostWrite = nil
-		releaseScheme(s.key, s.scheme)
+		s.tmpl.release(s.scheme)
 	}
-	s.scheme = nil
+	s.scheme, s.tmpl = nil, nil
 }
 
 // Write services one host write request, returning its completion time.
@@ -201,7 +200,7 @@ func (s *Simulator) RunContext(ctx context.Context, tr *trace.Trace) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, l, s.progress, s.progressEvery)
+	return s.run(ctx, l)
 }
 
 // checkFinal runs the attached invariant checker's end-of-run sweep.

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"ipusim/internal/flash"
+	"ipusim/internal/lru"
 	"ipusim/internal/trace"
 	"ipusim/internal/workload"
 )
@@ -77,81 +78,6 @@ type traceKey struct {
 	scale float64
 }
 
-// lru is a mutex-guarded map bounded to cap entries, evicting the least
-// recently used entry beyond it. Values are built outside the lock, so a
-// slow build never blocks hits on other keys; concurrent misses on one
-// key may both build, and the first to insert wins, so every caller
-// shares one instance.
-type lru[K comparable, V any] struct {
-	mu    sync.Mutex
-	m     map[K]*lruSlot[V]
-	clock uint64
-	cap   int
-}
-
-type lruSlot[V any] struct {
-	v       V
-	lastUse uint64
-}
-
-// get returns key's cached value, building and caching it on a miss.
-func (c *lru[K, V]) get(key K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
-	c.clock++
-	if s, ok := c.m[key]; ok {
-		s.lastUse = c.clock
-		c.mu.Unlock()
-		return s.v, nil
-	}
-	c.mu.Unlock()
-
-	v, err := build()
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock++
-	if s, ok := c.m[key]; ok {
-		// Another goroutine built the same value concurrently; keep the
-		// cached one so all callers share a single instance.
-		s.lastUse = c.clock
-		return s.v, nil
-	}
-	if c.m == nil {
-		c.m = make(map[K]*lruSlot[V])
-	}
-	c.m[key] = &lruSlot[V]{v: v, lastUse: c.clock}
-	for len(c.m) > c.cap {
-		var victim K
-		var oldest uint64
-		first := true
-		for k, s := range c.m {
-			if first || s.lastUse < oldest {
-				victim, oldest, first = k, s.lastUse, false
-			}
-		}
-		delete(c.m, victim)
-	}
-	return v, nil
-}
-
-// reset drops every entry.
-func (c *lru[K, V]) reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-}
-
-// len returns the number of cached entries.
-func (c *lru[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // traces memoises trace synthesis across RunMatrixContext calls.
 // Sweeps (sensitivity, replicate, benchmark loops) call it many times with
 // the same (name, seed, scale) tuples; traces are immutable once built, so
@@ -159,7 +85,7 @@ func (c *lru[K, V]) len() int {
 // full-scale trace holds millions of records, and a long multi-scale or
 // multi-seed sweep would otherwise accumulate every variant it ever
 // replayed.
-var traces = lru[traceKey, *traceCacheEntry]{cap: 24}
+var traces = lru.Cache[traceKey, *traceCacheEntry]{Cap: 24}
 
 // traceCacheEntry is one cached trace with its statistics. The stats are
 // analysed on first use by the report tables and live in the entry, so
@@ -205,14 +131,14 @@ func scheduleKeyOf(specs []workload.TenantSpec, logicalBytes int64) scheduleKey 
 // closed-loop run of one tenant mix replays the same immutable schedule,
 // whatever its scheme or write-cache arm. The cap holds both default
 // mixes with room to spare; DESIGN §5 states its worst-case footprint.
-var schedules = lru[scheduleKey, *workload.Schedule]{cap: 4}
+var schedules = lru.Cache[scheduleKey, *workload.Schedule]{Cap: 4}
 
 // ResetTraceCache drops every cached synthesised trace and every cached
 // multi-tenant schedule, releasing their memory. Long-running drivers
 // call it between sweep phases that use disjoint (seed, scale) settings.
 func ResetTraceCache() {
-	traces.reset()
-	schedules.reset()
+	traces.Reset()
+	schedules.Reset()
 }
 
 // SyntheticTrace returns the synthesised trace for a profile through the
@@ -220,12 +146,6 @@ func ResetTraceCache() {
 // share one immutable instance. Long-running services use it so concurrent
 // jobs over the same workload do not regenerate millions of records each.
 func SyntheticTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
-	return cachedTrace(name, seed, scale)
-}
-
-// cachedTrace returns the synthesised trace for a profile through the
-// trace cache.
-func cachedTrace(name string, seed int64, scale float64) (*trace.Trace, error) {
 	e, err := traceEntry(name, seed, scale)
 	if err != nil {
 		return nil, err
@@ -247,7 +167,7 @@ func cachedTraceStats(name string, seed int64, scale float64) (trace.Stats, erro
 // traceEntry returns the cache entry of a profile's synthesised trace,
 // generating and caching it on first use.
 func traceEntry(name string, seed int64, scale float64) (*traceCacheEntry, error) {
-	return traces.get(traceKey{name, seed, scale}, func() (*traceCacheEntry, error) {
+	return traces.Get(traceKey{name, seed, scale}, func() (*traceCacheEntry, error) {
 		p, ok := trace.Profiles[name]
 		if !ok {
 			return nil, fmt.Errorf("core: unknown trace profile %q", name)
@@ -279,7 +199,7 @@ func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 
 	traces := make(map[string]*trace.Trace, len(spec.Traces))
 	for _, name := range spec.Traces {
-		tr, err := cachedTrace(name, spec.Seed, spec.Scale)
+		tr, err := SyntheticTrace(name, spec.Seed, spec.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -107,18 +107,18 @@ func TestRunMatrixWorkerEdges(t *testing.T) {
 // across calls with the same (name, seed, scale) — the memoisation sweeps
 // and benchmark loops rely on.
 func TestTraceCacheReuse(t *testing.T) {
-	a, err := cachedTrace("ts0", 99, 0.002)
+	a, err := SyntheticTrace("ts0", 99, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cachedTrace("ts0", 99, 0.002)
+	b, err := SyntheticTrace("ts0", 99, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("same (name, seed, scale) synthesised twice")
 	}
-	c, err := cachedTrace("ts0", 100, 0.002)
+	c, err := SyntheticTrace("ts0", 100, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}

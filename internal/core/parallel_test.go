@@ -35,7 +35,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for i, cell := range cells {
 		t.Run(cell.Scheme+"/"+cell.Trace, func(t *testing.T) {
 			t.Parallel()
-			tr, err := cachedTrace(cell.Trace, spec.Seed, spec.Scale)
+			tr, err := SyntheticTrace(cell.Trace, spec.Seed, spec.Scale)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -169,11 +169,12 @@ func (l *loop) step(i int) int64 {
 }
 
 // run is the one request loop: RunContext and RunClosedLoopSpec both
-// replay through it. fn, when non-nil, receives a Progress snapshot every
-// `every` requests and at the last one; SimTime is that request's own
-// completion time. ctx is polled every stride requests and right after
-// each progress callback.
-func (s *Simulator) run(ctx context.Context, l *loop, fn ProgressFunc, every int) (*Result, error) {
+// replay through it. The callback registered with OnProgress, if any,
+// receives a Progress snapshot every `every` requests and at the last one;
+// SimTime is that request's own completion time. ctx is polled every
+// stride requests and right after each progress callback.
+func (s *Simulator) run(ctx context.Context, l *loop) (*Result, error) {
+	fn, every := s.progress, s.progressEvery
 	defer func() {
 		// Drop every reference into this run before pooling the state.
 		*l = loop{}

@@ -265,9 +265,9 @@ func TestTenantScheduleCacheKey(t *testing.T) {
 // schedule it dropped: after ResetTraceCache and after LRU eviction past
 // the cap, the collector reclaims the schedule.
 func TestTenantScheduleCacheBounded(t *testing.T) {
-	oldCap := schedules.cap
-	schedules.cap = 2
-	defer func() { schedules.cap = oldCap }()
+	oldCap := schedules.Cap
+	schedules.Cap = 2
+	defer func() { schedules.Cap = oldCap }()
 	ResetTraceCache()
 	defer ResetTraceCache()
 
@@ -293,8 +293,8 @@ func TestTenantScheduleCacheBounded(t *testing.T) {
 	for seed := int64(2); seed <= 5; seed++ {
 		watch(seed)
 	}
-	if n := schedules.len(); n != schedules.cap {
-		t.Fatalf("schedule cache holds %d entries, cap is %d", n, schedules.cap)
+	if n := schedules.Len(); n != schedules.Cap {
+		t.Fatalf("schedule cache holds %d entries, cap is %d", n, schedules.Cap)
 	}
 	if !traceCollected(done, 2) {
 		t.Fatal("evicted schedules stayed alive")

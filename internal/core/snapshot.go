@@ -5,6 +5,7 @@ import (
 
 	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
+	"ipusim/internal/lru"
 	"ipusim/internal/scheme"
 )
 
@@ -25,21 +26,15 @@ type snapshotKey struct {
 	scheme string
 }
 
-// snapshotEntry is one cached template. ready closes when the build
-// finishes; s and buildErr are immutable afterwards.
-type snapshotEntry struct {
-	ready    chan struct{}
-	s        scheme.Scheme
-	buildErr error
-	built    bool   // guarded by snapshotMu; true once ready is closed
-	lastUse  uint64 // guarded by snapshotMu; LRU clock value of last access
+// template is one preconditioned device and its pool of released clones.
+// A pooled clone is handed to the next job after restoring it from the
+// template in place — one bulk copy pass reusing the clone's backing
+// stores, with no allocation and no garbage. Sweeps that release their
+// simulators therefore run the steady state entirely on recycled devices.
+type template struct {
+	s scheme.Scheme
 
-	// free holds released clones of this template (guarded by snapshotMu).
-	// A pooled clone is handed to the next job after restoring it from the
-	// template in place — one bulk copy pass reusing the clone's backing
-	// stores, with no allocation and no garbage. Sweeps that release their
-	// simulators therefore run the steady state entirely on recycled
-	// devices.
+	mu   sync.Mutex
 	free []scheme.Scheme
 }
 
@@ -48,122 +43,60 @@ type snapshotEntry struct {
 // parallelism of a typical sweep.
 const snapshotFreeCap = 4
 
-// snapshotCacheCap bounds the number of resident templates. A template at
-// the default geometry holds the whole flash array (~8.5 MB), and
-// sensitivity sweeps create one key per config variation, so the cache
-// evicts least-recently-used templates beyond the cap. The default keeps a
-// full P/E sweep (4 baselines x 3 schemes) resident with headroom.
-var snapshotCacheCap = 16
-
-var (
-	snapshotMu    sync.Mutex
-	snapshotCache = map[snapshotKey]*snapshotEntry{}
-	snapshotClock uint64
-	snapshotHits  uint64
-	snapshotMiss  uint64
-)
+// snapshots holds the resident templates. A template at the default
+// geometry holds the whole flash array (~8.5 MB), and sensitivity sweeps
+// create one key per config variation, so the cap keeps a full P/E sweep
+// (4 baselines x 3 schemes) resident with headroom.
+var snapshots = lru.Cache[snapshotKey, *template]{Cap: 16}
 
 // ResetSnapshotCache drops every cached device template, releasing their
 // memory. Safe to call concurrently with New; in-flight builds complete
 // and are handed to their waiters but are no longer retained.
-func ResetSnapshotCache() {
-	snapshotMu.Lock()
-	snapshotCache = map[snapshotKey]*snapshotEntry{}
-	snapshotMu.Unlock()
-}
-
-// snapshotStats returns the hit/miss counters (for tests).
-func snapshotStats() (hits, misses uint64) {
-	snapshotMu.Lock()
-	defer snapshotMu.Unlock()
-	return snapshotHits, snapshotMiss
-}
+func ResetSnapshotCache() { snapshots.Reset() }
 
 // snapshotScheme returns a fresh scheme instance for cfg, cloned from the
-// cached preconditioned template (building and caching it on first use).
-// Pooled released clones are recycled by restoring them from the template
-// instead of allocating a new copy.
-func snapshotScheme(cfg Config) (scheme.Scheme, snapshotKey, error) {
+// cached preconditioned template (building and caching it on first use),
+// and the template it came from.
+func snapshotScheme(cfg Config) (scheme.Scheme, *template, error) {
 	key := snapshotKey{flash: cfg.Flash, err: cfg.Error, scheme: cfg.Scheme}
-
-	snapshotMu.Lock()
-	snapshotClock++
-	if e, ok := snapshotCache[key]; ok {
-		e.lastUse = snapshotClock
-		snapshotHits++
-		var reuse scheme.Scheme
-		if n := len(e.free); n > 0 && e.built && e.buildErr == nil {
-			reuse = e.free[n-1]
-			e.free[n-1] = nil
-			e.free = e.free[:n-1]
+	t, err := snapshots.Get(key, func() (*template, error) {
+		s, err := buildScheme(cfg)
+		if err != nil {
+			return nil, err
 		}
-		snapshotMu.Unlock()
-		<-e.ready
-		if e.buildErr != nil {
-			return nil, key, e.buildErr
-		}
-		if reuse != nil && reuse.Restore(e.s) {
-			return reuse, key, nil
-		}
-		return e.s.Clone(), key, nil
-	}
-	e := &snapshotEntry{ready: make(chan struct{}), lastUse: snapshotClock}
-	snapshotCache[key] = e
-	snapshotMiss++
-	evictSnapshotsLocked()
-	snapshotMu.Unlock()
-
-	s, err := buildScheme(cfg)
-	snapshotMu.Lock()
-	e.s, e.buildErr = s, err
-	e.built = true
+		return &template{s: s}, nil
+	})
 	if err != nil {
-		// Build errors are not cached: a later call with the same bad
-		// config re-derives the error instead of serving a stale one.
-		if snapshotCache[key] == e {
-			delete(snapshotCache, key)
-		}
+		return nil, nil, err
 	}
-	snapshotMu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, key, err
-	}
-	return s.Clone(), key, nil
+	return t.clone(), t, nil
 }
 
-// releaseScheme returns a clone to its template's free pool for recycling.
-// The caller must be done with it entirely: the next job overwrites its
-// state in place. Clones whose template has been evicted (or whose pool is
-// full) are simply dropped to the garbage collector.
-func releaseScheme(key snapshotKey, s scheme.Scheme) {
-	snapshotMu.Lock()
-	if e, ok := snapshotCache[key]; ok && e.built && e.buildErr == nil && len(e.free) < snapshotFreeCap {
-		e.free = append(e.free, s)
+// clone returns a copy of the template, recycling a released clone by
+// restoring it in place when the pool has one.
+func (t *template) clone() scheme.Scheme {
+	t.mu.Lock()
+	var reuse scheme.Scheme
+	if n := len(t.free); n > 0 {
+		reuse = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
 	}
-	snapshotMu.Unlock()
+	t.mu.Unlock()
+	if reuse != nil && reuse.Restore(t.s) {
+		return reuse
+	}
+	return t.s.Clone()
 }
 
-// evictSnapshotsLocked drops least-recently-used built templates until the
-// cache is within its cap. Entries still building are never evicted (their
-// builder owns them); the cache may transiently exceed the cap while many
-// distinct configs build at once. Callers hold snapshotMu.
-func evictSnapshotsLocked() {
-	for len(snapshotCache) > snapshotCacheCap {
-		var victim snapshotKey
-		var oldest uint64
-		found := false
-		for k, e := range snapshotCache {
-			if !e.built {
-				continue
-			}
-			if !found || e.lastUse < oldest {
-				victim, oldest, found = k, e.lastUse, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(snapshotCache, victim)
+// release returns a clone to the template's free pool. The caller must be
+// done with it entirely: the next job overwrites its state in place. A
+// full pool drops the clone to the garbage collector, as does evicting
+// the template.
+func (t *template) release(s scheme.Scheme) {
+	t.mu.Lock()
+	if len(t.free) < snapshotFreeCap {
+		t.free = append(t.free, s)
 	}
+	t.mu.Unlock()
 }

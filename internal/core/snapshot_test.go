@@ -151,13 +151,13 @@ func TestSnapshotSkipsPreconditioning(t *testing.T) {
 	cfg.Flash = snapshotFlash()
 	cfg.Scheme = "MGA"
 
-	h0, m0 := snapshotStats()
+	h0, m0 := snapshots.Stats()
 	for i := 0; i < 4; i++ {
 		if _, err := New(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h1, m1 := snapshotStats()
+	h1, m1 := snapshots.Stats()
 	if m1-m0 != 1 {
 		t.Errorf("4 News caused %d template builds, want exactly 1", m1-m0)
 	}
@@ -181,9 +181,9 @@ func TestSnapshotSkipsPreconditioning(t *testing.T) {
 
 // TestSnapshotCacheEvicts exercises the LRU bound.
 func TestSnapshotCacheEvicts(t *testing.T) {
-	oldCap := snapshotCacheCap
-	snapshotCacheCap = 2
-	defer func() { snapshotCacheCap = oldCap }()
+	oldCap := snapshots.Cap
+	snapshots.Cap = 2
+	defer func() { snapshots.Cap = oldCap }()
 	ResetSnapshotCache()
 
 	mk := func(pe int) Config {
@@ -198,19 +198,17 @@ func TestSnapshotCacheEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snapshotMu.Lock()
-	n := len(snapshotCache)
-	snapshotMu.Unlock()
+	n := snapshots.Len()
 	if n > 2 {
 		t.Errorf("cache holds %d templates, cap is 2", n)
 	}
 
 	// The oldest key (pe=1000) was evicted: using it again is a miss.
-	_, m0 := snapshotStats()
+	_, m0 := snapshots.Stats()
 	if _, err := New(mk(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, m1 := snapshotStats(); m1-m0 != 1 {
+	if _, m1 := snapshots.Stats(); m1-m0 != 1 {
 		t.Errorf("evicted key was served from cache (misses %d)", m1-m0)
 	}
 }
@@ -225,11 +223,11 @@ func TestResetSnapshotCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetSnapshotCache()
-	_, m0 := snapshotStats()
+	_, m0 := snapshots.Stats()
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, m1 := snapshotStats(); m1-m0 != 1 {
+	if _, m1 := snapshots.Stats(); m1-m0 != 1 {
 		t.Error("New after Reset did not rebuild the template")
 	}
 }
@@ -237,27 +235,27 @@ func TestResetSnapshotCache(t *testing.T) {
 // TestTraceCacheBoundedAndResettable exercises the trace-cache LRU bound
 // and ResetTraceCache.
 func TestTraceCacheBoundedAndResettable(t *testing.T) {
-	oldCap := traces.cap
-	traces.cap = 3
-	defer func() { traces.cap = oldCap }()
+	oldCap := traces.Cap
+	traces.Cap = 3
+	defer func() { traces.Cap = oldCap }()
 	ResetTraceCache()
 
 	for seed := int64(1); seed <= 5; seed++ {
-		if _, err := cachedTrace("ts0", seed, 0.001); err != nil {
+		if _, err := SyntheticTrace("ts0", seed, 0.001); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n := traces.len()
+	n := traces.Len()
 	if n > 3 {
 		t.Errorf("trace cache holds %d entries, cap is 3", n)
 	}
 
 	// A cached key returns the identical instance (shared read-only).
-	a, err := cachedTrace("ts0", 5, 0.001)
+	a, err := SyntheticTrace("ts0", 5, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cachedTrace("ts0", 5, 0.001)
+	b, err := SyntheticTrace("ts0", 5, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestTraceCacheBoundedAndResettable(t *testing.T) {
 	}
 
 	ResetTraceCache()
-	n = traces.len()
+	n = traces.Len()
 	if n != 0 {
 		t.Errorf("trace cache holds %d entries after Reset", n)
 	}

@@ -144,11 +144,10 @@ func ContentionCells(spec TenantContentionSpec) ([]ContentionCell, error) {
 // contentionRunSpec builds the closed-loop spec one cell replays.
 func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLoopSpec {
 	run := ClosedLoopSpec{
-		Depth:      spec.Depth,
-		Tenants:    cell.Mix.Tenants,
-		Seed:       spec.Seed,
-		Scale:      spec.Scale,
-		OnProgress: spec.OnProgress,
+		Depth:   spec.Depth,
+		Tenants: cell.Mix.Tenants,
+		Seed:    spec.Seed,
+		Scale:   spec.Scale,
 	}
 	if cell.Buffered {
 		run.WriteCache = &cache.Config{CapacityBytes: spec.CacheBytes}
@@ -173,7 +172,8 @@ func contentionConfig(spec *TenantContentionSpec, schemeName string) Config {
 // dies. The spec's Workers field is irrelevant here.
 func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, cell ContentionCell) (ContentionRow, error) {
 	spec.normalize()
-	res, err := runOn(ctx, contentionConfig(&spec, cell.Scheme), func(sim *Simulator) (*Result, error) {
+	res, err := RunOn(ctx, contentionConfig(&spec, cell.Scheme), func(sim *Simulator) (*Result, error) {
+		sim.OnProgress(0, spec.OnProgress)
 		return sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
 	})
 	if err != nil {

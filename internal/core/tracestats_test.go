@@ -119,9 +119,9 @@ func traceCollected(done <-chan struct{}, n int) bool {
 // the trace cache's cap, nothing in the package keeps the dropped trace alive, and
 // asking again analyses a newly synthesised instance.
 func TestTraceStatsCacheBounded(t *testing.T) {
-	oldCap := traces.cap
-	traces.cap = 2
-	defer func() { traces.cap = oldCap }()
+	oldCap := traces.Cap
+	traces.Cap = 2
+	defer func() { traces.Cap = oldCap }()
 	ResetTraceCache()
 	defer ResetTraceCache()
 
@@ -131,7 +131,7 @@ func TestTraceStatsCacheBounded(t *testing.T) {
 	// trace, returning the stats for later comparison.
 	watch := func(seed int64) trace.Stats {
 		t.Helper()
-		tr, err := cachedTrace("ts0", seed, scale)
+		tr, err := SyntheticTrace("ts0", seed, scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,9 +162,9 @@ func TestTraceStatsCacheBounded(t *testing.T) {
 	watch(3)
 	watch(4)
 	watch(5)
-	n := traces.len()
-	if n != traces.cap {
-		t.Fatalf("trace cache holds %d entries, cap is %d", n, traces.cap)
+	n := traces.Len()
+	if n != traces.Cap {
+		t.Fatalf("trace cache holds %d entries, cap is %d", n, traces.Cap)
 	}
 	if !traceCollected(done, 2) {
 		t.Fatal("evicted traces and their stats stayed alive")

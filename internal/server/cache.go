@@ -1,6 +1,10 @@
 package server
 
-import "sync"
+import (
+	"errors"
+
+	"ipusim/internal/lru"
+)
 
 // resultCache memoises completed job results by their content-addressed
 // job key: a bounded in-memory LRU over the marshalled result bytes,
@@ -11,84 +15,39 @@ import "sync"
 // determinism guarantee means a key's bytes never change — so there is
 // no invalidation, only LRU eviction of the in-memory layer.
 type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	clock   uint64
-	entries map[string]*resultEntry
-	store   *Store // nil for a memory-only server
+	mem   lru.Cache[string, []byte]
+	store *Store // nil for a memory-only server
 }
 
-type resultEntry struct {
-	b       []byte
-	lastUse uint64
-}
+// errNotStored is the build error of a key neither layer holds; it is not
+// cached, so a later Put or store write is seen by the next Get.
+var errNotStored = errors.New("server: result not stored")
 
 func newResultCache(cap int, store *Store) *resultCache {
-	return &resultCache{
-		cap:     cap,
-		entries: map[string]*resultEntry{},
-		store:   store,
-	}
+	return &resultCache{mem: lru.Cache[string, []byte]{Cap: cap}, store: store}
 }
 
 // Get returns the cached result bytes for a key. Callers must not
 // mutate the returned slice.
 func (c *resultCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	c.clock++
-	if e, ok := c.entries[key]; ok {
-		e.lastUse = c.clock
-		c.mu.Unlock()
-		return e.b, true
-	}
-	c.mu.Unlock()
-	if c.store == nil {
-		return nil, false
-	}
-	b, ok := c.store.GetResult(key)
-	if !ok {
-		return nil, false
-	}
-	c.put(key, b, false) // promote; already persisted
-	return b, true
+	b, err := c.mem.Get(key, func() ([]byte, error) {
+		if c.store != nil {
+			if b, ok := c.store.GetResult(key); ok {
+				return b, nil
+			}
+		}
+		return nil, errNotStored
+	})
+	return b, err == nil
 }
 
 // Put caches result bytes in memory and, for a durable server, persists
 // them under their content address.
 func (c *resultCache) Put(key string, b []byte) {
-	c.put(key, b, true)
-}
-
-func (c *resultCache) put(key string, b []byte, persist bool) {
-	if persist && c.store != nil {
+	if c.store != nil {
 		// Best-effort: a failed persist degrades durability, not
 		// correctness — the in-memory layer still serves the key.
 		c.store.PutResult(key, b)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock++
-	if e, ok := c.entries[key]; ok {
-		e.lastUse = c.clock
-		return
-	}
-	c.entries[key] = &resultEntry{b: b, lastUse: c.clock}
-	for len(c.entries) > c.cap {
-		var victim string
-		var oldest uint64
-		first := true
-		for k, e := range c.entries {
-			if first || e.lastUse < oldest {
-				victim, oldest, first = k, e.lastUse, false
-			}
-		}
-		delete(c.entries, victim)
-	}
-}
-
-// Len reports the in-memory entry count.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	c.mem.Put(key, b)
 }

@@ -17,30 +17,33 @@ import (
 // them byte for byte.
 const canonicalTestScale = 0.05
 
+// pinnedV2Keys are the v2 request shapes and their content addresses at
+// canonicalTestScale.
+var pinnedV2Keys = []struct {
+	name string
+	req  JobRequest
+	want string
+}{
+	{"run-defaults", JobRequest{Kind: "run"},
+		"66aab234094cc3fd1cb74c26cfd5c795"},
+	{"run-closed-loop", JobRequest{Kind: "run", Scheme: "IPS", Trace: "wdev0", QueueDepth: 8},
+		"f38225a0a84da165123a13d2a9fbd36c"},
+	{"cell", JobRequest{Kind: "cell", PEBaseline: 3000},
+		"477ea182252a2ea4a49ef9e59ad55756"},
+	{"matrix-explicit-defaults", JobRequest{
+		Kind:        "matrix",
+		Traces:      []string{"ts0", "wdev0", "lun1", "usr0", "lun2", "ads"},
+		Schemes:     []string{"Baseline", "MGA", "IPU", "IPS", "IPU-PGC"},
+		PEBaselines: []int{0},
+		Scale:       0.05,
+		Seed:        42,
+	}, "87dee0291a3fbb069a42704788b51400"},
+	{"sensitivity", JobRequest{Kind: "sensitivity", Param: "slcratio"},
+		"87553b1339407b00b75042f9cfc2b0eb"},
+}
+
 func TestV2JobKeysPreserved(t *testing.T) {
-	cases := []struct {
-		name string
-		req  JobRequest
-		want string
-	}{
-		{"run-defaults", JobRequest{Kind: "run"},
-			"66aab234094cc3fd1cb74c26cfd5c795"},
-		{"run-closed-loop", JobRequest{Kind: "run", Scheme: "IPS", Trace: "wdev0", QueueDepth: 8},
-			"f38225a0a84da165123a13d2a9fbd36c"},
-		{"cell", JobRequest{Kind: "cell", PEBaseline: 3000},
-			"477ea182252a2ea4a49ef9e59ad55756"},
-		{"matrix-explicit-defaults", JobRequest{
-			Kind:        "matrix",
-			Traces:      []string{"ts0", "wdev0", "lun1", "usr0", "lun2", "ads"},
-			Schemes:     []string{"Baseline", "MGA", "IPU", "IPS", "IPU-PGC"},
-			PEBaselines: []int{0},
-			Scale:       0.05,
-			Seed:        42,
-		}, "87dee0291a3fbb069a42704788b51400"},
-		{"sensitivity", JobRequest{Kind: "sensitivity", Param: "slcratio"},
-			"87553b1339407b00b75042f9cfc2b0eb"},
-	}
-	for _, tc := range cases {
+	for _, tc := range pinnedV2Keys {
 		if got := jobKey(tc.req, canonicalTestScale); got != tc.want {
 			t.Errorf("%s: key %s, want the v2 key %s", tc.name, got, tc.want)
 		}

@@ -200,6 +200,9 @@ func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
 	if req.Kind != "cell" && req.Kind != "sensitivity" && (req.Param != "" || req.ParamValue != 0) {
 		return nil, fmt.Errorf("param and paramValue apply only to cell and sensitivity jobs, not %q", req.Kind)
 	}
+	if err := checkSweepSize(req, defaultScale); err != nil {
+		return nil, err
+	}
 	switch req.Kind {
 	case "run", "cell":
 		return compileRun(req)
@@ -212,6 +215,38 @@ func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want run, cell, matrix, sensitivity or contention)", req.Kind)
 	}
+}
+
+// maxSweepCells bounds the cells one sweep request may expand to. The
+// largest sweep of the evaluation has about 240 cells. Without a bound, a
+// 1 MiB body listing ~10^5 traces and P/E values asks for ~10^11 cells,
+// and allocating their cell list is a fatal out-of-memory error, which no
+// recover can turn into a failed job.
+const maxSweepCells = 4096
+
+// checkSweepSize rejects a matrix, sensitivity or contention request
+// whose cell count exceeds maxSweepCells. The count is the product of the
+// canonical request's list lengths, taken before any cell list is built;
+// the running product never exceeds the bound, so it cannot overflow.
+func checkSweepSize(req JobRequest, defaultScale float64) error {
+	req = canonicalRequest(req, defaultScale)
+	var dims []int
+	switch req.Kind {
+	case "matrix":
+		dims = []int{len(req.Traces), len(req.PEBaselines), len(req.Schemes)}
+	case "sensitivity":
+		dims = []int{len(core.SensitivityParams[req.Param]), len(req.Traces), len(req.Schemes)}
+	case "contention":
+		dims = []int{len(req.Mixes), 2, len(req.Schemes)}
+	}
+	n := 1
+	for _, d := range dims {
+		if d > 0 && n > maxSweepCells/d {
+			return fmt.Errorf("%s sweep has more than %d cells", req.Kind, maxSweepCells)
+		}
+		n *= d
+	}
+	return nil
 }
 
 // knownScheme reports whether name is in the scheme registry.
@@ -313,13 +348,15 @@ func compileRun(req JobRequest) (jobFunc, error) {
 		if req.PEBaseline > 0 {
 			cfg.Flash.PEBaseline = req.PEBaseline
 		}
-		sim, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sim.OnProgress(0, report)
-		var res *core.Result
-		if req.QueueDepth > 0 {
+		return core.RunOn(ctx, cfg, func(sim *core.Simulator) (*core.Result, error) {
+			sim.OnProgress(0, report)
+			if req.QueueDepth == 0 {
+				tr, err := core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
+				if err != nil {
+					return nil, err
+				}
+				return sim.RunContext(ctx, tr)
+			}
 			spec := core.ClosedLoopSpec{
 				Depth:      req.QueueDepth,
 				Tenants:    req.Tenants,
@@ -330,30 +367,13 @@ func compileRun(req JobRequest) (jobFunc, error) {
 			if !multiTenant {
 				// The bounded trace cache shares one immutable instance
 				// across concurrent jobs replaying the same workload.
-				spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-				if err != nil {
+				var err error
+				if spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale); err != nil {
 					return nil, err
 				}
 			}
-			res, err = sim.RunClosedLoopSpec(ctx, spec)
-		} else {
-			var tr *trace.Trace
-			tr, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-			if err != nil {
-				return nil, err
-			}
-			res, err = sim.RunContext(ctx, tr)
-		}
-		if err != nil {
-			// A cancelled replay stopped between requests, so the device
-			// is consistent and can rejoin the snapshot cache's free pool.
-			if ctx.Err() != nil {
-				sim.Release()
-			}
-			return nil, err
-		}
-		sim.Release()
-		return res, nil
+			return sim.RunClosedLoopSpec(ctx, spec)
+		})
 	}, nil
 }
 
@@ -363,6 +383,11 @@ func compileMatrix(req JobRequest) (jobFunc, error) {
 	}
 	if err := validateTraces(req.Traces); err != nil {
 		return nil, err
+	}
+	for _, pe := range req.PEBaselines {
+		if pe < 0 {
+			return nil, fmt.Errorf("peBaseline %d must be >= 0", pe)
+		}
 	}
 	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
 		spec := core.MatrixSpec{

@@ -174,7 +174,43 @@ func TestSubmitValidation(t *testing.T) {
 		"matrix parallelism":    `{"kind":"matrix","parallelism":-1}`,
 		"param on run":          `{"kind":"run","param":"slcratio"}`,
 		"negative peBaseline":   `{"kind":"run","peBaseline":-1}`,
+		"matrix peBaselines":    `{"kind":"matrix","peBaselines":[-1]}`,
 	})
+}
+
+// list returns a JSON list of n copies of elem.
+func list(elem string, n int) string {
+	return "[" + strings.TrimSuffix(strings.Repeat(elem+",", n), ",") + "]"
+}
+
+// TestSweepSizeBound rejects sweeps of more than maxSweepCells cells on a
+// plain daemon and a coordinator alike, counting empty lists at their
+// defaults, and accepts a sweep of exactly the bound.
+func TestSweepSizeBound(t *testing.T) {
+	expectRejected(t, map[string]string{
+		// 100 traces x 10 P/E values x 5 schemes.
+		"matrix": fmt.Sprintf(`{"kind":"matrix","traces":%s,"peBaselines":%s,"schemes":%s}`,
+			list(`"ts0"`, 100), list("1000", 10), list(`"IPU"`, 5)),
+		// 6 default traces x 700 P/E values x 5 default schemes.
+		"matrix defaults": fmt.Sprintf(`{"kind":"matrix","peBaselines":%s}`, list("1000", 700)),
+		// 3 values x 700 traces x 2 default schemes.
+		"sensitivity": fmt.Sprintf(`{"kind":"sensitivity","param":"slcratio","traces":%s}`, list(`"ts0"`, 700)),
+		// 410 mixes x 2 buffer arms x 5 default schemes.
+		"contention": fmt.Sprintf(`{"kind":"contention","mixes":%s}`,
+			list(`{"name":"m","tenants":[{"trace":"ts0"}]}`, 410)),
+	})
+
+	atBound := JobRequest{Kind: "matrix", Traces: []string{"ts0"}, Schemes: []string{"IPU"}}
+	for len(atBound.PEBaselines) < maxSweepCells {
+		atBound.PEBaselines = append(atBound.PEBaselines, 1000)
+	}
+	if _, err := compile(atBound, 0.01); err != nil {
+		t.Fatalf("sweep of exactly %d cells rejected: %v", maxSweepCells, err)
+	}
+	atBound.PEBaselines = append(atBound.PEBaselines, 1000)
+	if _, err := compile(atBound, 0.01); err == nil {
+		t.Fatalf("sweep of %d cells accepted", maxSweepCells+1)
+	}
 }
 
 func mustStats(t *testing.T, ts *httptest.Server) Stats {
