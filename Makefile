@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay fuzz-itc fuzz-canonical fuzz-config golden clean
 
 all: build test
 
@@ -138,15 +138,28 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare -time-threshold 2.0 -space-threshold 0.15 \
 	  bench/baseline.json bench/current.json
 
-fuzz: fuzz-parse fuzz-replay
+fuzz: fuzz-parse fuzz-replay fuzz-itc fuzz-canonical fuzz-config
 
 fuzz-parse:
-	$(GO) test ./internal/trace -fuzz FuzzParseMSR -fuzztime 30s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseMSR -fuzztime 30s
+
+fuzz-itc:
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeITC -fuzztime 30s
+
+# Decodes arbitrary ipusimd job bodies: compile never panics, and a body
+# it accepts keys exactly as under the oracle canonicalisation.
+fuzz-canonical:
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s
+
+# Feeds arbitrary config files to core.LoadConfig: an error or a config
+# that validates, never a panic.
+fuzz-config:
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLoadConfig -fuzztime 30s
 
 # Replays fuzzer-generated write/read/trim programs through each scheme
 # with the internal/check invariant harness attached.
 fuzz-replay:
-	$(GO) test ./internal/scheme -fuzz FuzzReplay -fuzztime 30s
+	$(GO) test ./internal/scheme -run '^$$' -fuzz FuzzReplay -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

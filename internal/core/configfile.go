@@ -199,8 +199,14 @@ func LoadConfig(r io.Reader) (Config, error) {
 	setD(&cfg.Flash.Timing.TransferPerSubpage, t.TransferPerSubpage)
 
 	// If geometry changed but the logical space was not set explicitly,
-	// re-derive it from the (new) MLC capacity like the defaults do.
+	// re-derive it from the (new) MLC capacity like the defaults do. The
+	// derivation divides by the subpage size, so it waits until the
+	// geometry validates (under a placeholder logical space of one subpage).
 	if !logicalSet {
+		cfg.Flash.LogicalSubpages = 1
+		if err := cfg.Flash.Validate(); err != nil {
+			return cfg, fmt.Errorf("core: config: %w", err)
+		}
 		cfg.Flash.LogicalSubpages = cfg.Flash.MLCSubpages() * 3 / 4
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -205,4 +206,29 @@ func TestLoadConfigExampleFile(t *testing.T) {
 	if cfg.Scheme != "IPU" {
 		t.Errorf("scheme = %q", cfg.Scheme)
 	}
+}
+
+// FuzzLoadConfig feeds the config reader arbitrary bodies: it must return
+// an error or a configuration that validates, and never panic.
+func FuzzLoadConfig(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "configs", "example.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Add([]byte(`{"flash":{"subpageSizeBytes":0}}`))
+	f.Add([]byte(`{"flash":{"channels":4294967296,"chipsPerChannel":4294967296}}`))
+	f.Add([]byte(`{"flash":{"diesPerChip":4294967296,"planesPerDie":4294967296}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg, err := LoadConfig(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := cfg.Flash.Validate(); err != nil {
+			t.Fatalf("accepted config fails flash validation: %v\n%s", err, body)
+		}
+		if err := cfg.Error.Validate(); err != nil {
+			t.Fatalf("accepted config fails error-model validation: %v\n%s", err, body)
+		}
+	})
 }

@@ -21,7 +21,8 @@ type MatrixSpec struct {
 	// Traces names the workload profiles to synthesise (trace.Profiles
 	// keys). Empty means all six, in Table 3 order.
 	Traces []string
-	// Schemes lists the FTLs to compare. Empty means all three.
+	// Schemes lists the FTLs to compare. Empty means every scheme in
+	// SchemeNames.
 	Schemes []string
 	// PEBaselines lists the device use stages (Figs. 13–14). Empty means
 	// the Table 2 default only.

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"ipusim/internal/flash"
@@ -22,6 +24,17 @@ var SensitivityParams = map[string][]float64{
 	"planes": {1, 2, 4},
 }
 
+// SensitivityParamNames returns the SensitivityParams keys, sorted, so
+// messages that list them read the same on every call.
+func SensitivityParamNames() []string {
+	names := make([]string, 0, len(SensitivityParams))
+	for name := range SensitivityParams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // applySensitivity returns a copy of base with the parameter applied.
 func applySensitivity(base flash.Config, param string, value float64) (flash.Config, error) {
 	fc := base
@@ -35,7 +48,7 @@ func applySensitivity(base flash.Config, param string, value float64) (flash.Con
 	case "planes":
 		fc.PlanesPerDie = int(value)
 	default:
-		return fc, fmt.Errorf("core: unknown sensitivity parameter %q (have slcratio, gcthreshold, backlogcap)", param)
+		return fc, fmt.Errorf("core: unknown sensitivity parameter %q (have %s)", param, strings.Join(SensitivityParamNames(), ", "))
 	}
 	// Keep the logical space consistent with the (possibly changed) MLC size.
 	fc.LogicalSubpages = fc.MLCSubpages() * 3 / 4

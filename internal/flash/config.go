@@ -220,6 +220,20 @@ func (c *Config) LogicalBytes() int64 {
 	return int64(c.LogicalSubpages) * int64(c.SubpageSizeBytes)
 }
 
+// unitsFit reports whether the parallel units number at most Blocks. It
+// multiplies the factors one at a time and stops once the running
+// product would exceed Blocks, so the product never overflows.
+func (c *Config) unitsFit() bool {
+	units := 1
+	for _, f := range []int{c.Channels, c.ChipsPerChannel, c.dies(), c.planes()} {
+		if f > c.Blocks/units {
+			return false
+		}
+		units *= f
+	}
+	return true
+}
+
 // Validate reports a descriptive error for an inconsistent configuration.
 func (c *Config) Validate() error {
 	switch {
@@ -231,6 +245,8 @@ func (c *Config) Validate() error {
 		return errors.New("flash: DiesPerChip and PlanesPerDie must be non-negative")
 	case c.Blocks <= 0:
 		return errors.New("flash: Blocks must be positive")
+	case !c.unitsFit():
+		return fmt.Errorf("flash: the parallel units (channels x chips x dies x planes) outnumber the %d blocks", c.Blocks)
 	case c.Blocks%c.ParallelUnits() != 0:
 		return fmt.Errorf("flash: Blocks (%d) must be a multiple of the parallel units (%d)", c.Blocks, c.ParallelUnits())
 	case c.SLCRatio <= 0 || c.SLCRatio >= 1:

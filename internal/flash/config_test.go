@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -102,6 +103,33 @@ func TestConfigValidateRejections(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", m.name)
 		}
+	}
+}
+
+// TestConfigValidateUnitOverflow: a geometry whose parallel-unit count
+// wraps around int (to zero, here) is rejected with an error instead of
+// dividing by the wrapped product, and a geometry with exactly one block
+// per unit still passes.
+func TestConfigValidateUnitOverflow(t *testing.T) {
+	mutations := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"channels x chips", func(c *Config) { c.Channels, c.ChipsPerChannel = 1<<32, 1<<32 }},
+		{"dies x planes", func(c *Config) { c.DiesPerChip, c.PlanesPerDie = 1<<32, 1<<32 }},
+		{"planes", func(c *Config) { c.PlanesPerDie = 1 << 62 }},
+	}
+	for _, m := range mutations {
+		c := DefaultConfig()
+		m.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "outnumber") {
+			t.Errorf("%s: Validate = %v, want the parallel-units error", m.name, err)
+		}
+	}
+	c := DefaultConfig()
+	c.DiesPerChip, c.PlanesPerDie = 4, c.Blocks/(4*c.Chips())
+	if err := c.Validate(); err != nil {
+		t.Errorf("one block per unit (%d units): %v", c.ParallelUnits(), err)
 	}
 }
 

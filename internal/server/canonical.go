@@ -1,9 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
 
 	"ipusim/internal/core"
 	"ipusim/internal/trace"
@@ -14,142 +18,121 @@ import (
 // (seed, scale, config) ⇒ bit-identical output, so a submission's
 // canonical form is a durable address for its result: the result cache,
 // the persistent store and the coordinator's placement ring all key on
-// jobKey. Canonicalisation makes every output-affecting default explicit
-// and drops lifecycle-only fields, so submissions that differ merely in
-// JSON key order, formatting, or spelled-out defaults cannot miss the
-// cache.
+// canonicalKey. Canonicalisation makes every output-affecting default
+// explicit and drops lifecycle-only fields, so submissions that differ
+// merely in JSON key order, formatting, or spelled-out defaults cannot
+// miss the cache.
 
-// canonicalRequest returns req in canonical form: defaults applied
-// exactly as compile/core normalisation would, fields irrelevant to the
-// requested kind zeroed, and lifecycle-only fields (Timeout) cleared.
-func canonicalRequest(req JobRequest, defaultScale float64) JobRequest {
-	req.Timeout = ""
-	// Parallelism is ignored, so submissions that differ only in it share
-	// one address.
-	req.Parallelism = 0
-	if req.Scale == 0 {
-		req.Scale = defaultScale
-	}
-	if req.Seed == 0 {
-		req.Seed = 42
-	}
+// canonicalRequest owns the request schema. It copies the fields req's
+// kind reads into a fresh request with every default made explicit, and
+// rejects a request that sets any other field, naming it. The lifecycle
+// fields (timeout, parallelism) are accepted and cleared. The result is
+// what compile validates and runs, what the coordinator shards, and
+// what canonicalKey hashes.
+func canonicalRequest(req JobRequest, defaultScale float64) (JobRequest, error) {
+	out := JobRequest{Kind: req.Kind, Scale: cmp.Or(req.Scale, defaultScale), Seed: cmp.Or(req.Seed, 42)}
+	what := req.Kind + " jobs"
 	switch req.Kind {
 	case "run":
-		if req.Scheme == "" {
-			req.Scheme = "IPU"
-		}
-		// Schema v3: tenants and the write cache are canonicalised with
-		// every default made explicit — exactly mirroring compileRun and
-		// the core engine — so spelled-out and defaulted submissions share
-		// an address. A v2 request leaves both fields absent, marshals
-		// without them (omitempty), and keeps its v2 key byte for byte.
+		out.Scheme = cmp.Or(req.Scheme, "IPU")
+		out.QueueDepth, out.PEBaseline, out.WriteCache = req.QueueDepth, req.PEBaseline, req.WriteCache
 		if len(req.Tenants) > 0 {
-			// A multi-tenant run never replays the single-stream trace;
-			// zeroing it keeps `{"tenants":[...]}` and a stray
-			// `{"trace":"ts0","tenants":[...]}` from splitting the cache.
-			req.Trace = ""
-			req.Tenants = workload.NormalizeTenants(req.Tenants, core.DefaultTenantTrace, req.Seed, req.Scale)
-		} else if req.Trace == "" {
-			req.Trace = "ts0"
+			// Tenants replay their own traces (tenants[].trace).
+			what = "multi-tenant runs"
+			out.Tenants = workload.NormalizeTenants(req.Tenants, core.DefaultTenantTrace, out.Seed, out.Scale)
+		} else {
+			out.Trace = cmp.Or(req.Trace, "ts0")
 		}
-		if req.WriteCache != nil {
-			if req.WriteCache.CapacityBytes <= 0 {
-				// Non-positive capacity means "no buffer": identical to
-				// omitting the field.
-				req.WriteCache = nil
-			} else {
-				wc := req.WriteCache.Normalize()
-				req.WriteCache = &wc
-			}
-		}
-		req.Traces, req.Schemes, req.PEBaselines = nil, nil, nil
-		req.Param, req.ParamValue = "", 0
-		req.Mixes, req.CacheBytes = nil, 0
 	case "cell":
-		if req.Scheme == "" {
-			req.Scheme = "IPU"
-		}
-		if req.Trace == "" {
-			req.Trace = "ts0"
-		}
-		req.Traces, req.Schemes, req.PEBaselines = nil, nil, nil
-		req.QueueDepth = 0
-		req.Tenants, req.WriteCache = nil, nil
-		req.Mixes, req.CacheBytes = nil, 0
-		if req.Param == "" {
-			req.ParamValue = 0
+		out.Scheme, out.Trace = cmp.Or(req.Scheme, "IPU"), cmp.Or(req.Trace, "ts0")
+		out.PEBaseline, out.Param = req.PEBaseline, req.Param
+		if req.Param != "" {
+			out.ParamValue = req.ParamValue
 		}
 	case "matrix":
-		if len(req.Traces) == 0 {
-			req.Traces = trace.ProfileNames()
-		}
-		if len(req.Schemes) == 0 {
-			req.Schemes = append([]string(nil), core.SchemeNames...)
-		}
-		if len(req.PEBaselines) == 0 {
-			req.PEBaselines = []int{0}
-		}
-		req.Scheme, req.Trace = "", ""
-		req.QueueDepth, req.PEBaseline = 0, 0
-		req.Tenants, req.WriteCache = nil, nil
-		req.Mixes, req.CacheBytes = nil, 0
-		req.Param, req.ParamValue = "", 0
+		out.Traces = orDefault(req.Traces, trace.ProfileNames())
+		out.Schemes = orDefault(req.Schemes, slices.Clone(core.SchemeNames))
+		out.PEBaselines = orDefault(req.PEBaselines, []int{0})
 	case "sensitivity":
-		if len(req.Traces) == 0 {
-			req.Traces = trace.ProfileNames()
-		}
-		if len(req.Schemes) == 0 {
-			req.Schemes = []string{"Baseline", "IPU"}
-		}
-		req.Scheme, req.Trace = "", ""
-		req.QueueDepth, req.PEBaseline = 0, 0
-		req.PEBaselines = nil
-		req.Tenants, req.WriteCache = nil, nil
-		req.Mixes, req.CacheBytes = nil, 0
-		req.ParamValue = 0
+		out.Traces = orDefault(req.Traces, trace.ProfileNames())
+		out.Schemes = orDefault(req.Schemes, []string{"Baseline", "IPU"})
+		out.Param = req.Param
 	case "contention":
-		// Schema v4: the contention study canonicalises with every default
-		// made explicit — mirroring TenantContentionSpec.normalize and the
-		// per-mix tenant normalisation — so defaulted and spelled-out
-		// studies share an address. Existing kinds never carry Mixes or
-		// CacheBytes (omitempty), so their v2/v3 keys are untouched.
-		if len(req.Mixes) == 0 {
-			req.Mixes = core.DefaultTenantMixes()
-		}
-		if len(req.Schemes) == 0 {
-			req.Schemes = append([]string(nil), core.SchemeNames...)
-		}
-		if req.QueueDepth == 0 {
-			req.QueueDepth = 16
-		}
-		if req.CacheBytes == 0 {
-			req.CacheBytes = 4 << 20
-		}
-		mixes := make([]core.TenantMix, len(req.Mixes))
-		for i, mix := range req.Mixes {
-			mixes[i] = core.TenantMix{
+		out.Schemes = orDefault(req.Schemes, slices.Clone(core.SchemeNames))
+		out.QueueDepth, out.CacheBytes = cmp.Or(req.QueueDepth, 16), cmp.Or(req.CacheBytes, 4<<20)
+		for _, mix := range orDefault(req.Mixes, core.DefaultTenantMixes()) {
+			out.Mixes = append(out.Mixes, core.TenantMix{
 				Name:    mix.Name,
-				Tenants: workload.NormalizeTenants(mix.Tenants, core.DefaultTenantTrace, req.Seed, req.Scale),
-			}
+				Tenants: workload.NormalizeTenants(mix.Tenants, core.DefaultTenantTrace, out.Seed, out.Scale),
+			})
 		}
-		req.Mixes = mixes
-		req.Scheme, req.Trace = "", ""
-		req.Traces, req.PEBaselines = nil, nil
-		req.PEBaseline = 0
-		req.Tenants, req.WriteCache = nil, nil
-		req.Param, req.ParamValue = "", 0
+	default:
+		return JobRequest{}, fmt.Errorf("unknown kind %q (want run, cell, matrix, sensitivity or contention)", req.Kind)
 	}
-	return req
+	// Defaults only fill fields the kind reads, so any field req sets
+	// that out lacks is one the kind would silently ignore.
+	req.Timeout, req.Parallelism = "", 0
+	sent, err := setFields(req)
+	if err != nil {
+		return JobRequest{}, err
+	}
+	kept, err := setFields(out)
+	if err != nil {
+		return JobRequest{}, err
+	}
+	var unread []string
+	for name := range sent {
+		if _, ok := kept[name]; !ok {
+			unread = append(unread, name)
+		}
+	}
+	if len(unread) > 0 {
+		slices.Sort(unread)
+		return JobRequest{}, fmt.Errorf("%s do not read %s", what, strings.Join(unread, ", "))
+	}
+	if out.WriteCache != nil {
+		if out.WriteCache.CapacityBytes <= 0 {
+			// Non-positive capacity means "no buffer": identical to
+			// omitting the field.
+			out.WriteCache = nil
+		} else {
+			wc := out.WriteCache.Normalize()
+			out.WriteCache = &wc
+		}
+	}
+	return out, nil
 }
 
-// jobKey returns the deterministic content address of a submission: the
-// hex SHA-256 of the canonical request's JSON. Marshalling the struct
-// (not the client's raw body) normalises JSON key order, so two
-// semantically identical submissions always share a key.
-func jobKey(req JobRequest, defaultScale float64) string {
-	b, err := json.Marshal(canonicalRequest(req, defaultScale))
+// orDefault returns list, or def when list is empty.
+func orDefault[T any](list, def []T) []T {
+	if len(list) == 0 {
+		return def
+	}
+	return list
+}
+
+// setFields returns the JSON fields a request sets: the ones its
+// omitempty encoding — the encoding canonicalKey hashes — carries.
+func setFields(req JobRequest) (map[string]json.RawMessage, error) {
+	b, err := json.Marshal(req)
 	if err != nil {
-		// JobRequest holds only plain data; marshalling cannot fail.
+		return nil, fmt.Errorf("request is not representable as JSON: %w", err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		return nil, err
+	}
+	return fields, nil
+}
+
+// canonicalKey returns the deterministic content address of a canonical
+// request: the hex SHA-256 of its JSON. Marshalling the struct (not the
+// client's raw body) normalises JSON key order, so two semantically
+// identical submissions always share a key.
+func canonicalKey(canon JobRequest) string {
+	b, err := json.Marshal(canon)
+	if err != nil {
+		// canonicalRequest marshalled these fields already.
 		panic("server: marshalling canonical job request: " + err.Error())
 	}
 	sum := sha256.Sum256(b)

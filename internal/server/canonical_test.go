@@ -42,6 +42,16 @@ var pinnedV2Keys = []struct {
 		"87553b1339407b00b75042f9cfc2b0eb"},
 }
 
+// jobKey is the content address of a raw request: the key of its
+// canonical form. It panics on a request canonicalRequest rejects.
+func jobKey(req JobRequest, defaultScale float64) string {
+	canon, err := canonicalRequest(req, defaultScale)
+	if err != nil {
+		panic(err)
+	}
+	return canonicalKey(canon)
+}
+
 func TestV2JobKeysPreserved(t *testing.T) {
 	for _, tc := range pinnedV2Keys {
 		if got := jobKey(tc.req, canonicalTestScale); got != tc.want {
@@ -54,7 +64,11 @@ func TestV2JobKeysPreserved(t *testing.T) {
 // preservation: a request without tenants/writeCache must canonicalise to
 // JSON that does not mention them at all — omitempty, not empty values.
 func TestV2CanonicalJSONOmitsV3Fields(t *testing.T) {
-	b, err := json.Marshal(canonicalRequest(JobRequest{Kind: "run", QueueDepth: 4}, canonicalTestScale))
+	canon, err := canonicalRequest(JobRequest{Kind: "run", QueueDepth: 4}, canonicalTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(canon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +107,11 @@ func TestV3TenantCanonicalisation(t *testing.T) {
 		t.Errorf("defaulted and spelled-out tenant submissions split: %s vs %s", implicit, explicit)
 	}
 
-	// The single-stream trace field is dead weight on a multi-tenant run
-	// and must not split the address.
-	strayTrace := jobKey(JobRequest{
-		Kind: "run", Trace: "ts0", QueueDepth: 16,
-		Tenants: []workload.TenantSpec{{}, {Name: "vip", Weight: 3}},
-	}, canonicalTestScale)
-	if strayTrace != implicit {
-		t.Errorf("stray trace field split the multi-tenant address")
-	}
+	// A multi-tenant run does not read the single-stream trace field, so
+	// setting it is rejected rather than silently dropped.
+	expectRejected(t, map[string]string{
+		"strayTrace": `{"kind":"run","trace":"ts0","queueDepth":16,"tenants":[{},{"name":"vip","weight":3}]}`,
+	})
 
 	// Different tenant mixes are different experiments.
 	other := jobKey(JobRequest{
@@ -148,5 +158,58 @@ func TestV3WriteCacheCanonicalisation(t *testing.T) {
 	}
 	if implicit == off {
 		t.Error("buffered and unbuffered runs share one address")
+	}
+}
+
+// TestUnreadFieldsRejected: a request setting a field its kind does not
+// read gets a 400 naming the field, on a plain daemon and a coordinator
+// alike, instead of running (and being keyed) as the request without
+// it. An unrepresentable sensitivity cell is rejected the same way.
+func TestUnreadFieldsRejected(t *testing.T) {
+	expectRejectedNaming(t, map[string]string{
+		"sensitivity peBaselines": `{"kind":"sensitivity","param":"slcratio","peBaselines":[5000]}`,
+		"matrix queueDepth":       `{"kind":"matrix","queueDepth":8}`,
+		"matrix peBaseline":       `{"kind":"matrix","peBaseline":5000}`,
+		"cell paramValue":         `{"kind":"cell","paramValue":3}`,
+		"cell queueDepth":         `{"kind":"cell","queueDepth":4}`,
+		"run traces":              `{"kind":"run","traces":["ts0"]}`,
+		"planes overflow":         `{"kind":"cell","param":"planes","paramValue":4611686018427387904}`,
+	}, map[string]string{
+		"sensitivity peBaselines": "sensitivity jobs do not read peBaselines",
+		"matrix queueDepth":       "matrix jobs do not read queueDepth",
+		"matrix peBaseline":       "matrix jobs do not read peBaseline",
+		"cell paramValue":         "cell jobs do not read paramValue",
+		"cell queueDepth":         "cell jobs do not read queueDepth",
+		"run traces":              "run jobs do not read traces",
+		"planes overflow":         "parallel units",
+	})
+}
+
+// TestSubJobsCanonical pins what placement relies on: the coordinator
+// hashes each sub-job as it stands, so every sub-job must already be
+// canonical for its placement key to be the worker's cache key.
+func TestSubJobsCanonical(t *testing.T) {
+	for _, req := range []JobRequest{
+		{Kind: "matrix"},
+		{Kind: "sensitivity", Param: "planes"},
+		{Kind: "contention"},
+	} {
+		canon, _, err := compile(req, canonicalTestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, _, err := subJobs(canon)
+		if err != nil || len(subs) == 0 {
+			t.Fatalf("%s: %d sub-jobs, err %v", req.Kind, len(subs), err)
+		}
+		for _, sub := range subs {
+			again, err := canonicalRequest(sub, canonicalTestScale)
+			if err != nil {
+				t.Fatalf("%s sub-job %+v: %v", req.Kind, sub, err)
+			}
+			if canonicalKey(again) != canonicalKey(sub) {
+				t.Fatalf("%s sub-job is not canonical:\n sub %+v\ncanon %+v", req.Kind, sub, again)
+			}
+		}
 	}
 }

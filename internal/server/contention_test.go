@@ -121,12 +121,11 @@ func TestV4ContentionCanonicalisation(t *testing.T) {
 		t.Errorf("defaulted and spelled-out contention studies split: %s vs %s", implicit, explicit)
 	}
 
-	// A stray single-run field is irrelevant to the study and must not
-	// split the address.
-	stray := jobKey(JobRequest{Kind: "contention", Trace: "ts0", Scheme: "IPU"}, canonicalTestScale)
-	if stray != implicit {
-		t.Error("stray run fields split the contention address")
-	}
+	// The study does not read the single-run fields, so setting them is
+	// rejected rather than silently dropped.
+	expectRejected(t, map[string]string{
+		"stray": `{"kind":"contention","trace":"ts0","scheme":"IPU"}`,
+	})
 
 	// Different cache sizes are different experiments.
 	other := jobKey(JobRequest{Kind: "contention", CacheBytes: 1 << 20}, canonicalTestScale)
@@ -136,7 +135,11 @@ func TestV4ContentionCanonicalisation(t *testing.T) {
 
 	// Pre-v4 kinds canonicalise to JSON without the v4 fields.
 	for _, kind := range []string{"run", "cell", "matrix", "sensitivity"} {
-		b, err := json.Marshal(canonicalRequest(JobRequest{Kind: kind}, canonicalTestScale))
+		canon, err := canonicalRequest(JobRequest{Kind: kind}, canonicalTestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,26 +103,24 @@ func (c *coordinator) view() ClusterView {
 
 // compile validates req through the daemon's own compile — validation
 // lives in one place — and, for a matrix, sensitivity or contention
-// request, swaps the local jobFunc for a sharded one: the request's flat
-// sub-job list fanned out over the fleet, assembled in order into the
-// exact response a single daemon returns. Other kinds run locally.
-func (c *coordinator) compile(req JobRequest, defaultScale float64) (jobFunc, error) {
-	local, err := compile(req, defaultScale)
+// request, swaps the local jobFunc for a sharded one: the canonical
+// request's flat sub-job list fanned out over the fleet, assembled in
+// order into the exact response a single daemon returns. Other kinds run
+// locally.
+func (c *coordinator) compile(req JobRequest, defaultScale float64) (JobRequest, jobFunc, error) {
+	canon, local, err := compile(req, defaultScale)
 	if err != nil {
-		return nil, err
+		return JobRequest{}, nil, err
 	}
-	// The canonical request carries every default explicitly, so the
-	// sub-jobs — and their content addresses — are fully specified.
-	req = canonicalRequest(req, defaultScale)
-	subs, assemble, err := subJobs(req)
+	subs, assemble, err := subJobs(canon)
 	if err != nil {
-		return nil, err
+		return JobRequest{}, nil, err
 	}
 	if subs == nil {
-		return local, nil
+		return canon, local, nil
 	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		results, err := c.fanOut(ctx, subs, req.Scale, report)
+	return canon, func(ctx context.Context, report core.ProgressFunc) (any, error) {
+		results, err := c.fanOut(ctx, subs, report)
 		if err != nil {
 			return nil, err
 		}
@@ -130,12 +128,12 @@ func (c *coordinator) compile(req JobRequest, defaultScale float64) (jobFunc, er
 	}, nil
 }
 
-// subJobs decomposes a canonical sweep request into its sub-jobs plus the
-// step that assembles their results, in list order, into the response a
-// single daemon produces. Matrix and sensitivity cells are "cell"
-// sub-jobs — every sensitivity point goes into the one list — and
-// contention cells are multi-tenant closed-loop "run" sub-jobs. Kinds
-// that do not shard return no sub-jobs.
+// subJobs decomposes a canonical sweep request into its canonical
+// sub-jobs plus the step that assembles their results, in list order,
+// into the response a single daemon produces. Matrix and sensitivity
+// cells are "cell" sub-jobs — every sensitivity point goes into the one
+// list — and contention cells are multi-tenant closed-loop "run"
+// sub-jobs. Kinds that do not shard return no sub-jobs.
 func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
 	cell := func(c core.MatrixCell, value float64) JobRequest {
 		return JobRequest{
@@ -198,7 +196,8 @@ func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
 				Tenants:    c.Mix.Tenants,
 			}
 			if c.Buffered {
-				sub.WriteCache = &cache.Config{CapacityBytes: req.CacheBytes}
+				wc := cache.Config{CapacityBytes: req.CacheBytes}.Normalize()
+				sub.WriteCache = &wc
 			}
 			subs = append(subs, sub)
 		}
@@ -218,7 +217,7 @@ func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
 // order until ctx is done and reporting one progress step per completed
 // sub-job. It returns ctx's error after a cancel, else the lowest-indexed
 // sub-job error, else the results in list order.
-func (c *coordinator) fanOut(ctx context.Context, subs []JobRequest, scale float64, report core.ProgressFunc) ([]*core.Result, error) {
+func (c *coordinator) fanOut(ctx context.Context, subs []JobRequest, report core.ProgressFunc) ([]*core.Result, error) {
 	results := make([]*core.Result, len(subs))
 	errs := make([]error, len(subs))
 	workers := runtime.GOMAXPROCS(0)
@@ -233,7 +232,7 @@ func (c *coordinator) fanOut(ctx context.Context, subs []JobRequest, scale float
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i], errs[i] = c.place(ctx, subs[i], scale)
+				results[i], errs[i] = c.place(ctx, subs[i])
 				if errs[i] == nil && report != nil {
 					report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
 				}
@@ -266,10 +265,10 @@ dispatch:
 // worker that rejects the sub-job (HTTP 400) judged the request, so the
 // job fails with its message and the worker stays in the ring; any other
 // failure drops the worker from the ring.
-func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64) (*core.Result, error) {
+func (c *coordinator) place(ctx context.Context, sub JobRequest) (*core.Result, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
-	key := jobKey(sub, scale)
+	key := canonicalKey(sub)
 	for attempt := 0; attempt < 2; attempt++ {
 		node := c.pick(key)
 		if node == "" {
@@ -290,7 +289,8 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, scale float64) 
 	}
 	// No worker could serve the sub-job: run it here so the sweep completes.
 	c.fallbackCells.Add(1)
-	run, err := compile(sub, scale)
+	// The sub-job is canonical, so no default scale applies.
+	_, run, err := compile(sub, sub.Scale)
 	if err != nil {
 		return nil, err
 	}

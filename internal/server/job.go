@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"ipusim/internal/cache"
@@ -38,11 +40,13 @@ func (s JobState) Terminal() bool {
 
 // JobRequest is the POST /v1/jobs submission body. Kind selects the
 // experiment; the remaining fields parameterise it, with zero values
-// falling back to the evaluation defaults.
+// falling back to the evaluation defaults. A request may set only the
+// fields its kind reads (see canonicalRequest).
 type JobRequest struct {
-	// Kind is "run" (one trace through one scheme), "matrix" (a
-	// traces x schemes x P/E sweep), "sensitivity" (a device-parameter
-	// sweep) or "contention" (the multi-tenant contention study).
+	// Kind is "run" (one trace through one scheme), "cell" (one sweep
+	// cell), "matrix" (a traces x schemes x P/E sweep), "sensitivity" (a
+	// device-parameter sweep) or "contention" (the multi-tenant contention
+	// study).
 	Kind string `json:"kind"`
 
 	// Run parameters.
@@ -67,29 +71,24 @@ type JobRequest struct {
 	Scale float64 `json:"scale,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 
-	// Multi-tenant closed-loop parameters (request schema v3). Tenants
-	// replays K tenant streams interleaved onto one device instead of the
-	// single Trace; WriteCache puts a DRAM write buffer in front of the
-	// device. Both require kind "run" with queueDepth > 0, and both carry
-	// omitempty so v2 submissions (which cannot set them) canonicalise —
-	// and therefore content-address — exactly as before.
+	// Multi-tenant closed-loop parameters. Tenants replays K tenant
+	// streams interleaved onto one device instead of the single Trace;
+	// WriteCache puts a DRAM write buffer in front of the device. Both
+	// require kind "run" with queueDepth > 0.
 	Tenants    []workload.TenantSpec `json:"tenants,omitempty"`
 	WriteCache *cache.Config         `json:"writeCache,omitempty"`
 
-	// Contention-study parameters (request schema v4). Kind "contention"
-	// replays every (mix, buffer arm, scheme) cell of the multi-tenant
-	// contention study: Mixes lists the tenant compositions (empty means
-	// the default evaluation mixes), Schemes the FTLs to rank, QueueDepth
-	// the shared closed-loop depth, and CacheBytes the buffered arm's
-	// write-cache capacity. Both fields carry omitempty, so v2/v3
-	// submissions canonicalise — and content-address — exactly as before.
+	// Contention-study parameters. Kind "contention" replays every (mix,
+	// buffer arm, scheme) cell of the multi-tenant contention study: Mixes
+	// lists the tenant compositions (empty means the default evaluation
+	// mixes), Schemes the FTLs to rank, QueueDepth the shared closed-loop
+	// depth, and CacheBytes the buffered arm's write-cache capacity.
 	Mixes      []core.TenantMix `json:"mixes,omitempty"`
 	CacheBytes int64            `json:"cacheBytes,omitempty"`
 
 	// Parallelism is accepted and ignored: every replay is serial. It
 	// stays on the wire so existing clients keep working; negative values
-	// are still rejected, and canonicalisation zeroes it, so it never
-	// enters the job's content address.
+	// are rejected, and it never enters the job's content address.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	// Timeout caps the job's wall-clock run time (Go duration string,
@@ -173,48 +172,40 @@ func (j *Job) viewLocked() JobView {
 	return v
 }
 
-// compile validates the request and builds its executable jobFunc.
-// Validation happens at submit time so a bad request fails with 400
-// instead of occupying a queue slot and failing later.
-func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
-	if req.Scale == 0 {
-		req.Scale = defaultScale
-	}
-	if req.Scale <= 0 || req.Scale > 1 {
-		return nil, fmt.Errorf("scale %v out of (0, 1]", req.Scale)
-	}
-	if req.Seed == 0 {
-		req.Seed = 42
-	}
+// compile canonicalises the request, validates the canonical form and
+// builds its executable jobFunc. Validation happens at submit time so a
+// bad request fails with 400 instead of occupying a queue slot and
+// failing later. The canonical request it returns carries the job's key
+// and, for a sweep, the coordinator's sub-jobs.
+func compile(req JobRequest, defaultScale float64) (JobRequest, jobFunc, error) {
 	if req.Parallelism < 0 {
-		return nil, fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
+		return JobRequest{}, nil, fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
 	}
-	if req.Kind != "run" && (len(req.Tenants) > 0 || req.WriteCache != nil) {
-		return nil, fmt.Errorf("tenants and writeCache apply only to run jobs, not %q", req.Kind)
+	canon, err := canonicalRequest(req, defaultScale)
+	if err != nil {
+		return JobRequest{}, nil, err
 	}
-	if req.Kind != "contention" && (len(req.Mixes) > 0 || req.CacheBytes != 0) {
-		return nil, fmt.Errorf("mixes and cacheBytes apply only to contention jobs, not %q", req.Kind)
+	if canon.Scale <= 0 || canon.Scale > 1 {
+		return JobRequest{}, nil, fmt.Errorf("scale %v out of (0, 1]", canon.Scale)
 	}
-	// A stray param on a run would otherwise be dropped by canonicalisation
-	// and the run stored under a plain run's key.
-	if req.Kind != "cell" && req.Kind != "sensitivity" && (req.Param != "" || req.ParamValue != 0) {
-		return nil, fmt.Errorf("param and paramValue apply only to cell and sensitivity jobs, not %q", req.Kind)
+	if err := checkSweepSize(canon); err != nil {
+		return JobRequest{}, nil, err
 	}
-	if err := checkSweepSize(req, defaultScale); err != nil {
-		return nil, err
-	}
-	switch req.Kind {
+	var run jobFunc
+	switch canon.Kind {
 	case "run", "cell":
-		return compileRun(req)
+		run, err = compileRun(canon)
 	case "matrix":
-		return compileMatrix(req)
+		run, err = compileMatrix(canon)
 	case "sensitivity":
-		return compileSensitivity(req)
+		run, err = compileSensitivity(canon)
 	case "contention":
-		return compileContention(req)
-	default:
-		return nil, fmt.Errorf("unknown kind %q (want run, cell, matrix, sensitivity or contention)", req.Kind)
+		run, err = compileContention(canon)
 	}
+	if err != nil {
+		return JobRequest{}, nil, err
+	}
+	return canon, run, nil
 }
 
 // maxSweepCells bounds the cells one sweep request may expand to. The
@@ -224,12 +215,12 @@ func compile(req JobRequest, defaultScale float64) (jobFunc, error) {
 // recover can turn into a failed job.
 const maxSweepCells = 4096
 
-// checkSweepSize rejects a matrix, sensitivity or contention request
-// whose cell count exceeds maxSweepCells. The count is the product of the
-// canonical request's list lengths, taken before any cell list is built;
-// the running product never exceeds the bound, so it cannot overflow.
-func checkSweepSize(req JobRequest, defaultScale float64) error {
-	req = canonicalRequest(req, defaultScale)
+// checkSweepSize rejects a canonical matrix, sensitivity or contention
+// request whose cell count exceeds maxSweepCells. The count is the
+// product of the request's list lengths, taken before any cell list is
+// built; the running product never exceeds the bound, so it cannot
+// overflow.
+func checkSweepSize(req JobRequest) error {
 	var dims []int
 	switch req.Kind {
 	case "matrix":
@@ -249,19 +240,9 @@ func checkSweepSize(req JobRequest, defaultScale float64) error {
 	return nil
 }
 
-// knownScheme reports whether name is in the scheme registry.
-func knownScheme(name string) bool {
-	for _, s := range core.Schemes() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 func validateSchemes(names []string) error {
 	for _, s := range names {
-		if !knownScheme(s) {
+		if !slices.Contains(core.Schemes(), s) {
 			return fmt.Errorf("unknown scheme %q (registered: %v)", s, core.Schemes())
 		}
 	}
@@ -284,49 +265,30 @@ func validateTraces(names []string) error {
 // fixed at paramValue). Its result is bit-identical to the corresponding
 // element of the full sweep.
 func compileRun(req JobRequest) (jobFunc, error) {
-	if req.Scheme == "" {
-		req.Scheme = "IPU"
-	}
 	multiTenant := len(req.Tenants) > 0
-	if multiTenant {
-		if req.Trace != "" {
-			return nil, fmt.Errorf("trace and tenants are mutually exclusive (per-tenant traces go in tenants[].trace)")
-		}
-	} else if req.Trace == "" {
-		req.Trace = "ts0"
-	}
 	if err := validateSchemes([]string{req.Scheme}); err != nil {
 		return nil, err
 	}
 	if req.QueueDepth < 0 {
 		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
 	}
-	if req.Kind == "cell" && req.QueueDepth != 0 {
-		return nil, fmt.Errorf("cell jobs are open-loop (queueDepth %d not supported)", req.QueueDepth)
-	}
 	if req.PEBaseline < 0 {
 		return nil, fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
 	}
-	// The v3 extensions ride on the closed-loop engine only: an open-loop
-	// replay has no issue gate for the buffer's backpressure or the
-	// tenants' QoS shares to act on.
+	// Tenants and the write cache ride on the closed-loop engine only: an
+	// open-loop replay has no issue gate for the buffer's backpressure or
+	// the tenants' QoS shares to act on.
 	if (multiTenant || req.WriteCache != nil) && req.QueueDepth <= 0 {
 		return nil, fmt.Errorf("tenants and writeCache require a closed-loop run (queueDepth > 0)")
 	}
 	if multiTenant {
-		tenants := workload.NormalizeTenants(req.Tenants, core.DefaultTenantTrace, req.Seed, req.Scale)
-		if err := workload.ValidateTenants(tenants); err != nil {
+		if err := validateTenants(req.Tenants); err != nil {
 			return nil, err
-		}
-		for _, t := range tenants {
-			if err := validateTraces([]string{t.Trace}); err != nil {
-				return nil, err
-			}
 		}
 	} else if err := validateTraces([]string{req.Trace}); err != nil {
 		return nil, err
 	}
-	if req.WriteCache != nil && req.WriteCache.CapacityBytes > 0 {
+	if req.WriteCache != nil {
 		if err := req.WriteCache.Validate(); err != nil {
 			return nil, err
 		}
@@ -402,21 +364,15 @@ func compileMatrix(req JobRequest) (jobFunc, error) {
 	}, nil
 }
 
-// validateMixes checks every contention mix: non-empty, valid tenant
-// specs, known per-tenant traces.
-func validateMixes(mixes []core.TenantMix, seed int64, scale float64) error {
-	for _, mix := range mixes {
-		if len(mix.Tenants) == 0 {
-			return fmt.Errorf("contention mix %q is empty", mix.Name)
-		}
-		tenants := workload.NormalizeTenants(mix.Tenants, core.DefaultTenantTrace, seed, scale)
-		if err := workload.ValidateTenants(tenants); err != nil {
+// validateTenants checks normalised tenant specs: valid parameters and
+// known per-tenant traces.
+func validateTenants(tenants []workload.TenantSpec) error {
+	if err := workload.ValidateTenants(tenants); err != nil {
+		return err
+	}
+	for _, t := range tenants {
+		if err := validateTraces([]string{t.Trace}); err != nil {
 			return err
-		}
-		for _, t := range tenants {
-			if err := validateTraces([]string{t.Trace}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -429,8 +385,13 @@ func compileContention(req JobRequest) (jobFunc, error) {
 	if err := validateSchemes(req.Schemes); err != nil {
 		return nil, err
 	}
-	if err := validateMixes(req.Mixes, req.Seed, req.Scale); err != nil {
-		return nil, err
+	for _, mix := range req.Mixes {
+		if len(mix.Tenants) == 0 {
+			return nil, fmt.Errorf("contention mix %q is empty", mix.Name)
+		}
+		if err := validateTenants(mix.Tenants); err != nil {
+			return nil, err
+		}
 	}
 	if req.QueueDepth < 0 {
 		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
@@ -454,11 +415,7 @@ func compileContention(req JobRequest) (jobFunc, error) {
 
 func compileSensitivity(req JobRequest) (jobFunc, error) {
 	if _, ok := core.SensitivityParams[req.Param]; !ok {
-		params := make([]string, 0, len(core.SensitivityParams))
-		for p := range core.SensitivityParams {
-			params = append(params, p)
-		}
-		return nil, fmt.Errorf("unknown sensitivity param %q (have %v)", req.Param, params)
+		return nil, fmt.Errorf("unknown sensitivity param %q (have %s)", req.Param, strings.Join(core.SensitivityParamNames(), ", "))
 	}
 	if err := validateSchemes(req.Schemes); err != nil {
 		return nil, err

@@ -257,7 +257,7 @@ func (s *Server) recoverLocked(rec jobRecord) {
 
 // requeueRecovered re-enqueues an interrupted job for a fresh run.
 func (s *Server) requeueRecovered(j *Job) {
-	run, err := s.compileFor(j.Request)
+	_, run, err := s.compileFor(j.Request)
 	if err != nil {
 		// The request no longer compiles (e.g. a scheme was unregistered):
 		// surface a terminal failure instead of refusing to start.
@@ -277,10 +277,10 @@ func (s *Server) requeueRecovered(j *Job) {
 	s.queue <- j
 }
 
-// compileFor builds the executable jobFunc for a request: sweeps are
-// sharded by the coordinator when one is configured, everything else
-// compiles to a local run.
-func (s *Server) compileFor(req JobRequest) (jobFunc, error) {
+// compileFor canonicalises a request and builds its executable jobFunc:
+// sweeps are sharded by the coordinator when one is configured,
+// everything else compiles to a local run.
+func (s *Server) compileFor(req JobRequest) (JobRequest, jobFunc, error) {
 	if s.coord != nil {
 		return s.coord.compile(req, s.opts.DefaultScale)
 	}
@@ -305,7 +305,7 @@ func jobTimeout(req JobRequest, def time.Duration) time.Duration {
 // bytes without running — or enqueues it. It returns ErrQueueFull when
 // the bounded queue has no room and ErrClosed after Shutdown began.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	run, err := s.compileFor(req)
+	canon, run, err := s.compileFor(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -317,7 +317,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		}
 		timeout = d
 	}
-	key := jobKey(req, s.opts.DefaultScale)
+	key := canonicalKey(canon)
 	cached, hit := s.cache.Get(key)
 
 	s.mu.Lock()

@@ -144,12 +144,29 @@ func validatingDaemons(t *testing.T) map[string]*httptest.Server {
 // requires a 400 with nothing enqueued.
 func expectRejected(t *testing.T, bodies map[string]string) {
 	t.Helper()
+	expectRejectedNaming(t, bodies, nil)
+}
+
+// expectRejectedNaming is expectRejected whose 400 for bodies[name] must
+// also carry an error containing want[name].
+func expectRejectedNaming(t *testing.T, bodies, want map[string]string) {
+	t.Helper()
 	for daemon, ts := range validatingDaemons(t) {
 		t.Run(daemon, func(t *testing.T) {
 			for name, body := range bodies {
-				resp, _ := postJob(t, ts, body)
+				resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var out struct {
+					Error string `json:"error"`
+				}
+				json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
 				if resp.StatusCode != http.StatusBadRequest {
 					t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+				} else if !strings.Contains(out.Error, want[name]) {
+					t.Errorf("%s: error %q does not name %q", name, out.Error, want[name])
 				}
 			}
 			if st := mustStats(t, ts); st.Submitted != 0 {
@@ -204,11 +221,11 @@ func TestSweepSizeBound(t *testing.T) {
 	for len(atBound.PEBaselines) < maxSweepCells {
 		atBound.PEBaselines = append(atBound.PEBaselines, 1000)
 	}
-	if _, err := compile(atBound, 0.01); err != nil {
+	if _, _, err := compile(atBound, 0.01); err != nil {
 		t.Fatalf("sweep of exactly %d cells rejected: %v", maxSweepCells, err)
 	}
 	atBound.PEBaselines = append(atBound.PEBaselines, 1000)
-	if _, err := compile(atBound, 0.01); err == nil {
+	if _, _, err := compile(atBound, 0.01); err == nil {
 		t.Fatalf("sweep of %d cells accepted", maxSweepCells+1)
 	}
 }
