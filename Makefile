@@ -33,13 +33,17 @@ serve-test:
 
 # The cluster acceptance gate: the result-cache hit path (byte-identical,
 # sim never re-runs), durable-store restart recovery, the consistent-hash
-# ring units, and the coordinator suite — matrix, sensitivity and
-# contention sweeps sharded over in-process workers and compared
-# bit-for-bit to a single daemon (live fleet, all workers down, one
-# killed mid-sweep), a worker's 400 failing the job without dropping the
-# worker, cancellation reaching the worker's sub-jobs, and the shared
-# rejection tables run against a plain daemon and a coordinator — all
-# under the race detector.
+# ring units, and the coordinator suite — forwarded runs and cells and
+# matrix, sensitivity and contention sweeps placed on in-process workers
+# and compared bit-for-bit to a single daemon (live fleet, all workers
+# down, one killed while the coordinator follows a forwarded run), the
+# fallback bound (Workers in-process simulations at most), the dispatch
+# bound (one pool of slots for every job's sub-jobs, so workers that
+# queue that many never answer 429), a worker's 400 or own job timeout
+# failing the job without dropping the worker, the job's deadline
+# forwarded with each sub-job, cancellation reaching the worker's
+# sub-jobs, and the shared rejection tables run against a
+# plain daemon and a coordinator — all under the race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
 	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore' \

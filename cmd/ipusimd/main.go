@@ -13,11 +13,13 @@
 // With -data the daemon is durable: job records and results persist under
 // DIR (atomic write-then-rename), a restarted daemon serves completed
 // results from disk and re-enqueues interrupted jobs, which re-run to
-// bit-identical output. With -coordinator the daemon shards matrix,
-// sensitivity and contention sweeps into per-cell sub-jobs placed on the
-// listed worker daemons by consistent hashing, aggregating their rows
-// into the same response a single daemon produces; a failed worker is
-// dropped from the ring and its cells are re-placed or run locally.
+// bit-identical output. With -coordinator the daemon routes every job to
+// the listed worker daemons by consistent hashing — a run or cell as one
+// sub-job, a matrix, sensitivity or contention sweep as one sub-job per
+// cell — follows each on the worker's progress stream and assembles the
+// same response a single daemon produces; a failed worker is dropped
+// from the ring and its sub-jobs are re-placed or run locally, at most
+// -workers at a time.
 //
 // Endpoints (see internal/server):
 //
@@ -58,7 +60,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8077", "listen address")
-		workers = flag.Int("workers", 0, "concurrent jobs (default GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "concurrent simulations (default GOMAXPROCS): running jobs, or on a coordinator its in-process fallbacks")
 		queue   = flag.Int("queue", 64, "bounded job queue capacity (full queue returns 429)")
 		timeout = flag.Duration("timeout", 10*time.Minute, "default per-job wall-clock timeout")
 		drain   = flag.Duration("drain", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")
@@ -66,7 +68,7 @@ func main() {
 		maxJobs = flag.Int("maxjobs", 1024, "retained job records (older terminal jobs are evicted)")
 		cache   = flag.Int("cache", 256, "in-memory result cache capacity (entries)")
 		data    = flag.String("data", "", "data directory for durable jobs and results (empty = in-memory only)")
-		coord   = flag.String("coordinator", "", "comma-separated worker base URLs; sweeps shard across them")
+		coord   = flag.String("coordinator", "", "comma-separated worker base URLs; every job is placed on them, sweeps cell by cell")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -46,6 +47,10 @@ func applySensitivity(base flash.Config, param string, value float64) (flash.Con
 	case "backlogcap":
 		fc.GCBacklogCap = time.Duration(value * float64(time.Millisecond))
 	case "planes":
+		// Truncating 2.5 to 2 would run the 2-plane point under another name.
+		if value != math.Trunc(value) {
+			return fc, fmt.Errorf("core: sensitivity %s=%v is not a whole number", param, value)
+		}
 		fc.PlanesPerDie = int(value)
 	default:
 		return fc, fmt.Errorf("core: unknown sensitivity parameter %q (have %s)", param, strings.Join(SensitivityParamNames(), ", "))

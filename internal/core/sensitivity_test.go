@@ -52,6 +52,20 @@ func TestRunSensitivityAllParamsValidate(t *testing.T) {
 	}
 }
 
+// TestApplySensitivityRejectsFractionalPlanes: a count parameter takes
+// whole numbers only, so 2.5 planes is an error rather than 2 planes.
+func TestApplySensitivityRejectsFractionalPlanes(t *testing.T) {
+	for _, v := range []float64{2.5, 2.9, 0.5} {
+		if _, err := applySensitivity(smallFlash(), "planes", v); err == nil || !strings.Contains(err.Error(), "whole number") {
+			t.Errorf("planes=%v: err %v, want a whole-number rejection", v, err)
+		}
+	}
+	// A fractional value of a ratio parameter is the normal case.
+	if _, err := applySensitivity(smallFlash(), "slcratio", 0.075); err != nil {
+		t.Errorf("slcratio=0.075: %v", err)
+	}
+}
+
 // TestSensitivityCachePressureShape asserts the regime behaviour the sweep
 // exposes: shrinking the cache increases overflow writes for both schemes.
 func TestSensitivityCachePressureShape(t *testing.T) {

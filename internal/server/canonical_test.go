@@ -187,9 +187,12 @@ func TestUnreadFieldsRejected(t *testing.T) {
 
 // TestSubJobsCanonical pins what placement relies on: the coordinator
 // hashes each sub-job as it stands, so every sub-job must already be
-// canonical for its placement key to be the worker's cache key.
+// canonical for its placement key to be the worker's cache key. A run or
+// cell is its own one sub-job, under the job's own key.
 func TestSubJobsCanonical(t *testing.T) {
 	for _, req := range []JobRequest{
+		{Kind: "run", QueueDepth: 8, Tenants: []workload.TenantSpec{{}, {Weight: 2}}},
+		{Kind: "cell", Param: "planes", ParamValue: 2},
 		{Kind: "matrix"},
 		{Kind: "sensitivity", Param: "planes"},
 		{Kind: "contention"},
@@ -201,6 +204,9 @@ func TestSubJobsCanonical(t *testing.T) {
 		subs, _, err := subJobs(canon)
 		if err != nil || len(subs) == 0 {
 			t.Fatalf("%s: %d sub-jobs, err %v", req.Kind, len(subs), err)
+		}
+		if (req.Kind == "run" || req.Kind == "cell") && (len(subs) != 1 || canonicalKey(subs[0]) != canonicalKey(canon)) {
+			t.Fatalf("%s: sub-jobs %+v, want the canonical request itself", req.Kind, subs)
 		}
 		for _, sub := range subs {
 			again, err := canonicalRequest(sub, canonicalTestScale)

@@ -9,7 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,9 +307,10 @@ func TestRestartRecovery(t *testing.T) {
 // TestCoordinatorSoakWorkerFailure extends the acceptance soak to the
 // cluster, run under -race by `make serve-cluster-test`: a coordinator
 // shards four concurrent matrix sweeps — 32 cell sub-jobs — over two
-// in-process workers, one worker is killed mid-sweep, and every
-// aggregated response must still match a single daemon byte for byte,
-// with no goroutine leaks.
+// in-process workers and forwards two runs owned by worker 2. Worker 2 is
+// killed while the coordinator waits on a forwarded run's stream, and
+// every response must still match a single daemon byte for byte, with no
+// goroutine leaks.
 func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -323,38 +327,55 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 
 	// Four matrix sweeps over 2 traces x 4 schemes = 32 cells in flight.
 	const sweeps = 4
-	bodies := make([]string, sweeps)
-	ids := make([]string, sweeps)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(
+	var bodies, ids []string
+	for i := 0; i < sweeps; i++ {
+		bodies = append(bodies, fmt.Sprintf(
 			`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","MGA","IPU","IPU-AC"],"scale":0.02,"seed":%d}`,
-			50+i)
-		resp, v := postJob(t, tsc, bodies[i])
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep %d: HTTP %d", i, resp.StatusCode)
+			50+i))
+	}
+	// Two runs the ring places on worker 2, long enough to be mid-replay
+	// when it dies.
+	for seed := 60; len(bodies) < sweeps+2; seed++ {
+		req := JobRequest{Kind: "run", Trace: "ts0", Scale: 0.1, Seed: int64(seed)}
+		if coord.coord.pick(jobKey(req, pool.DefaultScale)) == ts2.URL {
+			bodies = append(bodies, string(mustMarshal(t, req)))
 		}
-		ids[i] = v.ID
+	}
+	for i, body := range bodies {
+		resp, v := postJob(t, tsc, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: HTTP %d", i, resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
 	}
 
-	// Kill worker 2 once it has demonstrably executed sub-jobs.
+	// Kill worker 2 while the coordinator follows a forwarded run there.
+	var killed string // the key of that run
 	deadline := time.Now().Add(30 * time.Second)
-	for w2.Stats().Executed == 0 {
+	for killed == "" {
+		for _, v := range w2.Jobs() {
+			if v.Kind == "run" && v.State == StateRunning && v.Progress.Replayed > 0 {
+				killed = v.Key
+			}
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("worker 2 never received a cell")
+			t.Fatal("worker 2 never started a forwarded run")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ts2.Close()
+	// A hard stop cancels its jobs and ends every open stream; then the
+	// listener goes.
 	{
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		w2.Shutdown(ctx)
+		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
+		w2.Shutdown(ctx)
+		ts2.Close()
 	}
 
 	for _, id := range ids {
 		v := waitState(t, tsc, id, func(v JobView) bool { return v.State.Terminal() }, 120*time.Second)
 		if v.State != StateDone {
-			t.Fatalf("sweep %s: state %s (error %q) after worker kill, want done", id, v.State, v.Error)
+			t.Fatalf("job %s: state %s (error %q) after worker kill, want done", id, v.State, v.Error)
 		}
 	}
 
@@ -368,16 +389,21 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 	if view.RemoteCells == 0 {
 		t.Fatal("coordinator placed no cells remotely")
 	}
+	// Like a sweep cell, the run lost with worker 2 was re-placed on the
+	// survivor.
+	if !slices.ContainsFunc(w1.Jobs(), func(v JobView) bool { return v.Key == killed && v.State == StateDone }) {
+		t.Fatalf("run %s, killed on worker 2, never completed on worker 1", killed)
+	}
 	t.Logf("soak: %d cells remote, %d local fallback", view.RemoteCells, view.FallbackCells)
 
-	// Bit-for-bit: every aggregated response equals a single plain daemon's.
+	// Bit-for-bit: every response equals a single plain daemon's.
 	ref := New(pool)
 	tsr := httptest.NewServer(ref.Handler())
 	for i, id := range ids {
 		got := fetchResultBytes(t, tsc, id)
 		_, want := runToResult(t, tsr, bodies[i], 120*time.Second)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("sweep %d: coordinator result differs from single daemon", i)
+			t.Fatalf("job %d: coordinator result differs from single daemon", i)
 		}
 	}
 
@@ -502,41 +528,257 @@ func TestCoordinatorRejectedSubJobKeepsWorker(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCancelPropagates cancels a sharded matrix sweep while a
-// worker replays one of its cells: the coordinator must cancel the
-// sub-jobs the worker accepted, so the worker stops within seconds
-// instead of finishing cells nobody waits for.
+// TestCoordinatorCancelPropagates cancels a job while a worker replays
+// one of its sub-jobs — a sharded matrix sweep's cell, or a forwarded run
+// the coordinator follows on the worker's stream: the coordinator must
+// cancel the sub-jobs the worker accepted, so the worker stops within
+// seconds instead of finishing work nobody waits for.
 func TestCoordinatorCancelPropagates(t *testing.T) {
-	_, tsw := newTestService(t, Options{Workers: 1})
-	_, tsc := newTestService(t, Options{Workers: 1, WorkerURLs: []string{tsw.URL}})
+	// Sub-jobs big enough to still be replaying when the cancel lands.
+	for name, body := range map[string]string{
+		"sweep": `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","MGA","IPU","IPU-AC"],"scale":0.5,"seed":3}`,
+		"run":   `{"kind":"run","trace":"ts0","scale":0.5,"seed":3}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, tsw := newTestService(t, Options{Workers: 1})
+			_, tsc := newTestService(t, Options{Workers: 1, WorkerURLs: []string{tsw.URL}})
 
-	// Cells big enough to still be replaying when the cancel lands.
-	_, v := postJob(t, tsc, `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","MGA","IPU","IPU-AC"],"scale":0.5,"seed":3}`)
+			_, v := postJob(t, tsc, body)
+			deadline := time.Now().Add(30 * time.Second)
+			for mustStats(t, tsw).Running == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("worker never started a sub-job")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			resp, err := tsc.Client().Post(tsc.URL+"/v1/jobs/"+v.ID+"/cancel", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 10*time.Second); done.State != StateCancelled {
+				t.Fatalf("job state %s, want cancelled", done.State)
+			}
+
+			deadline = time.Now().Add(5 * time.Second)
+			for {
+				st := mustStats(t, tsw)
+				if st.Running == 0 && st.Cancelled > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("worker stats %+v 5s after the cancel, want running 0 and cancelled > 0", st)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// abortingWorker is a worker URL that drops every connection: unlike a
+// closed listener, its port cannot be reused by a server started later
+// in the test.
+func abortingWorker(t *testing.T) string {
+	t.Helper()
+	down := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(down.Close)
+	return down.URL
+}
+
+// TestCoordinatorForwardsRuns: a coordinator places single runs and cells
+// on the fleet too, each as one sub-job carrying the canonical request.
+// Every kind of run must come back with the key, the result bytes and the
+// final request-level progress a plain daemon gives it, counted as a
+// remote sub-job; with the whole fleet dead, each runs in-process, is
+// counted as a fallback, and its bytes still match.
+func TestCoordinatorForwardsRuns(t *testing.T) {
+	bodies := map[string]string{
+		"open loop":    `{"kind":"run","trace":"ts0","scheme":"IPU","scale":0.01,"seed":11}`,
+		"closed loop":  `{"kind":"run","trace":"wdev0","scheme":"Baseline","queueDepth":8,"writeCache":{"capacityBytes":262144},"scale":0.01,"seed":12}`,
+		"multi-tenant": `{"kind":"run","queueDepth":8,"tenants":[{"name":"a","trace":"ts0","weight":3},{"name":"b","trace":"wdev0"}],"scale":0.005,"seed":13}`,
+		"cell":         `{"kind":"cell","trace":"ts0","scheme":"IPU","param":"planes","paramValue":2,"scale":0.01,"seed":14}`,
+	}
+	pool := Options{Workers: 2, DefaultScale: 0.01}
+	_, tsr := newTestService(t, pool)
+	type reference struct {
+		view   JobView
+		result []byte
+	}
+	want := map[string]reference{}
+	for name, body := range bodies {
+		v, b := runToResult(t, tsr, body, 60*time.Second)
+		if v.Progress.Replayed == 0 || v.Progress.Replayed != v.Progress.Total {
+			t.Fatalf("%s: plain daemon's final progress %+v not complete", name, v.Progress)
+		}
+		want[name] = reference{v, b}
+	}
+
+	_, tsw := newTestService(t, pool)
+	for _, tc := range []struct {
+		name   string
+		worker string
+		remote bool
+	}{
+		{"live worker", tsw.URL, true},
+		{"workers down", abortingWorker(t), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			copts := pool
+			copts.WorkerURLs = []string{tc.worker}
+			coordSvc, tsc := newTestService(t, copts)
+			var n uint64
+			for name, body := range bodies {
+				v, got := runToResult(t, tsc, body, 60*time.Second)
+				n++
+				if v.Key != want[name].view.Key {
+					t.Errorf("%s: key %s, want %s", name, v.Key, want[name].view.Key)
+				}
+				if v.Progress != want[name].view.Progress {
+					t.Errorf("%s: final progress %+v, want %+v", name, v.Progress, want[name].view.Progress)
+				}
+				if !bytes.Equal(got, want[name].result) {
+					t.Errorf("%s: coordinator result differs from single daemon:\n%s\nvs\n%s", name, got, want[name].result)
+				}
+				remote, local := n, uint64(0)
+				if !tc.remote {
+					remote, local = 0, n
+				}
+				if st := mustStatsOf(coordSvc); st.RemoteCells != remote || st.FallbackCells != local {
+					t.Fatalf("%s: remote %d fallback %d, want %d and %d", name, st.RemoteCells, st.FallbackCells, remote, local)
+				}
+			}
+		})
+	}
+
+	// Workers whose own job timeout would cancel every sub-job at once:
+	// a forwarded sub-job carries its job's remaining deadline — the
+	// request's timeout or the coordinator's default — so it completes
+	// there. With no deadline to forward, the worker's timeout fails the
+	// job. Either way both workers stay in the ring.
+	t.Run("worker timeout", func(t *testing.T) {
+		short := pool
+		short.JobTimeout = time.Nanosecond
+		_, tsw1 := newTestService(t, short)
+		_, tsw2 := newTestService(t, short)
+		copts := pool
+		copts.WorkerURLs = []string{tsw1.URL, tsw2.URL}
+		coordSvc, tsc := newTestService(t, copts)
+		for name, body := range map[string]string{
+			"open loop":   strings.Replace(bodies["open loop"], "{", `{"timeout":"1h",`, 1),
+			"closed loop": bodies["closed loop"],
+		} {
+			if _, got := runToResult(t, tsc, body, 60*time.Second); !bytes.Equal(got, want[name].result) {
+				t.Errorf("%s: coordinator result differs from single daemon:\n%s\nvs\n%s", name, got, want[name].result)
+			}
+		}
+		if st := mustStatsOf(coordSvc); st.RemoteCells != 2 || st.FallbackCells != 0 {
+			t.Fatalf("remote %d fallback %d, want both runs on the workers", st.RemoteCells, st.FallbackCells)
+		}
+
+		copts.JobTimeout = -1
+		unbounded, tsu := newTestService(t, copts)
+		resp, v := postJob(t, tsu, bodies["cell"])
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d", resp.StatusCode)
+		}
+		done := waitState(t, tsu, v.ID, func(v JobView) bool { return v.State.Terminal() }, 30*time.Second)
+		if done.State != StateFailed || !strings.Contains(done.Error, errTimedOut.Error()) {
+			t.Fatalf("job state %s (error %q), want failed at the worker's timeout", done.State, done.Error)
+		}
+		for _, svc := range []*Server{coordSvc, unbounded} {
+			if view := svc.coord.view(); !view.Alive[tsw1.URL] || !view.Alive[tsw2.URL] || view.FallbackCells != 0 {
+				t.Fatalf("cluster view = %+v, want both workers alive and no fallback", view)
+			}
+		}
+	})
+}
+
+// TestCoordinatorDispatchBound: however many jobs a coordinator has in
+// flight, its sub-jobs share one pool of dispatch slots. Workers that
+// queue exactly that many sub-jobs (one running, the rest queued) never
+// answer 429, though the sweeps in flight have more cells than the pool
+// has slots.
+func TestCoordinatorDispatchBound(t *testing.T) {
+	bound := max(runtime.GOMAXPROCS(0), 4) // two per worker
+	wopts := Options{Workers: 1, QueueCap: bound - 1, DefaultScale: 0.01}
+	w1, tsw1 := newTestService(t, wopts)
+	w2, tsw2 := newTestService(t, wopts)
+	svc, ts := newTestService(t, Options{Workers: 1, WorkerURLs: []string{tsw1.URL, tsw2.URL}, DefaultScale: 0.01})
+	if got := cap(svc.coord.calls); got != bound {
+		t.Fatalf("%d dispatch slots, want %d", got, bound)
+	}
+	sweeps := bound/4 + 2 // four cells each
+	var ids []string
+	for seed := 1; seed <= sweeps; seed++ {
+		resp, v := postJob(t, ts, fmt.Sprintf(`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","IPU"],"seed":%d}`, seed))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("sweep %d: HTTP %d", seed, resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
+	}
+	for _, id := range ids {
+		if v := waitState(t, ts, id, func(v JobView) bool { return v.State.Terminal() }, 120*time.Second); v.State != StateDone {
+			t.Fatalf("sweep %s: state %s (error %q), want done", id, v.State, v.Error)
+		}
+	}
+	if st := mustStatsOf(svc); st.RemoteCells != uint64(4*sweeps) || st.FallbackCells != 0 {
+		t.Fatalf("remote %d fallback %d, want all %d cells on the workers", st.RemoteCells, st.FallbackCells, 4*sweeps)
+	}
+	for i, w := range []*Server{w1, w2} {
+		if st := mustStatsOf(w); st.Rejected != 0 {
+			t.Errorf("worker %d answered 429 %d times", i+1, st.Rejected)
+		}
+	}
+}
+
+// TestCoordinatorFallbackBound: on a coordinator, Workers bounds the
+// simulations it runs in-process, not the jobs it has in flight. Two
+// concurrent sweeps with the whole fleet dead are both in flight while
+// one fallback simulation holds the single slot, and on Workers 1 no two
+// fallback simulations ever overlap.
+func TestCoordinatorFallbackBound(t *testing.T) {
+	svc, ts := newTestService(t, Options{Workers: 1, WorkerURLs: []string{abortingWorker(t)}, DefaultScale: 0.01})
+	// The first simulation holds its slot until both sweeps are seen in
+	// flight; the cleanup releases it on a failed test, before shutdown.
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	var active, peak atomic.Int64
+	svc.coord.testHookSim = func(delta int) {
+		n := active.Add(int64(delta))
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if delta > 0 {
+			<-release
+		}
+	}
+	var ids []string
+	for seed := 1; seed <= 2; seed++ {
+		resp, v := postJob(t, ts, fmt.Sprintf(`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","IPU"],"seed":%d}`, seed))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("sweep %d: HTTP %d", seed, resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for mustStats(t, tsw).Running == 0 {
+	for mustStatsOf(svc).Running != 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never started a cell")
+			t.Fatalf("stats %+v: both sweeps never in flight at once", mustStatsOf(svc))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	resp, err := tsc.Client().Post(tsc.URL+"/v1/jobs/"+v.ID+"/cancel", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 10*time.Second); done.State != StateCancelled {
-		t.Fatalf("sweep state %s, want cancelled", done.State)
-	}
-
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		st := mustStats(t, tsw)
-		if st.Running == 0 && st.Cancelled > 0 {
-			break
+	once.Do(func() { close(release) })
+	for _, id := range ids {
+		if v := waitState(t, ts, id, func(v JobView) bool { return v.State.Terminal() }, 120*time.Second); v.State != StateDone {
+			t.Fatalf("sweep %s: state %s (error %q), want done", id, v.State, v.Error)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker stats %+v 5s after the cancel, want running 0 and cancelled > 0", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if st := mustStatsOf(svc); st.FallbackCells != 8 {
+		t.Fatalf("fallback %d, want all 8 cells in-process", st.FallbackCells)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d in-process simulations ran at once on Workers 1", p)
 	}
 }

@@ -30,14 +30,15 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add([]byte(`{"kind":"cell","param":"planes","paramValue":4,"timeout":"1m","parallelism":2}`))
 	f.Add([]byte(contentionTestBody))
 	f.Add([]byte(`{"kind":"contention"}`))
-	// Fields the kind does not read, and a geometry whose unit count
-	// overflows: each must be rejected.
+	// Fields the kind does not read, a geometry whose unit count
+	// overflows and a fractional plane count: each must be rejected.
 	for _, body := range []string{
 		`{"kind":"sensitivity","param":"slcratio","peBaselines":[5000]}`,
 		`{"kind":"matrix","queueDepth":8}`,
 		`{"kind":"matrix","peBaseline":5000}`,
 		`{"kind":"cell","paramValue":3}`,
 		`{"kind":"cell","param":"planes","paramValue":4611686018427387904}`,
+		`{"kind":"cell","param":"planes","paramValue":2.5}`,
 	} {
 		var req JobRequest
 		if err := json.Unmarshal([]byte(body), &req); err != nil {

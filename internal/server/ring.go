@@ -91,6 +91,3 @@ func (r *ring) lookup(key string) string {
 	}
 	return r.points[i].node
 }
-
-// size reports the live node count.
-func (r *ring) size() int { return len(r.nodes) }

@@ -124,15 +124,15 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	r.add("http://w0")
 	r.add("http://w0") // duplicate add is a no-op
-	if r.size() != 1 || len(r.points) != defaultRingReplicas {
-		t.Fatalf("size %d points %d after duplicate add", r.size(), len(r.points))
+	if len(r.nodes) != 1 || len(r.points) != defaultRingReplicas {
+		t.Fatalf("size %d points %d after duplicate add", len(r.nodes), len(r.points))
 	}
 	if got := r.lookup("anything"); got != "http://w0" {
 		t.Fatalf("single-node lookup = %q", got)
 	}
 	r.remove("http://missing") // absent remove is a no-op
 	r.remove("http://w0")
-	if r.size() != 0 || r.lookup("anything") != "" {
+	if len(r.nodes) != 0 || r.lookup("anything") != "" {
 		t.Fatalf("ring not empty after removing last node")
 	}
 }

@@ -11,12 +11,12 @@
 // the cached bytes at memory speed without touching the sim. With a data
 // directory, the job table survives restarts: completed results are
 // served from disk and interrupted work is re-enqueued, re-running to
-// bit-identical output. And in coordinator mode the daemon shards
-// matrix, sensitivity and contention sweeps into per-cell sub-jobs
-// placed on worker daemons by consistent hashing, aggregating streamed
-// rows into the same response a single daemon produces — with failed
-// workers dropped from the ring and their cells re-placed or run
-// locally.
+// bit-identical output. And in coordinator mode the daemon routes every
+// job to worker daemons by consistent hashing — a run or cell as one
+// sub-job, a matrix, sensitivity or contention sweep as one sub-job per
+// cell — follows each on the worker's progress stream and assembles the
+// same response a single daemon produces, with failed workers dropped
+// from the ring and their sub-jobs re-placed or run locally.
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
 // when full, every job runs under a per-job timeout with panic recovery,
@@ -42,7 +42,10 @@ import (
 // Options configures a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
-	// Workers bounds concurrently running jobs; 0 means GOMAXPROCS.
+	// Workers bounds concurrent simulations; 0 means GOMAXPROCS. On a
+	// plain daemon that is its running jobs. A coordinator runs up to
+	// QueueCap jobs at once, since they wait on the fleet, and Workers
+	// bounds only the sub-jobs it runs in-process when no worker can.
 	Workers int
 	// QueueCap bounds jobs waiting to run; a full queue rejects
 	// submissions with 429. 0 means 64.
@@ -63,8 +66,10 @@ type Options struct {
 	// reloads completed results and re-enqueues interrupted work.
 	DataDir string
 	// WorkerURLs, when non-empty, puts the server in coordinator mode:
-	// matrix, sensitivity and contention jobs are sharded into per-cell
-	// sub-jobs placed on these worker daemons by consistent hashing.
+	// every job is placed on these worker daemons by consistent hashing
+	// — a run or cell as one sub-job, a matrix, sensitivity or
+	// contention sweep as one sub-job per cell. At most
+	// max(GOMAXPROCS, 2×len(WorkerURLs)) sub-jobs are in flight on them.
 	WorkerURLs []string
 }
 
@@ -97,12 +102,15 @@ type Stats struct {
 	Done      uint64 `json:"done"`
 	Failed    uint64 `json:"failed"`
 	Cancelled uint64 `json:"cancelled"`
-	// Executed counts jobs that actually invoked the simulator; CacheHits
-	// counts submissions served from the result cache without running.
+	// Executed counts jobs that ran rather than being served from the
+	// result cache — on a coordinator, jobs placed on the fleet, whose
+	// simulations ran on workers or in fallback. CacheHits counts
+	// submissions served from the result cache without running.
 	Executed  uint64 `json:"executed"`
 	CacheHits uint64 `json:"cacheHits"`
-	// RemoteCells counts sweep cells this coordinator placed on workers;
-	// FallbackCells counts cells run in-process after placement failed.
+	// RemoteCells counts sub-jobs (a run, a cell, a sweep's cell) this
+	// coordinator completed on workers; FallbackCells counts sub-jobs it
+	// ran in-process after placement failed.
 	RemoteCells   uint64 `json:"remoteCells"`
 	FallbackCells uint64 `json:"fallbackCells"`
 	Queued        int    `json:"queued"`
@@ -129,7 +137,7 @@ type Server struct {
 
 	// cache memoises completed result bytes by job key; store (nil unless
 	// DataDir is set) persists job records and results; coord (nil unless
-	// WorkerURLs is set) shards sweeps across the fleet.
+	// WorkerURLs is set) places jobs on the fleet.
 	cache *resultCache
 	store *Store
 	coord *coordinator
@@ -189,14 +197,21 @@ func Open(opts Options) (*Server, error) {
 	}
 	s.cache = newResultCache(opts.CacheCap, store)
 	if len(opts.WorkerURLs) > 0 {
-		s.coord = newCoordinator(opts.WorkerURLs)
+		s.coord = newCoordinator(opts.WorkerURLs, opts.Workers)
 	}
 	s.stats.Workers = opts.Workers
 	s.stats.QueueCap = opts.QueueCap
 	for _, rec := range recovered {
 		s.recoverLocked(rec)
 	}
-	for i := 0; i < opts.Workers; i++ {
+	// A coordinator's jobs wait on the fleet, not on a simulation slot:
+	// Workers bounds only its in-process fallback (coordinator.sims), and
+	// its pool holds up to QueueCap jobs in flight.
+	pool := opts.Workers
+	if s.coord != nil {
+		pool = opts.QueueCap
+	}
+	for i := 0; i < pool; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -278,8 +293,8 @@ func (s *Server) requeueRecovered(j *Job) {
 }
 
 // compileFor canonicalises a request and builds its executable jobFunc:
-// sweeps are sharded by the coordinator when one is configured,
-// everything else compiles to a local run.
+// placed on the fleet when a coordinator is configured, else a local
+// run.
 func (s *Server) compileFor(req JobRequest) (JobRequest, jobFunc, error) {
 	if s.coord != nil {
 		return s.coord.compile(req, s.opts.DefaultScale)

@@ -192,6 +192,8 @@ func TestSubmitValidation(t *testing.T) {
 		"param on run":          `{"kind":"run","param":"slcratio"}`,
 		"negative peBaseline":   `{"kind":"run","peBaseline":-1}`,
 		"matrix peBaselines":    `{"kind":"matrix","peBaselines":[-1]}`,
+		"fractional planes":     `{"kind":"cell","param":"planes","paramValue":2.5}`,
+		"fractional planes 2.9": `{"kind":"cell","param":"planes","paramValue":2.9}`,
 	})
 }
 
