@@ -42,11 +42,14 @@ serve-test:
 # queue that many never answer 429), a worker's 400 or own job timeout
 # failing the job without dropping the worker, the job's deadline
 # forwarded with each sub-job, cancellation reaching the worker's
-# sub-jobs, and the shared rejection tables run against a
-# plain daemon and a coordinator — all under the race detector.
+# sub-jobs, a panicking sweep cell failing only its job on a plain
+# daemon and on a coordinator with its fleet down, a worker's cache hits
+# reading as a cache hit on the coordinator, and the shared rejection
+# tables run against a plain daemon and a coordinator — all under the
+# race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
-	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore' \
+	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit' \
 	  ./internal/server
 	$(GO) test -race -count 1 -run TestDaemonCluster ./cmd/ipusimd
 

@@ -89,7 +89,7 @@ func containsField(b []byte, field string) bool {
 }
 
 // TestV3TenantCanonicalisation checks the v3 fields canonicalise the way
-// compileRun and the core engine normalise them: defaults spelled out,
+// runLocal and the core engine normalise them: defaults spelled out,
 // equivalent submissions sharing one address, distinct ones split.
 func TestV3TenantCanonicalisation(t *testing.T) {
 	implicit := jobKey(JobRequest{
@@ -197,11 +197,7 @@ func TestSubJobsCanonical(t *testing.T) {
 		{Kind: "sensitivity", Param: "planes"},
 		{Kind: "contention"},
 	} {
-		canon, _, err := compile(req, canonicalTestScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs, _, err := subJobs(canon)
+		canon, subs, _, err := compile(req, canonicalTestScale)
 		if err != nil || len(subs) == 0 {
 			t.Fatalf("%s: %d sub-jobs, err %v", req.Kind, len(subs), err)
 		}

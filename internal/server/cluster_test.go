@@ -458,10 +458,11 @@ func TestCoordinatorFallbackAllWorkersDown(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSensitivityMatchesLocal shards a sensitivity sweep — one
-// "cell" sub-job per (point, trace, scheme) — and requires the rendered
-// table to match a single daemon byte for byte, both with a live worker
-// and with every worker down (each cell then runs in-process).
+// TestCoordinatorSensitivityMatchesLocal places a sensitivity sweep's
+// sub-job list — one "cell" per (point, trace, scheme) — on the fleet and
+// requires the rendered table to match a plain daemon's in-process run
+// of the same list byte for byte, both with a live worker and with every
+// worker down (each cell then falls back in-process).
 func TestCoordinatorSensitivityMatchesLocal(t *testing.T) {
 	const body = `{"kind":"sensitivity","param":"slcratio","traces":["ts0"],"schemes":["IPU"],"scale":0.01}`
 	cells := uint64(len(core.SensitivityParams["slcratio"]))
@@ -780,5 +781,43 @@ func TestCoordinatorFallbackBound(t *testing.T) {
 	}
 	if p := peak.Load(); p != 1 {
 		t.Fatalf("%d in-process simulations ran at once on Workers 1", p)
+	}
+}
+
+// TestForwardedCacheHit: a sub-job a worker serves from its own result
+// cache reads on the coordinator as a plain daemon's cache hit does. A
+// run the worker already ran comes back done, cached, with no progress
+// and the worker's bytes; so does a sweep whose every cell the worker
+// already ran, for a second coordinator over the same worker.
+func TestForwardedCacheHit(t *testing.T) {
+	pool := Options{Workers: 1, DefaultScale: 0.01}
+	_, tsw := newTestService(t, pool)
+	copts := pool
+	copts.WorkerURLs = []string{tsw.URL}
+
+	const run = `{"kind":"run","scale":0.01,"seed":3}`
+	first, want := runToResult(t, tsw, run, 60*time.Second)
+	coordSvc, tsc := newTestService(t, copts)
+	v, got := runToResult(t, tsc, run, 60*time.Second)
+	if !v.Cached || v.Progress != (core.Progress{}) || v.Key != first.Key {
+		t.Fatalf("forwarded worker cache hit: cached %v progress %+v key %s, want cached, no progress, key %s",
+			v.Cached, v.Progress, v.Key, first.Key)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("forwarded cache hit differs from the worker's result:\n%s\nvs\n%s", got, want)
+	}
+	if st := mustStatsOf(coordSvc); st.RemoteCells != 1 || st.FallbackCells != 0 {
+		t.Fatalf("remote %d fallback %d, want the run on the worker", st.RemoteCells, st.FallbackCells)
+	}
+
+	const sweep = `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","IPU"],"seed":3}`
+	ran, want := runToResult(t, tsc, sweep, 60*time.Second)
+	if ran.Cached || ran.Progress != (core.Progress{Replayed: 2, Total: 2}) {
+		t.Fatalf("first sweep: cached %v progress %+v, want run with 2 of 2 cells", ran.Cached, ran.Progress)
+	}
+	_, tsc2 := newTestService(t, copts)
+	v, got = runToResult(t, tsc2, sweep, 60*time.Second)
+	if !v.Cached || v.Progress != (core.Progress{}) || !bytes.Equal(got, want) {
+		t.Fatalf("sweep of worker cache hits: cached %v progress %+v, want cached, no progress, same bytes", v.Cached, v.Progress)
 	}
 }

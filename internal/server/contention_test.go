@@ -55,9 +55,10 @@ func TestContentionJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestContentionCoordinatorMatchesLocal shards the same study over an
-// in-process worker fleet: the aggregated response must be byte-identical
-// to a single plain daemon's, with cells demonstrably placed remotely.
+// TestContentionCoordinatorMatchesLocal places the same study's sub-job
+// list on an in-process worker fleet: the assembled response must be
+// byte-identical to a plain daemon's in-process run of the same list,
+// with cells demonstrably placed remotely.
 func TestContentionCoordinatorMatchesLocal(t *testing.T) {
 	pool := Options{Workers: 4, DefaultScale: 0.01}
 	_, tsw := newTestService(t, pool)

@@ -9,24 +9,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ipusim/internal/cache"
 	"ipusim/internal/core"
 )
 
-// coordinator places every job on a fleet of worker daemons. A job
-// becomes one flat list of sub-jobs — a single "run" or "cell" is its own
-// one sub-job, sweeps split into "cell" sub-jobs for matrix and
-// sensitivity cells and multi-tenant "run" sub-jobs for contention cells
-// — each placed on a worker by consistent hashing on its content-addressed
-// key, so the same sub-job always lands on the same worker and its local
-// result cache stays hot. The coordinator follows each sub-job on the
-// worker's progress stream and assembles the results into the same
-// response a single daemon produces.
+// coordinator places a job's sub-jobs on a fleet of worker daemons. The
+// server runs every job as the same flat list of sub-jobs (subJobs) and
+// assembles their results the same way on any daemon; a coordinator only
+// decides where each sub-job runs. It places each on a worker by
+// consistent hashing on its content-addressed key, so the same sub-job
+// always lands on the same worker and its local result cache stays hot,
+// and follows it on the worker's progress stream.
 //
 // Placement: a worker that rejects a sub-job (HTTP 400) fails the job
 // with its message and stays in the ring; a transport error, a 5xx or a
@@ -67,7 +63,7 @@ type coordinator struct {
 func newCoordinator(urls []string, workers int) *coordinator {
 	c := &coordinator{
 		client: &http.Client{},
-		calls:  make(chan struct{}, max(runtime.GOMAXPROCS(0), 2*len(urls))),
+		calls:  make(chan struct{}, fanOutWidth(len(urls))),
 		sims:   make(chan struct{}, workers),
 		ring:   newRing(0, urls...),
 		fleet:  append([]string(nil), urls...),
@@ -122,206 +118,44 @@ func (c *coordinator) view() ClusterView {
 	}
 }
 
-// compile validates req through the daemon's own compile — validation
-// lives in one place — and swaps the local jobFunc for a placed one: the
-// canonical request's flat sub-job list fanned out over the fleet,
-// assembled in order into the exact response a single daemon returns.
-func (c *coordinator) compile(req JobRequest, defaultScale float64) (JobRequest, jobFunc, error) {
-	canon, _, err := compile(req, defaultScale)
-	if err != nil {
-		return JobRequest{}, nil, err
-	}
-	subs, assemble, err := subJobs(canon)
-	if err != nil {
-		return JobRequest{}, nil, err
-	}
-	return canon, func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		results, err := c.fanOut(ctx, subs, report)
-		if err != nil {
-			return nil, err
-		}
-		return assemble(results), nil
-	}, nil
-}
-
-// subJobs decomposes a canonical request into its canonical sub-jobs plus
-// the step that assembles their results, in list order, into the
-// response a single daemon produces. A "run" or "cell" is its own one
-// sub-job, so a worker gets the canonical request unchanged. Matrix and
-// sensitivity cells are "cell" sub-jobs — every sensitivity point goes
-// into the one list — and contention cells are multi-tenant closed-loop
-// "run" sub-jobs.
-func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
-	cell := func(c core.MatrixCell, value float64) JobRequest {
-		return JobRequest{
-			Kind:       "cell",
-			Trace:      c.Trace,
-			Scheme:     c.Scheme,
-			PEBaseline: c.PE,
-			Scale:      req.Scale,
-			Seed:       req.Seed,
-			Param:      req.Param,
-			ParamValue: value,
-		}
-	}
-	spec := core.MatrixSpec{
-		Traces:      req.Traces,
-		Schemes:     req.Schemes,
-		PEBaselines: req.PEBaselines,
-		Scale:       req.Scale,
-		Seed:        req.Seed,
-	}
-	var subs []JobRequest
-	switch req.Kind {
-	case "run", "cell":
-		return []JobRequest{req}, func(rs []*core.Result) any { return rs[0] }, nil
-	case "matrix":
-		for _, c := range core.Cells(spec) {
-			subs = append(subs, cell(c, 0))
-		}
-		return subs, func(rs []*core.Result) any { return rs }, nil
-	case "sensitivity":
-		// A sensitivity point changes only the flash configuration, which a
-		// cell rebuilds from (param, value): every point shares the cells.
-		values := core.SensitivityParams[req.Param]
-		cells := core.Cells(spec)
-		for _, v := range values {
-			for _, c := range cells {
-				subs = append(subs, cell(c, v))
-			}
-		}
-		return subs, func(rs []*core.Result) any {
-			perPoint := make([][]*core.Result, len(values))
-			for i := range perPoint {
-				perPoint[i] = rs[i*len(cells) : (i+1)*len(cells)]
-			}
-			return core.SensitivityTable(req.Param, values, perPoint)
-		}, nil
-	case "contention":
-		cells, err := core.ContentionCells(core.TenantContentionSpec{
-			Mixes:   req.Mixes,
-			Schemes: req.Schemes,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, c := range cells {
-			sub := JobRequest{
-				Kind:       "run",
-				Scheme:     c.Scheme,
-				QueueDepth: req.QueueDepth,
-				Scale:      req.Scale,
-				Seed:       req.Seed,
-				Tenants:    c.Mix.Tenants,
-			}
-			if c.Buffered {
-				wc := cache.Config{CapacityBytes: req.CacheBytes}.Normalize()
-				sub.WriteCache = &wc
-			}
-			subs = append(subs, sub)
-		}
-		return subs, func(rs []*core.Result) any {
-			rows := make([]core.ContentionRow, len(cells))
-			for i, c := range cells {
-				rows[i] = core.ContentionRow{Mix: c.Mix.Name, Scheme: c.Scheme, Buffered: c.Buffered, Result: rs[i]}
-			}
-			return rows
-		}, nil
-	}
-	return nil, nil, fmt.Errorf("unknown kind %q", req.Kind)
-}
-
-// fanOut places every sub-job on a pool as large as the coordinator's
-// dispatch slots, capped at the sub-job count, dispatching in list order
-// until ctx is done. A job of one sub-job relays that sub-job's
-// request-level progress, as a single daemon reports it; a longer list
-// reports one step per completed sub-job. It returns ctx's error after a
-// cancel, else the lowest-indexed sub-job error, else the results in
-// list order.
-func (c *coordinator) fanOut(ctx context.Context, subs []JobRequest, report core.ProgressFunc) ([]*core.Result, error) {
-	if len(subs) == 1 {
-		res, err := c.place(ctx, subs[0], report)
-		if err != nil {
-			return nil, err
-		}
-		return []*core.Result{res}, nil
-	}
-	results := make([]*core.Result, len(subs))
-	errs := make([]error, len(subs))
-	workers := min(cap(c.calls), len(subs))
-	var done atomic.Int64
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = c.place(ctx, subs[i], nil)
-				if errs[i] == nil && report != nil {
-					report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range subs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // place runs one sub-job: on its ring owner in a dispatch slot, once more
-// on the owner after a failure, then in-process through the same compile
-// a worker runs, in one of the Workers simulation slots. A worker that
-// rejects the sub-job (HTTP 400) or cancels it at its own job timeout
-// judged the sub-job, so the job fails with its message and the worker
-// stays in the ring; any other failure drops the worker from the ring. A
-// non-nil report receives the sub-job's progress wherever it runs.
-func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, error) {
+// on the owner after a failure, then in-process (runLocal) in one of the
+// Workers simulation slots. A worker that rejects the sub-job (HTTP 400)
+// or cancels it at its own job timeout judged the sub-job, so the job
+// fails with its message and the worker stays in the ring; any other
+// failure drops the worker from the ring. A non-nil report receives the
+// sub-job's progress wherever it runs. The bool reports a sub-job the
+// worker served from its own result cache.
+func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
 	key := canonicalKey(sub)
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := acquire(ctx, c.calls); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		node := c.pick(key)
 		if node == "" {
 			<-c.calls
 			break
 		}
-		res, err := c.dispatch(ctx, node, sub, report)
+		res, cached, err := c.dispatch(ctx, node, sub, report)
 		<-c.calls
 		if err == nil {
 			c.remoteCells.Add(1)
-			return res, nil
+			return res, cached, nil
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		if errors.Is(err, errRejected) || errors.Is(err, errTimedOut) {
-			return nil, err
+			return nil, false, err
 		}
 		c.markDead(node)
 	}
 	// No worker could serve the sub-job: run it here so the job completes.
 	if err := acquire(ctx, c.sims); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer func() { <-c.sims }()
 	if c.testHookSim != nil {
@@ -329,16 +163,8 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.Pro
 		defer c.testHookSim(-1)
 	}
 	c.fallbackCells.Add(1)
-	// The sub-job is canonical, so no default scale applies.
-	_, run, err := compile(sub, sub.Scale)
-	if err != nil {
-		return nil, err
-	}
-	res, err := run(ctx, report)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*core.Result), nil
+	res, err := runLocal(ctx, sub, report)
+	return res, false, err
 }
 
 // acquire takes a token from sem, or returns ctx's error first.
@@ -368,8 +194,9 @@ var (
 // timeout returns errTimedOut; any other transport or server error, a
 // sub-job that ends other than done, and a stream that ends before the
 // sub-job does are returned for rerouting. Once the worker accepted the
-// sub-job, a cancelled ctx cancels it on the worker too.
-func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest, report core.ProgressFunc) (*core.Result, error) {
+// sub-job, a cancelled ctx cancels it on the worker too. The bool
+// reports a sub-job the worker served from its result cache.
+func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
 	// The submission outlives a cancelled ctx by cancelGrace, so a POST
 	// the worker already accepted still returns the sub-job's ID and the
 	// sub-job can be cancelled there instead of running unobserved.
@@ -379,7 +206,7 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 	var view JobView
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if dl, ok := ctx.Deadline(); ok {
 			// canonicalRequest clears timeout, so the key is unchanged.
@@ -387,23 +214,23 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 		}
 		body, err := json.Marshal(req)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		httpReq, err := http.NewRequestWithContext(postCtx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		httpReq.Header.Set("Content-Type", "application/json")
 		resp, err := c.client.Do(httpReq)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		switch resp.StatusCode {
 		case http.StatusTooManyRequests:
 			// Alive but saturated: back off and resubmit.
 			drain(resp)
 			if err := sleepCtx(ctx, 25*time.Millisecond); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			continue
 		case http.StatusBadRequest:
@@ -414,16 +241,16 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 				out.Error = "unreadable rejection: " + err.Error()
 			}
 			drain(resp)
-			return nil, fmt.Errorf("worker %s: %w: %s", node, errRejected, out.Error)
+			return nil, false, fmt.Errorf("worker %s: %w: %s", node, errRejected, out.Error)
 		case http.StatusAccepted:
 		default:
 			drain(resp)
-			return nil, fmt.Errorf("worker %s: submit HTTP %d", node, resp.StatusCode)
+			return nil, false, fmt.Errorf("worker %s: submit HTTP %d", node, resp.StatusCode)
 		}
 		err = json.NewDecoder(resp.Body).Decode(&view)
 		drain(resp)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		break
 	}
@@ -437,19 +264,19 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 		// A sub-job the worker served from its cache is done already.
 		var err error
 		if view, err = c.follow(ctx, node, id, report); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	if view.State == StateCancelled && view.Error == context.DeadlineExceeded.Error() {
 		// Cancelled by the worker's timeout, not by a cancel or shutdown.
-		return nil, fmt.Errorf("worker %s: job %s: %w: %s", node, id, errTimedOut, view.Error)
+		return nil, false, fmt.Errorf("worker %s: job %s: %w: %s", node, id, errTimedOut, view.Error)
 	}
 	if view.State != StateDone {
-		return nil, fmt.Errorf("worker %s: job %s %s: %s", node, id, view.State, view.Error)
+		return nil, false, fmt.Errorf("worker %s: job %s %s: %s", node, id, view.State, view.Error)
 	}
 	resp, err := c.getOK(ctx, node+"/v1/jobs/"+id+"/result")
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var out struct {
 		Result *core.Result `json:"result"`
@@ -457,12 +284,12 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 	err = json.NewDecoder(resp.Body).Decode(&out)
 	drain(resp)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if out.Result == nil {
-		return nil, fmt.Errorf("worker %s: job %s returned no result", node, id)
+		return nil, false, fmt.Errorf("worker %s: job %s returned no result", node, id)
 	}
-	return out.Result, nil
+	return out.Result, view.Cached, nil
 }
 
 // follow reads a worker job's progress stream until its terminal event

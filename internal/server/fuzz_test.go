@@ -44,7 +44,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			f.Fatal(err)
 		}
-		if _, _, err := compile(req, canonicalTestScale); err == nil {
+		if _, _, _, err := compile(req, canonicalTestScale); err == nil {
 			f.Fatalf("compile accepted %s", body)
 		}
 		f.Add([]byte(body))
@@ -56,7 +56,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if dec.Decode(&req) != nil {
 			return
 		}
-		canon, _, err := compile(req, canonicalTestScale)
+		canon, _, _, err := compile(req, canonicalTestScale)
 		if err != nil {
 			return
 		}
@@ -77,7 +77,7 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err := json.Unmarshal(enc, &decoded); err != nil {
 			t.Fatalf("canonical request does not decode: %v\n%s", err, enc)
 		}
-		round, _, err := compile(decoded, canonicalTestScale)
+		round, _, _, err := compile(decoded, canonicalTestScale)
 		if err != nil {
 			t.Fatalf("canonical request does not compile after a round trip: %v\n%s", err, enc)
 		}
@@ -129,7 +129,7 @@ func parentCanonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 			req.Scheme = "IPU"
 		}
 		// Schema v3: tenants and the write cache are canonicalised with
-		// every default made explicit — exactly mirroring compileRun and
+		// every default made explicit — exactly mirroring runLocal and
 		// the core engine — so spelled-out and defaulted submissions share
 		// an address. A v2 request leaves both fields absent, marshals
 		// without them (omitempty), and keeps its v2 key byte for byte.

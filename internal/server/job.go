@@ -3,13 +3,13 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
 
 	"ipusim/internal/cache"
 	"ipusim/internal/core"
-	"ipusim/internal/flash"
 	"ipusim/internal/trace"
 	"ipusim/internal/workload"
 )
@@ -96,10 +96,6 @@ type JobRequest struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// jobFunc executes one validated job under ctx, reporting progress through
-// report, and returns the JSON-marshallable result.
-type jobFunc func(ctx context.Context, report core.ProgressFunc) (any, error)
-
 // Job is one submitted experiment and its lifecycle state. All mutable
 // fields are guarded by the owning Server's mu.
 type Job struct {
@@ -110,7 +106,8 @@ type Job struct {
 	Key string
 	// Cached marks a job whose result was served from the result cache (or
 	// reloaded from the store by a restarted daemon) without running the
-	// simulator.
+	// simulator — on a coordinator, also a job whose every sub-job a
+	// worker served from its own result cache.
 	Cached    bool
 	Kind      string
 	Request   JobRequest
@@ -124,9 +121,12 @@ type Job struct {
 	// resultJSON is the marshalled result — the bytes the cache and store
 	// hold, served verbatim so repeat submissions are byte-identical.
 	resultJSON []byte
-	run        jobFunc
-	timeout    time.Duration
-	cancel     context.CancelFunc
+	// subs are the job's canonical sub-jobs and assemble turns their
+	// results, in list order, into its response (see subJobs).
+	subs     []JobRequest
+	assemble func([]*core.Result) any
+	timeout  time.Duration
+	cancel   context.CancelFunc
 	// watch is closed and replaced on every state/progress update, waking
 	// stream subscribers.
 	watch chan struct{}
@@ -173,39 +173,43 @@ func (j *Job) viewLocked() JobView {
 }
 
 // compile canonicalises the request, validates the canonical form and
-// builds its executable jobFunc. Validation happens at submit time so a
-// bad request fails with 400 instead of occupying a queue slot and
-// failing later. The canonical request it returns carries the job's key
-// and, for a sweep, the coordinator's sub-jobs.
-func compile(req JobRequest, defaultScale float64) (JobRequest, jobFunc, error) {
+// decomposes it into the sub-jobs every daemon runs it as, plus the step
+// that assembles their results (subJobs). Validation happens at submit
+// time so a bad request fails with 400 instead of occupying a queue slot
+// and failing later. The canonical request it returns carries the job's
+// key.
+func compile(req JobRequest, defaultScale float64) (JobRequest, []JobRequest, func([]*core.Result) any, error) {
 	if req.Parallelism < 0 {
-		return JobRequest{}, nil, fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
+		return JobRequest{}, nil, nil, fmt.Errorf("parallelism %d must be >= 0", req.Parallelism)
 	}
 	canon, err := canonicalRequest(req, defaultScale)
 	if err != nil {
-		return JobRequest{}, nil, err
+		return JobRequest{}, nil, nil, err
 	}
 	if canon.Scale <= 0 || canon.Scale > 1 {
-		return JobRequest{}, nil, fmt.Errorf("scale %v out of (0, 1]", canon.Scale)
+		return JobRequest{}, nil, nil, fmt.Errorf("scale %v out of (0, 1]", canon.Scale)
 	}
 	if err := checkSweepSize(canon); err != nil {
-		return JobRequest{}, nil, err
+		return JobRequest{}, nil, nil, err
 	}
-	var run jobFunc
 	switch canon.Kind {
 	case "run", "cell":
-		run, err = compileRun(canon)
+		err = validateRun(canon)
 	case "matrix":
-		run, err = compileMatrix(canon)
+		err = validateMatrix(canon)
 	case "sensitivity":
-		run, err = compileSensitivity(canon)
+		err = validateSensitivity(canon)
 	case "contention":
-		run, err = compileContention(canon)
+		err = validateContention(canon)
 	}
 	if err != nil {
-		return JobRequest{}, nil, err
+		return JobRequest{}, nil, nil, err
 	}
-	return canon, run, nil
+	subs, assemble, err := subJobs(canon)
+	if err != nil {
+		return JobRequest{}, nil, nil, err
+	}
+	return canon, subs, assemble, nil
 }
 
 // maxSweepCells bounds the cells one sweep request may expand to. The
@@ -258,110 +262,57 @@ func validateTraces(names []string) error {
 	return nil
 }
 
-// compileRun builds one replay. A "run" replays one trace — or, closed
-// loop, K tenant streams — through one scheme. A "cell" is one sweep cell
-// a coordinator places on a worker: an open-loop run whose flash
-// configuration, when param is set, is the sensitivity point's (param
-// fixed at paramValue). Its result is bit-identical to the corresponding
-// element of the full sweep.
-func compileRun(req JobRequest) (jobFunc, error) {
+// validateRun checks a "run" or "cell" (see runLocal).
+func validateRun(req JobRequest) error {
 	multiTenant := len(req.Tenants) > 0
 	if err := validateSchemes([]string{req.Scheme}); err != nil {
-		return nil, err
+		return err
 	}
 	if req.QueueDepth < 0 {
-		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+		return fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
 	}
 	if req.PEBaseline < 0 {
-		return nil, fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
+		return fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
 	}
 	// Tenants and the write cache ride on the closed-loop engine only: an
 	// open-loop replay has no issue gate for the buffer's backpressure or
 	// the tenants' QoS shares to act on.
 	if (multiTenant || req.WriteCache != nil) && req.QueueDepth <= 0 {
-		return nil, fmt.Errorf("tenants and writeCache require a closed-loop run (queueDepth > 0)")
+		return fmt.Errorf("tenants and writeCache require a closed-loop run (queueDepth > 0)")
 	}
 	if multiTenant {
 		if err := validateTenants(req.Tenants); err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := validateTraces([]string{req.Trace}); err != nil {
-		return nil, err
+		return err
 	}
 	if req.WriteCache != nil {
 		if err := req.WriteCache.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	var fc *flash.Config
 	if req.Param != "" {
-		cfg, err := core.SensitivityCellConfig(req.Param, req.ParamValue)
-		if err != nil {
-			return nil, err
+		if _, err := core.SensitivityCellConfig(req.Param, req.ParamValue); err != nil {
+			return err
 		}
-		fc = &cfg
 	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		cfg := core.DefaultConfig()
-		if fc != nil {
-			cfg.Flash = *fc
-		}
-		cfg.Scheme = req.Scheme
-		if req.PEBaseline > 0 {
-			cfg.Flash.PEBaseline = req.PEBaseline
-		}
-		return core.RunOn(ctx, cfg, func(sim *core.Simulator) (*core.Result, error) {
-			sim.OnProgress(0, report)
-			if req.QueueDepth == 0 {
-				tr, err := core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-				if err != nil {
-					return nil, err
-				}
-				return sim.RunContext(ctx, tr)
-			}
-			spec := core.ClosedLoopSpec{
-				Depth:      req.QueueDepth,
-				Tenants:    req.Tenants,
-				WriteCache: req.WriteCache,
-				Seed:       req.Seed,
-				Scale:      req.Scale,
-			}
-			if !multiTenant {
-				// The bounded trace cache shares one immutable instance
-				// across concurrent jobs replaying the same workload.
-				var err error
-				if spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale); err != nil {
-					return nil, err
-				}
-			}
-			return sim.RunClosedLoopSpec(ctx, spec)
-		})
-	}, nil
+	return nil
 }
 
-func compileMatrix(req JobRequest) (jobFunc, error) {
+func validateMatrix(req JobRequest) error {
 	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
+		return err
 	}
 	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
+		return err
 	}
 	for _, pe := range req.PEBaselines {
 		if pe < 0 {
-			return nil, fmt.Errorf("peBaseline %d must be >= 0", pe)
+			return fmt.Errorf("peBaseline %d must be >= 0", pe)
 		}
 	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:      req.Traces,
-			Schemes:     req.Schemes,
-			PEBaselines: req.PEBaselines,
-			Scale:       req.Scale,
-			Seed:        req.Seed,
-			OnProgress:  report,
-		}
-		return core.RunMatrixContext(ctx, spec)
-	}, nil
+	return nil
 }
 
 // validateTenants checks normalised tenant specs: valid parameters and
@@ -378,59 +329,173 @@ func validateTenants(tenants []workload.TenantSpec) error {
 	return nil
 }
 
-// compileContention builds the multi-tenant contention study: every
-// (mix, buffer arm, scheme) cell replayed closed-loop, rows in the
-// study's deterministic enumeration order.
-func compileContention(req JobRequest) (jobFunc, error) {
+func validateContention(req JobRequest) error {
 	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
+		return err
 	}
 	for _, mix := range req.Mixes {
 		if len(mix.Tenants) == 0 {
-			return nil, fmt.Errorf("contention mix %q is empty", mix.Name)
+			return fmt.Errorf("contention mix %q is empty", mix.Name)
 		}
 		if err := validateTenants(mix.Tenants); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if req.QueueDepth < 0 {
-		return nil, fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+		return fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
 	}
 	if req.CacheBytes < 0 {
-		return nil, fmt.Errorf("cacheBytes %d must be >= 0", req.CacheBytes)
+		return fmt.Errorf("cacheBytes %d must be >= 0", req.CacheBytes)
 	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.TenantContentionSpec{
-			Mixes:      req.Mixes,
-			Schemes:    req.Schemes,
-			Depth:      req.QueueDepth,
-			CacheBytes: req.CacheBytes,
-			Seed:       req.Seed,
-			Scale:      req.Scale,
-			OnProgress: report,
-		}
-		return core.RunTenantContentionContext(ctx, spec)
-	}, nil
+	return nil
 }
 
-func compileSensitivity(req JobRequest) (jobFunc, error) {
+func validateSensitivity(req JobRequest) error {
 	if _, ok := core.SensitivityParams[req.Param]; !ok {
-		return nil, fmt.Errorf("unknown sensitivity param %q (have %s)", req.Param, strings.Join(core.SensitivityParamNames(), ", "))
+		return fmt.Errorf("unknown sensitivity param %q (have %s)", req.Param, strings.Join(core.SensitivityParamNames(), ", "))
 	}
 	if err := validateSchemes(req.Schemes); err != nil {
-		return nil, err
+		return err
 	}
-	if err := validateTraces(req.Traces); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, report core.ProgressFunc) (any, error) {
-		spec := core.MatrixSpec{
-			Traces:     req.Traces,
-			Schemes:    req.Schemes,
+	return validateTraces(req.Traces)
+}
+
+// subJobs decomposes a canonical request into its canonical sub-jobs plus
+// the step that assembles their results, in list order, into the job's
+// response. A "run" or "cell" is its own one sub-job, so a worker gets
+// the canonical request unchanged. Matrix and sensitivity cells are
+// "cell" sub-jobs — every sensitivity point goes into the one list — and
+// contention cells are multi-tenant closed-loop "run" sub-jobs. The
+// assembled response is the one core's sweep runners return for the
+// same parameters.
+func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
+	cell := func(c core.MatrixCell, value float64) JobRequest {
+		return JobRequest{
+			Kind:       "cell",
+			Trace:      c.Trace,
+			Scheme:     c.Scheme,
+			PEBaseline: c.PE,
 			Scale:      req.Scale,
 			Seed:       req.Seed,
-			OnProgress: report,
+			Param:      req.Param,
+			ParamValue: value,
 		}
-		return core.RunSensitivityContext(ctx, req.Param, spec)
-	}, nil
+	}
+	spec := core.MatrixSpec{
+		Traces:      req.Traces,
+		Schemes:     req.Schemes,
+		PEBaselines: req.PEBaselines,
+		Scale:       req.Scale,
+		Seed:        req.Seed,
+	}
+	var subs []JobRequest
+	switch req.Kind {
+	case "run", "cell":
+		return []JobRequest{req}, func(rs []*core.Result) any { return rs[0] }, nil
+	case "matrix":
+		for _, c := range core.Cells(spec) {
+			subs = append(subs, cell(c, 0))
+		}
+		return subs, func(rs []*core.Result) any { return rs }, nil
+	case "sensitivity":
+		// A sensitivity point changes only the flash configuration, which a
+		// cell rebuilds from (param, value): every point shares the cells.
+		values := core.SensitivityParams[req.Param]
+		cells := core.Cells(spec)
+		for _, v := range values {
+			for _, c := range cells {
+				subs = append(subs, cell(c, v))
+			}
+		}
+		return subs, func(rs []*core.Result) any {
+			perPoint := make([][]*core.Result, len(values))
+			for i := range perPoint {
+				perPoint[i] = rs[i*len(cells) : (i+1)*len(cells)]
+			}
+			return core.SensitivityTable(req.Param, values, perPoint)
+		}, nil
+	case "contention":
+		cells, err := core.ContentionCells(core.TenantContentionSpec{
+			Mixes:   req.Mixes,
+			Schemes: req.Schemes,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, c := range cells {
+			sub := JobRequest{
+				Kind:       "run",
+				Scheme:     c.Scheme,
+				QueueDepth: req.QueueDepth,
+				Scale:      req.Scale,
+				Seed:       req.Seed,
+				Tenants:    c.Mix.Tenants,
+			}
+			if c.Buffered {
+				wc := cache.Config{CapacityBytes: req.CacheBytes}.Normalize()
+				sub.WriteCache = &wc
+			}
+			subs = append(subs, sub)
+		}
+		return subs, func(rs []*core.Result) any {
+			rows := make([]core.ContentionRow, len(cells))
+			for i, c := range cells {
+				rows[i] = core.ContentionRow{Mix: c.Mix.Name, Scheme: c.Scheme, Buffered: c.Buffered, Result: rs[i]}
+			}
+			return rows
+		}, nil
+	}
+	return nil, nil, fmt.Errorf("unknown kind %q", req.Kind)
+}
+
+// runLocal replays one canonical sub-job in-process, reporting its
+// request-level progress to a non-nil report. A "run" replays one trace
+// — or, closed loop, K tenant streams — through one scheme. A "cell" is
+// an open-loop run whose flash configuration, when param is set, is the
+// sensitivity point's (param fixed at paramValue); its result is
+// bit-identical to the corresponding element of the full sweep. A panic
+// in the replay becomes the sub-job's error, so one bad cell fails its
+// job instead of the daemon.
+func runLocal(ctx context.Context, req JobRequest, report core.ProgressFunc) (res *core.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sub-job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	cfg := core.DefaultConfig()
+	if req.Param != "" {
+		if cfg.Flash, err = core.SensitivityCellConfig(req.Param, req.ParamValue); err != nil {
+			return nil, err
+		}
+	}
+	cfg.Scheme = req.Scheme
+	if req.PEBaseline > 0 {
+		cfg.Flash.PEBaseline = req.PEBaseline
+	}
+	return core.RunOn(ctx, cfg, func(sim *core.Simulator) (*core.Result, error) {
+		sim.OnProgress(0, report)
+		if req.QueueDepth == 0 {
+			tr, err := core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
+			if err != nil {
+				return nil, err
+			}
+			return sim.RunContext(ctx, tr)
+		}
+		spec := core.ClosedLoopSpec{
+			Depth:      req.QueueDepth,
+			Tenants:    req.Tenants,
+			WriteCache: req.WriteCache,
+			Seed:       req.Seed,
+			Scale:      req.Scale,
+		}
+		if len(req.Tenants) == 0 {
+			// The bounded trace cache shares one immutable instance
+			// across concurrent jobs replaying the same workload.
+			var err error
+			if spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale); err != nil {
+				return nil, err
+			}
+		}
+		return sim.RunClosedLoopSpec(ctx, spec)
+	})
 }

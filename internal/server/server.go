@@ -1,8 +1,18 @@
 // Package server implements ipusimd's experiment service: a bounded job
 // queue and worker pool that execute simulation jobs (single runs, sweep
-// cells, matrices, sensitivity sweeps) on the context-aware core API,
-// with job lifecycle endpoints — submit, status, cancel, result — and a
-// live progress stream.
+// cells, matrices, sensitivity and contention sweeps) on the
+// context-aware core API, with job lifecycle endpoints — submit, status,
+// cancel, result — and a live progress stream.
+//
+// Every job has one path. It compiles to a flat list of canonical
+// sub-jobs — a run or cell is its own one sub-job, a sweep one sub-job
+// per cell — whose results are assembled, in list order, into the
+// response. A plain daemon replays each sub-job in-process; a
+// coordinator places it on a worker daemon by consistent hashing,
+// follows it on the worker's progress stream, and replays it in-process
+// only when no worker can. A job of one sub-job reports that sub-job's
+// request-level progress; a sweep reports one step per finished
+// sub-job.
 //
 // The service exploits the simulator's determinism guarantee — identical
 // (seed, scale, config) produce bit-identical output — three ways.
@@ -11,20 +21,17 @@
 // the cached bytes at memory speed without touching the sim. With a data
 // directory, the job table survives restarts: completed results are
 // served from disk and interrupted work is re-enqueued, re-running to
-// bit-identical output. And in coordinator mode the daemon routes every
-// job to worker daemons by consistent hashing — a run or cell as one
-// sub-job, a matrix, sensitivity or contention sweep as one sub-job per
-// cell — follows each on the worker's progress stream and assembles the
-// same response a single daemon produces, with failed workers dropped
-// from the ring and their sub-jobs re-placed or run locally.
+// bit-identical output. And a coordinator's placement keys on each
+// sub-job's content address, so a repeated sub-job lands on the worker
+// whose cache holds it.
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
-// when full, every job runs under a per-job timeout with panic recovery,
-// cancellation stops a replay within 64 requests, and shutdown
-// drains in-flight jobs or cancels them when the drain deadline passes.
-// Completed jobs release their devices back to core's precondition-
-// snapshot cache, so a busy daemon reaches steady state with no per-job
-// device construction cost.
+// when full, every job runs under a per-job timeout with panic recovery
+// — a panicking sub-job fails its job, not the daemon — cancellation
+// stops a replay within 64 requests, and shutdown drains in-flight jobs
+// or cancels them when the drain deadline passes. Completed jobs release
+// their devices back to core's precondition-snapshot cache, so a busy
+// daemon reaches steady state with no per-job device construction cost.
 package server
 
 import (
@@ -34,6 +41,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipusim/internal/core"
@@ -42,10 +50,11 @@ import (
 // Options configures a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
-	// Workers bounds concurrent simulations; 0 means GOMAXPROCS. On a
-	// plain daemon that is its running jobs. A coordinator runs up to
-	// QueueCap jobs at once, since they wait on the fleet, and Workers
-	// bounds only the sub-jobs it runs in-process when no worker can.
+	// Workers bounds in-process work; 0 means GOMAXPROCS. On a plain
+	// daemon it bounds running jobs, each of whose sub-jobs run on up to
+	// GOMAXPROCS goroutines. A coordinator runs up to QueueCap jobs at
+	// once, since they wait on the fleet, and Workers bounds only the
+	// sub-jobs it replays in-process when no worker can.
 	Workers int
 	// QueueCap bounds jobs waiting to run; a full queue rejects
 	// submissions with 429. 0 means 64.
@@ -66,9 +75,8 @@ type Options struct {
 	// reloads completed results and re-enqueues interrupted work.
 	DataDir string
 	// WorkerURLs, when non-empty, puts the server in coordinator mode:
-	// every job is placed on these worker daemons by consistent hashing
-	// — a run or cell as one sub-job, a matrix, sensitivity or
-	// contention sweep as one sub-job per cell. At most
+	// every sub-job is placed on these worker daemons by consistent
+	// hashing instead of replayed in-process. At most
 	// max(GOMAXPROCS, 2×len(WorkerURLs)) sub-jobs are in flight on them.
 	WorkerURLs []string
 }
@@ -272,7 +280,7 @@ func (s *Server) recoverLocked(rec jobRecord) {
 
 // requeueRecovered re-enqueues an interrupted job for a fresh run.
 func (s *Server) requeueRecovered(j *Job) {
-	_, run, err := s.compileFor(j.Request)
+	_, subs, assemble, err := compile(j.Request, s.opts.DefaultScale)
 	if err != nil {
 		// The request no longer compiles (e.g. a scheme was unregistered):
 		// surface a terminal failure instead of refusing to start.
@@ -284,22 +292,12 @@ func (s *Server) requeueRecovered(j *Job) {
 	}
 	j.State = StateQueued
 	j.Error = ""
-	j.run = run
+	j.subs, j.assemble = subs, assemble
 	j.timeout = jobTimeout(j.Request, s.opts.JobTimeout)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.queued++
 	s.queue <- j
-}
-
-// compileFor canonicalises a request and builds its executable jobFunc:
-// placed on the fleet when a coordinator is configured, else a local
-// run.
-func (s *Server) compileFor(req JobRequest) (JobRequest, jobFunc, error) {
-	if s.coord != nil {
-		return s.coord.compile(req, s.opts.DefaultScale)
-	}
-	return compile(req, s.opts.DefaultScale)
 }
 
 // jobTimeout resolves a request's timeout against the server default.
@@ -320,7 +318,7 @@ func jobTimeout(req JobRequest, def time.Duration) time.Duration {
 // bytes without running — or enqueues it. It returns ErrQueueFull when
 // the bounded queue has no room and ErrClosed after Shutdown began.
 func (s *Server) Submit(req JobRequest) (*Job, error) {
-	canon, run, err := s.compileFor(req)
+	canon, subs, assemble, err := compile(req, s.opts.DefaultScale)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -348,7 +346,8 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		Request:   req,
 		State:     StateQueued,
 		Submitted: time.Now(),
-		run:       run,
+		subs:      subs,
+		assemble:  assemble,
 		timeout:   timeout,
 		watch:     make(chan struct{}),
 	}
@@ -543,7 +542,7 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Unlock()
 	}
 
-	result, err := s.runRecovered(ctx, j, report)
+	result, cached, err := s.runRecovered(ctx, j, report)
 
 	// Marshal and memoise outside mu: the bytes are the result's canonical
 	// form, shared by the cache, the store and every later cache hit.
@@ -563,6 +562,12 @@ func (s *Server) runJob(j *Job) {
 	case err == nil:
 		j.State = StateDone
 		j.resultJSON = resJSON
+		if cached {
+			// Every sub-job was a worker's cache hit: the job reads as a
+			// plain daemon's cache hit does, with no progress.
+			j.Cached = true
+			j.Progress = core.Progress{}
+		}
 		s.stats.Done++
 	case ctx.Err() != nil:
 		// Cancelled by request, timeout or shutdown.
@@ -602,15 +607,98 @@ func (s *Server) persistInterrupted(j *Job) {
 	})
 }
 
-// runRecovered executes the job body, converting a panic into an error so
-// one bad job cannot take the daemon down.
-func (s *Server) runRecovered(ctx context.Context, j *Job, report core.ProgressFunc) (result any, err error) {
+// runRecovered runs the job's sub-jobs and assembles their results,
+// converting a panic into an error so one bad job cannot take the daemon
+// down. It reports whether every sub-job was served from a worker's
+// result cache.
+func (s *Server) runRecovered(ctx context.Context, j *Job, report core.ProgressFunc) (result any, cached bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return j.run(ctx, report)
+	results, cached, err := s.fanOut(ctx, j.subs, report)
+	if err != nil {
+		return nil, false, err
+	}
+	return j.assemble(results), cached, nil
+}
+
+// fanOutWidth is the pool one job's sub-jobs run on, and a coordinator's
+// count of dispatch slots: GOMAXPROCS on a plain daemon, as many as a
+// core sweep runs at once, and at least two per configured worker on a
+// coordinator.
+func fanOutWidth(workerURLs int) int {
+	return max(runtime.GOMAXPROCS(0), 2*workerURLs)
+}
+
+// fanOut places every sub-job on a pool of fanOutWidth goroutines,
+// capped at the sub-job count, dispatching in list order until ctx is
+// done. A job of one sub-job relays that sub-job's request-level
+// progress; a longer list reports one step per finished sub-job. It
+// returns ctx's error after a cancel, else the lowest-indexed sub-job
+// error, else the results in list order and whether every sub-job was
+// served from a worker's result cache.
+func (s *Server) fanOut(ctx context.Context, subs []JobRequest, report core.ProgressFunc) ([]*core.Result, bool, error) {
+	if len(subs) == 1 {
+		res, cached, err := s.place(ctx, subs[0], report)
+		if err != nil {
+			return nil, false, err
+		}
+		return []*core.Result{res}, cached, nil
+	}
+	results := make([]*core.Result, len(subs))
+	errs := make([]error, len(subs))
+	var done atomic.Int64
+	var ran atomic.Bool // some sub-job was not a cache hit
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(fanOutWidth(len(s.opts.WorkerURLs)), len(subs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				var cached bool
+				results[i], cached, errs[i] = s.place(ctx, subs[i], nil)
+				if !cached {
+					ran.Store(true)
+				}
+				if errs[i] == nil && report != nil {
+					report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
+				}
+			}
+		}()
+	}
+dispatch:
+	for i := range subs {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return results, !ran.Load(), nil
+}
+
+// place runs one sub-job: on the fleet on a coordinator, else
+// in-process. The bool reports a sub-job served from a worker's result
+// cache.
+func (s *Server) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
+	if s.coord != nil {
+		return s.coord.place(ctx, sub, report)
+	}
+	res, err := runLocal(ctx, sub, report)
+	return res, false, err
 }
 
 // Shutdown stops the service gracefully: no further submissions are

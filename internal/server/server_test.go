@@ -223,11 +223,11 @@ func TestSweepSizeBound(t *testing.T) {
 	for len(atBound.PEBaselines) < maxSweepCells {
 		atBound.PEBaselines = append(atBound.PEBaselines, 1000)
 	}
-	if _, _, err := compile(atBound, 0.01); err != nil {
+	if _, _, _, err := compile(atBound, 0.01); err != nil {
 		t.Fatalf("sweep of exactly %d cells rejected: %v", maxSweepCells, err)
 	}
 	atBound.PEBaselines = append(atBound.PEBaselines, 1000)
-	if _, _, err := compile(atBound, 0.01); err == nil {
+	if _, _, _, err := compile(atBound, 0.01); err == nil {
 		t.Fatalf("sweep of %d cells accepted", maxSweepCells+1)
 	}
 }
