@@ -33,23 +33,25 @@ serve-test:
 
 # The cluster acceptance gate: the result-cache hit path (byte-identical,
 # sim never re-runs), durable-store restart recovery, the consistent-hash
-# ring units, and the coordinator suite — forwarded runs and cells and
+# ring units and its bounded-load walk, and the coordinator suite —
+# bounded-load placement (two runs sharing an owner run one per worker,
+# in-flight counts released on every exit), forwarded runs and cells and
 # matrix, sensitivity and contention sweeps placed on in-process workers
 # and compared bit-for-bit to a single daemon (live fleet, all workers
 # down, one killed while the coordinator follows a forwarded run), the
 # fallback bound (Workers in-process simulations at most), the dispatch
 # bound (one pool of slots for every job's sub-jobs, so workers that
-# queue that many never answer 429), a worker's 400 or own job timeout
-# failing the job without dropping the worker, the job's deadline
-# forwarded with each sub-job, cancellation reaching the worker's
-# sub-jobs, a panicking sweep cell failing only its job on a plain
+# queue that many never answer 429), a worker's 400, failed sub-job or
+# own job timeout failing the job without dropping the worker, the
+# job's deadline forwarded with each sub-job, cancellation reaching the
+# worker's sub-jobs, a panicking sweep cell failing only its job on a plain
 # daemon and on a coordinator with its fleet down, a worker's cache hits
 # reading as a cache hit on the coordinator, and the shared rejection
 # tables run against a plain daemon and a coordinator — all under the
 # race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
-	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit' \
+	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit|TestCoordinatorBoundedLoad|TestCoordinatorReleasesInFlight|TestCoordinatorFailedSubJobKeepsWorker|TestRingBoundedLoad' \
 	  ./internal/server
 	$(GO) test -race -count 1 -run TestDaemonCluster ./cmd/ipusimd
 

@@ -307,21 +307,19 @@ func TestRestartRecovery(t *testing.T) {
 // TestCoordinatorSoakWorkerFailure extends the acceptance soak to the
 // cluster, run under -race by `make serve-cluster-test`: a coordinator
 // shards four concurrent matrix sweeps — 32 cell sub-jobs — over two
-// in-process workers and forwards two runs owned by worker 2. Worker 2 is
-// killed while the coordinator waits on a forwarded run's stream, and
-// every response must still match a single daemon byte for byte, with no
-// goroutine leaks.
+// in-process workers and forwards two runs. The first worker seen
+// replaying a forwarded run is killed while the coordinator waits on
+// that run's stream, and every response must still match a single
+// daemon byte for byte, with no goroutine leaks.
 func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	pool := Options{Workers: 4, QueueCap: 64, DefaultScale: 0.01}
-	w1 := New(pool)
-	ts1 := httptest.NewServer(w1.Handler())
-	w2 := New(pool)
-	ts2 := httptest.NewServer(w2.Handler())
+	workers := []*Server{New(pool), New(pool)}
+	wts := []*httptest.Server{httptest.NewServer(workers[0].Handler()), httptest.NewServer(workers[1].Handler())}
 
 	copts := pool
-	copts.WorkerURLs = []string{ts1.URL, ts2.URL}
+	copts.WorkerURLs = []string{wts[0].URL, wts[1].URL}
 	coord := New(copts)
 	tsc := httptest.NewServer(coord.Handler())
 
@@ -333,13 +331,11 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 			`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","MGA","IPU","IPU-AC"],"scale":0.02,"seed":%d}`,
 			50+i))
 	}
-	// Two runs the ring places on worker 2, long enough to be mid-replay
-	// when it dies.
-	for seed := 60; len(bodies) < sweeps+2; seed++ {
+	// Two runs, long enough to be mid-replay when their worker dies.
+	// Bounded loads may place either on either worker.
+	for seed := 60; seed < 62; seed++ {
 		req := JobRequest{Kind: "run", Trace: "ts0", Scale: 0.1, Seed: int64(seed)}
-		if coord.coord.pick(jobKey(req, pool.DefaultScale)) == ts2.URL {
-			bodies = append(bodies, string(mustMarshal(t, req)))
-		}
+		bodies = append(bodies, string(mustMarshal(t, req)))
 	}
 	for i, body := range bodies {
 		resp, v := postJob(t, tsc, body)
@@ -349,27 +345,31 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 		ids = append(ids, v.ID)
 	}
 
-	// Kill worker 2 while the coordinator follows a forwarded run there.
+	// Kill the worker the coordinator follows a forwarded run on.
 	var killed string // the key of that run
+	victim := -1      // the index of its worker
 	deadline := time.Now().Add(30 * time.Second)
 	for killed == "" {
-		for _, v := range w2.Jobs() {
-			if v.Kind == "run" && v.State == StateRunning && v.Progress.Replayed > 0 {
-				killed = v.Key
+		for i, w := range workers {
+			for _, v := range w.Jobs() {
+				if killed == "" && v.Kind == "run" && v.State == StateRunning && v.Progress.Replayed > 0 {
+					killed, victim = v.Key, i
+				}
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("worker 2 never started a forwarded run")
+			t.Fatal("no worker ever started a forwarded run")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	survivor := 1 - victim
 	// A hard stop cancels its jobs and ends every open stream; then the
 	// listener goes.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		w2.Shutdown(ctx)
-		ts2.Close()
+		workers[victim].Shutdown(ctx)
+		wts[victim].Close()
 	}
 
 	for _, id := range ids {
@@ -383,16 +383,16 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 	if code := getJSON(t, tsc, "/v1/cluster", &view); code != http.StatusOK {
 		t.Fatalf("cluster view: HTTP %d", code)
 	}
-	if !view.Coordinator || view.Alive[ts2.URL] {
-		t.Fatalf("cluster view = %+v, want dead worker 2", view)
+	if !view.Coordinator || view.Alive[wts[victim].URL] {
+		t.Fatalf("cluster view = %+v, want dead worker %d", view, victim+1)
 	}
 	if view.RemoteCells == 0 {
 		t.Fatal("coordinator placed no cells remotely")
 	}
-	// Like a sweep cell, the run lost with worker 2 was re-placed on the
-	// survivor.
-	if !slices.ContainsFunc(w1.Jobs(), func(v JobView) bool { return v.Key == killed && v.State == StateDone }) {
-		t.Fatalf("run %s, killed on worker 2, never completed on worker 1", killed)
+	// Like a sweep cell, the run lost with its worker was re-placed on
+	// the survivor.
+	if !slices.ContainsFunc(workers[survivor].Jobs(), func(v JobView) bool { return v.Key == killed && v.State == StateDone }) {
+		t.Fatalf("run %s, killed on worker %d, never completed on worker %d", killed, victim+1, survivor+1)
 	}
 	t.Logf("soak: %d cells remote, %d local fallback", view.RemoteCells, view.FallbackCells)
 
@@ -410,8 +410,8 @@ func TestCoordinatorSoakWorkerFailure(t *testing.T) {
 	// Tear down the whole cluster, then require every goroutine gone.
 	tsr.Close()
 	tsc.Close()
-	ts1.Close()
-	for _, svc := range []*Server{ref, coord, w1} {
+	wts[survivor].Close()
+	for _, svc := range []*Server{ref, coord, workers[survivor]} {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		if err := svc.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
@@ -527,6 +527,192 @@ func TestCoordinatorRejectedSubJobKeepsWorker(t *testing.T) {
 	if !view.Alive[fake.URL] || view.FallbackCells != 0 {
 		t.Fatalf("cluster view = %+v, want the rejecting worker alive and no fallback", view)
 	}
+	expectIdle(t, view)
+}
+
+// expectIdle fails the test unless the coordinator counts no sub-job in
+// flight on any of its workers, dead ones included.
+func expectIdle(t *testing.T, view ClusterView) {
+	t.Helper()
+	if len(view.InFlight) != len(view.Workers) {
+		t.Errorf("in-flight counts %v, want one per worker %v", view.InFlight, view.Workers)
+	}
+	for w, n := range view.InFlight {
+		if n != 0 {
+			t.Errorf("worker %s: %d sub-jobs in flight after every job ended, want 0", w, n)
+		}
+	}
+}
+
+// TestCoordinatorFailedSubJobKeepsWorker: a sub-job that ends failed on
+// a live worker — here a matrix cell whose scheme's builder panics — has
+// failed on its own account. The job fails with the worker's message,
+// no cell falls back in-process, both workers stay in the ring, and a
+// following run completes on the fleet.
+func TestCoordinatorFailedSubJobKeepsWorker(t *testing.T) {
+	registerPanicScheme()
+	pool := Options{Workers: 2, DefaultScale: 0.01}
+	_, tsw1 := newTestService(t, pool)
+	_, tsw2 := newTestService(t, pool)
+	copts := pool
+	copts.WorkerURLs = []string{tsw1.URL, tsw2.URL}
+	coordSvc, tsc := newTestService(t, copts)
+
+	resp, v := postJob(t, tsc, fmt.Sprintf(`{"kind":"matrix","traces":["ts0"],"schemes":["IPU",%q]}`, panicScheme))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 60*time.Second)
+	if done.State != StateFailed || !strings.Contains(done.Error, "panicked") || !strings.Contains(done.Error, errFailed.Error()) {
+		t.Fatalf("job state %s (error %q), want failed with the worker's panic", done.State, done.Error)
+	}
+	view := coordSvc.coord.view()
+	if !view.Alive[tsw1.URL] || !view.Alive[tsw2.URL] || view.FallbackCells != 0 {
+		t.Fatalf("cluster view = %+v, want both workers alive and no fallback", view)
+	}
+	expectIdle(t, view)
+
+	remote := view.RemoteCells
+	runToResult(t, tsc, `{"kind":"run","scale":0.01,"seed":5}`, 60*time.Second)
+	if st := mustStatsOf(coordSvc); st.RemoteCells != remote+1 || st.FallbackCells != 0 {
+		t.Fatalf("remote %d fallback %d, want the run on the fleet (remote %d)", st.RemoteCells, st.FallbackCells, remote+1)
+	}
+}
+
+// TestCoordinatorBoundedLoad: two runs whose keys share a ring owner, in
+// flight at once, run one on each worker. The second finds the owner at
+// the load bound, ceil(2/2) = 1 sub-job, and takes the next worker
+// clockwise. Each worker runs one job at a time, so placing both on the
+// owner would queue the second there while the other worker idles.
+func TestCoordinatorBoundedLoad(t *testing.T) {
+	pool := Options{Workers: 1, DefaultScale: 0.01}
+	// Workers hold their runs until both runs reached a worker; the
+	// cleanup releases them on a failed test, before shutdown.
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+	var workers []*Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		w, ts := newTestService(t, pool)
+		w.mu.Lock()
+		w.testHookRunning = func(*Job) { <-release }
+		w.mu.Unlock()
+		workers = append(workers, w)
+		urls = append(urls, ts.URL)
+	}
+	copts := pool
+	copts.WorkerURLs = urls
+	coordSvc, tsc := newTestService(t, copts)
+
+	// Two runs the ring gives the same owner.
+	var bodies []string
+	var owner string
+	for seed := 1; len(bodies) < 2; seed++ {
+		req := JobRequest{Kind: "run", Trace: "ts0", Scale: 0.01, Seed: int64(seed)}
+		o := coordSvc.coord.ring.lookup(jobKey(req, pool.DefaultScale))
+		if owner == "" {
+			owner = o
+		}
+		if o == owner {
+			bodies = append(bodies, string(mustMarshal(t, req)))
+		}
+	}
+	var ids []string
+	for _, body := range bodies {
+		resp, v := postJob(t, tsc, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d", resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for len(workers[0].Jobs())+len(workers[1].Jobs()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("both runs never reached a worker")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	once.Do(func() { close(release) })
+	for _, id := range ids {
+		if v := waitState(t, tsc, id, func(v JobView) bool { return v.State.Terminal() }, 60*time.Second); v.State != StateDone {
+			t.Fatalf("run %s: state %s (error %q), want done", id, v.State, v.Error)
+		}
+	}
+	for i, w := range workers {
+		if n := len(w.Jobs()); n != 1 {
+			t.Errorf("worker %d ran %d of the two runs, want 1", i+1, n)
+		}
+	}
+	view := coordSvc.coord.view()
+	if view.DivertedCells != 1 || view.RemoteCells != 2 || view.FallbackCells != 0 {
+		t.Fatalf("cluster view = %+v, want 2 remote cells, 1 diverted, no fallback", view)
+	}
+	expectIdle(t, view)
+}
+
+// TestCoordinatorReleasesInFlight: every sub-job the coordinator counts
+// in flight is released however it ends. A run whose worker is killed
+// mid-replay moves to the survivor and is cancelled there; once the job
+// is cancelled, neither worker, dead or alive, holds a sub-job.
+func TestCoordinatorReleasesInFlight(t *testing.T) {
+	pool := Options{Workers: 1, DefaultScale: 0.01}
+	workers := []*Server{New(pool), New(pool)}
+	wts := []*httptest.Server{httptest.NewServer(workers[0].Handler()), httptest.NewServer(workers[1].Handler())}
+	t.Cleanup(func() {
+		for i, w := range workers {
+			wts[i].Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			w.Shutdown(ctx)
+			cancel()
+		}
+	})
+	copts := pool
+	copts.WorkerURLs = []string{wts[0].URL, wts[1].URL}
+	coordSvc, tsc := newTestService(t, copts)
+
+	// A run big enough to still be replaying when each step lands.
+	_, v := postJob(t, tsc, `{"kind":"run","trace":"ts0","scale":0.5,"seed":3}`)
+	replaying := func(w *Server) bool {
+		return slices.ContainsFunc(w.Jobs(), func(v JobView) bool { return v.State == StateRunning && v.Progress.Replayed > 0 })
+	}
+	waitReplaying := func(what string, ws ...int) int {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			for _, i := range ws {
+				if replaying(workers[i]) {
+					return i
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never replayed the run", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	victim := waitReplaying("no worker", 0, 1)
+	survivor := 1 - victim
+	{
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		workers[victim].Shutdown(ctx)
+		wts[victim].Close()
+	}
+	waitReplaying("the survivor", survivor)
+	resp, err := tsc.Client().Post(tsc.URL+"/v1/jobs/"+v.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if done := waitState(t, tsc, v.ID, func(v JobView) bool { return v.State.Terminal() }, 10*time.Second); done.State != StateCancelled {
+		t.Fatalf("job state %s, want cancelled", done.State)
+	}
+	view := coordSvc.coord.view()
+	if view.Alive[wts[victim].URL] || !view.Alive[wts[survivor].URL] {
+		t.Fatalf("cluster view = %+v, want worker %d dead and worker %d alive", view, victim+1, survivor+1)
+	}
+	expectIdle(t, view)
 }
 
 // TestCoordinatorCancelPropagates cancels a job while a worker replays
@@ -689,9 +875,11 @@ func TestCoordinatorForwardsRuns(t *testing.T) {
 			t.Fatalf("job state %s (error %q), want failed at the worker's timeout", done.State, done.Error)
 		}
 		for _, svc := range []*Server{coordSvc, unbounded} {
-			if view := svc.coord.view(); !view.Alive[tsw1.URL] || !view.Alive[tsw2.URL] || view.FallbackCells != 0 {
+			view := svc.coord.view()
+			if !view.Alive[tsw1.URL] || !view.Alive[tsw2.URL] || view.FallbackCells != 0 {
 				t.Fatalf("cluster view = %+v, want both workers alive and no fallback", view)
 			}
+			expectIdle(t, view)
 		}
 	})
 }

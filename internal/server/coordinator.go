@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -20,18 +21,23 @@ import (
 // server runs every job as the same flat list of sub-jobs (subJobs) and
 // assembles their results the same way on any daemon; a coordinator only
 // decides where each sub-job runs. It places each on a worker by
-// consistent hashing on its content-addressed key, so the same sub-job
-// always lands on the same worker and its local result cache stays hot,
-// and follows it on the worker's progress stream.
+// consistent hashing with bounded loads on its content-addressed key and
+// follows it on the worker's progress stream. The coordinator counts its
+// sub-jobs in flight on each worker; a sub-job takes the first worker
+// clockwise of its key's hash that holds fewer than
+// ceil((in flight on alive workers + 1) / alive workers). On an idle or
+// balanced fleet that is the key's ring owner, so a repeated sub-job
+// lands on the worker whose local result cache holds it; a busy owner's
+// sub-jobs go to the next worker instead of queueing behind it.
 //
-// Placement: a worker that rejects a sub-job (HTTP 400) fails the job
-// with its message and stays in the ring; a transport error, a 5xx or a
-// lost sub-job drops the worker from the ring (remapping only ~1/N of
+// Placement: a worker that rejects a sub-job (HTTP 400), fails it, or
+// cancels it at its own job timeout has judged the sub-job, which would
+// fare the same on the next worker: the job fails with the worker's
+// message and the worker stays in the ring. A transport error, a 5xx or
+// a lost sub-job drops the worker from the ring (remapping only ~1/N of
 // the keyspace) until the coordinator restarts, and the sub-job retries
-// on the new owner or, with no worker left, runs in-process — a job
-// completes even with the whole fleet down. A worker that cancels a
-// sub-job at its own job timeout stays in the ring too: the job fails,
-// since the sub-job would time out on the next owner as well.
+// on the next worker or, with no worker left, runs in-process — a job
+// completes even with the whole fleet down.
 //
 // Bounds: sub-jobs in flight on the fleet share one coordinator-wide
 // pool of dispatch slots, max(GOMAXPROCS, two per configured worker),
@@ -51,9 +57,14 @@ type coordinator struct {
 	ring  *ring
 	fleet []string // configured workers, for /v1/cluster
 	alive map[string]bool
+	// inFlight counts this coordinator's sub-jobs on each worker, the
+	// load lookupBounded bounds; a dead worker's count drains as its
+	// sub-jobs end.
+	inFlight map[string]int
 
 	remoteCells   atomic.Uint64
 	fallbackCells atomic.Uint64
+	divertedCells atomic.Uint64
 
 	// testHookSim, if set, is called with +1 as a fallback simulation
 	// starts in its slot and -1 as it ends.
@@ -62,24 +73,42 @@ type coordinator struct {
 
 func newCoordinator(urls []string, workers int) *coordinator {
 	c := &coordinator{
-		client: &http.Client{},
-		calls:  make(chan struct{}, fanOutWidth(len(urls))),
-		sims:   make(chan struct{}, workers),
-		ring:   newRing(0, urls...),
-		fleet:  append([]string(nil), urls...),
-		alive:  map[string]bool{},
+		client:   &http.Client{},
+		calls:    make(chan struct{}, fanOutWidth(len(urls))),
+		sims:     make(chan struct{}, workers),
+		ring:     newRing(0, urls...),
+		fleet:    append([]string(nil), urls...),
+		alive:    map[string]bool{},
+		inFlight: map[string]int{},
 	}
 	for _, u := range urls {
 		c.alive[u] = true
+		c.inFlight[u] = 0
 	}
 	return c
 }
 
-// pick returns the ring owner of a key, or "" when no worker is alive.
-func (c *coordinator) pick(key string) string {
+// reserve picks a key's worker under bounded loads and counts a sub-job
+// in flight there until release; it returns "" when no worker is alive.
+func (c *coordinator) reserve(key string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ring.lookup(key)
+	node, diverted := c.ring.lookupBounded(key, c.inFlight)
+	if node == "" {
+		return ""
+	}
+	c.inFlight[node]++
+	if diverted {
+		c.divertedCells.Add(1)
+	}
+	return node
+}
+
+// release ends a sub-job reserve counted on node.
+func (c *coordinator) release(node string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inFlight[node]--
 }
 
 // markDead drops a failed worker from the ring: future cells reroute to
@@ -93,39 +122,45 @@ func (c *coordinator) markDead(node string) {
 	}
 }
 
-// ClusterView is the GET /v1/cluster payload.
+// ClusterView is the GET /v1/cluster payload. InFlight counts this
+// coordinator's sub-jobs in flight per worker; DivertedCells counts
+// sub-jobs placed on a worker other than their ring owner, because the
+// owner was at the load bound.
 type ClusterView struct {
 	Coordinator   bool            `json:"coordinator"`
 	Workers       []string        `json:"workers,omitempty"`
 	Alive         map[string]bool `json:"alive,omitempty"`
+	InFlight      map[string]int  `json:"inFlight,omitempty"`
 	RemoteCells   uint64          `json:"remoteCells"`
 	FallbackCells uint64          `json:"fallbackCells"`
+	DivertedCells uint64          `json:"divertedCells"`
 }
 
 func (c *coordinator) view() ClusterView {
 	c.mu.Lock()
-	alive := make(map[string]bool, len(c.alive))
-	for k, v := range c.alive {
-		alive[k] = v
-	}
+	alive := maps.Clone(c.alive)
+	inFlight := maps.Clone(c.inFlight)
 	c.mu.Unlock()
 	return ClusterView{
 		Coordinator:   true,
 		Workers:       append([]string(nil), c.fleet...),
 		Alive:         alive,
+		InFlight:      inFlight,
 		RemoteCells:   c.remoteCells.Load(),
 		FallbackCells: c.fallbackCells.Load(),
+		DivertedCells: c.divertedCells.Load(),
 	}
 }
 
-// place runs one sub-job: on its ring owner in a dispatch slot, once more
-// on the owner after a failure, then in-process (runLocal) in one of the
-// Workers simulation slots. A worker that rejects the sub-job (HTTP 400)
-// or cancels it at its own job timeout judged the sub-job, so the job
-// fails with its message and the worker stays in the ring; any other
-// failure drops the worker from the ring. A non-nil report receives the
-// sub-job's progress wherever it runs. The bool reports a sub-job the
-// worker served from its own result cache.
+// place runs one sub-job: on the worker reserve picks, in a dispatch
+// slot, once more on the next pick after a failure, then in-process
+// (runLocal) in one of the Workers simulation slots. A worker that
+// rejects the sub-job (HTTP 400), fails it or cancels it at its own job
+// timeout judged the sub-job, so the job fails with its message and the
+// worker stays in the ring; any other failure drops the worker from the
+// ring. A non-nil report receives the sub-job's progress wherever it
+// runs. The bool reports a sub-job the worker served from its own result
+// cache.
 func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
@@ -134,12 +169,13 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.Pro
 		if err := acquire(ctx, c.calls); err != nil {
 			return nil, false, err
 		}
-		node := c.pick(key)
+		node := c.reserve(key)
 		if node == "" {
 			<-c.calls
 			break
 		}
 		res, cached, err := c.dispatch(ctx, node, sub, report)
+		c.release(node)
 		<-c.calls
 		if err == nil {
 			c.remoteCells.Add(1)
@@ -148,7 +184,7 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.Pro
 		if ctx.Err() != nil {
 			return nil, false, ctx.Err()
 		}
-		if errors.Is(err, errRejected) || errors.Is(err, errTimedOut) {
+		if errors.Is(err, errRejected) || errors.Is(err, errFailed) || errors.Is(err, errTimedOut) {
 			return nil, false, err
 		}
 		c.markDead(node)
@@ -177,11 +213,13 @@ func acquire(ctx context.Context, sem chan struct{}) error {
 	}
 }
 
-// errRejected marks a sub-job a worker refused with HTTP 400, and
-// errTimedOut one it cancelled at its own job timeout: the sub-job's
-// fault, not the worker's.
+// errRejected marks a sub-job a worker refused with HTTP 400, errFailed
+// one that ended failed on its worker, and errTimedOut one the worker
+// cancelled at its own job timeout: the sub-job's fault, not the
+// worker's.
 var (
 	errRejected = errors.New("sub-job rejected")
+	errFailed   = errors.New("sub-job failed on its worker")
 	errTimedOut = errors.New("sub-job timed out on its worker")
 )
 
@@ -190,10 +228,11 @@ var (
 // is left of ctx's deadline, so the worker stops it no earlier than the
 // job would; with no deadline the worker's own default applies. A 429
 // (worker queue full) backs off and resubmits; a 400 returns errRejected
-// with the worker's message, and a sub-job the worker cancelled at its
-// timeout returns errTimedOut; any other transport or server error, a
-// sub-job that ends other than done, and a stream that ends before the
-// sub-job does are returned for rerouting. Once the worker accepted the
+// with the worker's message, a sub-job that ends failed returns
+// errFailed with its error, and one the worker cancelled at its timeout
+// returns errTimedOut; any other transport or server error, a sub-job
+// cancelled otherwise (the worker shut down), and a stream that ends
+// before the sub-job does are returned for rerouting. Once the worker accepted the
 // sub-job, a cancelled ctx cancels it on the worker too. The bool
 // reports a sub-job the worker served from its result cache.
 func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
@@ -267,7 +306,10 @@ func (c *coordinator) dispatch(ctx context.Context, node string, req JobRequest,
 			return nil, false, err
 		}
 	}
-	if view.State == StateCancelled && view.Error == context.DeadlineExceeded.Error() {
+	switch {
+	case view.State == StateFailed:
+		return nil, false, fmt.Errorf("worker %s: job %s: %w: %s", node, id, errFailed, view.Error)
+	case view.State == StateCancelled && view.Error == context.DeadlineExceeded.Error():
 		// Cancelled by the worker's timeout, not by a cancel or shutdown.
 		return nil, false, fmt.Errorf("worker %s: job %s: %w: %s", node, id, errTimedOut, view.Error)
 	}

@@ -12,7 +12,9 @@ import (
 // Placement is stable under membership change: adding or removing one
 // node remaps only the keys adjacent to that node's points (~1/N of the
 // keyspace) while every other key keeps its owner — which is what keeps
-// worker-local result caches hot as the fleet changes.
+// worker-local result caches hot as the fleet changes. lookupBounded
+// adds a load bound: a key whose owner is busy takes the next node
+// clockwise instead.
 //
 // ring is not safe for concurrent use; the coordinator guards it.
 type ring struct {
@@ -84,10 +86,43 @@ func (r *ring) lookup(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
+	return r.points[r.search(key)].node
+}
+
+// lookupBounded places a key under bounded loads (consistent hashing
+// with bounded loads, Mirrokni, Thorup and Zadimoghaddam, SODA 2018). It
+// walks the circle clockwise from the key's hash and returns the first
+// node whose load is below ceil((L+1)/N), L being the total load on the
+// ring's N nodes; load counts per node, and nodes off the ring do not
+// count. The owner wins while it is under the bound, so on an idle or
+// balanced ring every key keeps its lookup owner. Some node is always
+// under the bound, so only an empty ring returns "". diverted reports a
+// node other than the owner.
+func (r *ring) lookupBounded(key string, load map[string]int) (node string, diverted bool) {
+	if len(r.points) == 0 {
+		return "", false
+	}
+	total := 0
+	for n := range r.nodes {
+		total += load[n]
+	}
+	bound := (total + len(r.nodes)) / len(r.nodes) // ceil((total+1)/N)
+	i := r.search(key)
+	for k := range r.points {
+		if p := r.points[(i+k)%len(r.points)]; load[p.node] < bound {
+			return p.node, p.node != r.points[i].node
+		}
+	}
+	panic("ring: every node at the load bound")
+}
+
+// search returns the index of the first point clockwise of the key's
+// hash. The ring must not be empty.
+func (r *ring) search(key string) int {
 	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around the circle
 	}
-	return r.points[i].node
+	return i
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,5 +136,98 @@ func TestRingEdgeCases(t *testing.T) {
 	r.remove("http://w0")
 	if len(r.nodes) != 0 || r.lookup("anything") != "" {
 		t.Fatalf("ring not empty after removing last node")
+	}
+}
+
+// successors returns the ring's distinct nodes in the order met walking
+// the circle clockwise from the key's owner.
+func successors(r *ring, key string) []string {
+	var order []string
+	i := r.search(key)
+	for k := range r.points {
+		if n := r.points[(i+k)%len(r.points)].node; !slices.Contains(order, n) {
+			order = append(order, n)
+		}
+	}
+	return order
+}
+
+// TestRingBoundedLoad pins consistent hashing with bounded loads: the
+// owner wins while under the bound ceil((L+1)/N), no node ever goes over
+// it, a busy owner's keys take the next nodes clockwise in a fixed
+// order, and nodes off the ring neither count nor get picked.
+func TestRingBoundedLoad(t *testing.T) {
+	workers := []string{"http://w0", "http://w1", "http://w2", "http://w3"}
+	r := newRing(0, workers...)
+	keys := ringKeys(1000)
+
+	// Idle and balanced rings: every key keeps its owner.
+	for _, load := range []map[string]int{nil, {"http://w0": 3, "http://w1": 3, "http://w2": 3, "http://w3": 3}} {
+		for _, k := range keys {
+			if got, diverted := r.lookupBounded(k, load); got != r.lookup(k) || diverted {
+				t.Fatalf("load %v: key %s placed on %s (diverted %v), want its owner %s", load, k, got, diverted, r.lookup(k))
+			}
+		}
+	}
+
+	// A random reserve/release sequence never puts a node over the bound
+	// the placement saw, and diverts exactly the keys not on their owner.
+	rng := rand.New(rand.NewSource(1))
+	load := map[string]int{}
+	var held []string
+	for step := 0; step < 20000; step++ {
+		if len(held) > 0 && rng.Intn(5) < 2 {
+			i := rng.Intn(len(held))
+			load[held[i]]--
+			held = append(held[:i], held[i+1:]...)
+			continue
+		}
+		k := keys[rng.Intn(len(keys))]
+		bound := (len(held) + len(workers)) / len(workers)
+		node, diverted := r.lookupBounded(k, load)
+		if load[node]+1 > bound {
+			t.Fatalf("step %d: %s takes its sub-job %d over the bound %d (%d in flight)", step, node, load[node]+1, bound, len(held))
+		}
+		if diverted != (node != r.lookup(k)) {
+			t.Fatalf("step %d: key %s on %s, owner %s, diverted %v", step, k, node, r.lookup(k), diverted)
+		}
+		load[node]++
+		held = append(held, node)
+	}
+
+	// Successors come in a fixed clockwise order, the same on a ring
+	// built in another order: with the first i at the bound of one
+	// sub-job each, a key lands on the (i+1)th.
+	rev := slices.Clone(workers)
+	slices.Reverse(rev)
+	reversed := newRing(0, rev...)
+	for _, k := range keys[:50] {
+		order := successors(r, k)
+		if len(order) != len(workers) || order[0] != r.lookup(k) || !slices.Equal(successors(reversed, k), order) {
+			t.Fatalf("key %s: successors %v, want every worker once from the owner %s, as on the reversed ring %v",
+				k, order, r.lookup(k), successors(reversed, k))
+		}
+		for i := range order {
+			busy := map[string]int{}
+			for _, n := range order[:i] {
+				busy[n] = 1
+			}
+			if got, diverted := r.lookupBounded(k, busy); got != order[i] || diverted != (i > 0) {
+				t.Fatalf("key %s with %v busy: placed on %s (diverted %v), want %s", k, order[:i], got, diverted, order[i])
+			}
+		}
+	}
+
+	// A node off the ring — a dead worker draining its sub-jobs — adds
+	// nothing to the bound and is never picked.
+	r.remove("http://w3")
+	for _, k := range keys {
+		if got, _ := r.lookupBounded(k, map[string]int{"http://w3": 100}); got != r.lookup(k) {
+			t.Fatalf("key %s placed on %s, want its owner %s", k, got, r.lookup(k))
+		}
+	}
+
+	if got, diverted := newRing(0).lookupBounded("anything", nil); got != "" || diverted {
+		t.Fatalf("empty ring placed a key on %q (diverted %v), want \"\"", got, diverted)
 	}
 }

@@ -8,9 +8,11 @@
 // sub-jobs — a run or cell is its own one sub-job, a sweep one sub-job
 // per cell — whose results are assembled, in list order, into the
 // response. A plain daemon replays each sub-job in-process; a
-// coordinator places it on a worker daemon by consistent hashing,
-// follows it on the worker's progress stream, and replays it in-process
-// only when no worker can. A job of one sub-job reports that sub-job's
+// coordinator places it on a worker daemon by consistent hashing with
+// bounded loads — the key's ring owner unless that worker already holds
+// its share of the coordinator's sub-jobs in flight, else the next
+// worker clockwise — follows it on the worker's progress stream, and
+// replays it in-process only when no worker can. A job of one sub-job reports that sub-job's
 // request-level progress; a sweep reports one step per finished
 // sub-job.
 //
@@ -23,7 +25,7 @@
 // served from disk and interrupted work is re-enqueued, re-running to
 // bit-identical output. And a coordinator's placement keys on each
 // sub-job's content address, so a repeated sub-job lands on the worker
-// whose cache holds it.
+// whose cache holds it while that worker is under the load bound.
 //
 // Robustness is first-class: the queue applies backpressure (HTTP 429)
 // when full, every job runs under a per-job timeout with panic recovery
@@ -76,7 +78,7 @@ type Options struct {
 	DataDir string
 	// WorkerURLs, when non-empty, puts the server in coordinator mode:
 	// every sub-job is placed on these worker daemons by consistent
-	// hashing instead of replayed in-process. At most
+	// hashing with bounded loads instead of replayed in-process. At most
 	// max(GOMAXPROCS, 2×len(WorkerURLs)) sub-jobs are in flight on them.
 	WorkerURLs []string
 }
