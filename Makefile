@@ -39,7 +39,8 @@ serve-test:
 # matrix, sensitivity and contention sweeps placed on in-process workers
 # and compared bit-for-bit to a single daemon (live fleet, all workers
 # down, one killed while the coordinator follows a forwarded run), the
-# fallback bound (Workers in-process simulations at most), the dispatch
+# simulation bound (Workers in-process simulations at most, a plain
+# daemon's sweep cells and a coordinator's fallback alike), the dispatch
 # bound (one pool of slots for every job's sub-jobs, so workers that
 # queue that many never answer 429), a worker's 400, failed sub-job or
 # own job timeout failing the job without dropping the worker, the
@@ -51,7 +52,7 @@ serve-test:
 # race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
-	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit|TestCoordinatorBoundedLoad|TestCoordinatorReleasesInFlight|TestCoordinatorFailedSubJobKeepsWorker|TestRingBoundedLoad' \
+	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit|TestCoordinatorBoundedLoad|TestCoordinatorReleasesInFlight|TestCoordinatorFailedSubJobKeepsWorker|TestRingBoundedLoad|TestSimulationBound' \
 	  ./internal/server
 	$(GO) test -race -count 1 -run TestDaemonCluster ./cmd/ipusimd
 

@@ -18,8 +18,12 @@
 // sub-job, a matrix, sensitivity or contention sweep as one sub-job per
 // cell — follows each on the worker's progress stream and assembles the
 // same response a single daemon produces; a failed worker is dropped
-// from the ring and its sub-jobs are re-placed or run locally, at most
-// -workers at a time.
+// from the ring and its sub-jobs are re-placed or, with no worker left,
+// run locally.
+//
+// -workers bounds the simulations a daemon runs in-process at once,
+// whatever its kind. A plain daemon also runs at most -workers jobs at
+// once; a coordinator holds up to -queue jobs waiting on the fleet.
 //
 // Endpoints (see internal/server):
 //
@@ -60,7 +64,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8077", "listen address")
-		workers = flag.Int("workers", 0, "concurrent simulations (default GOMAXPROCS): running jobs, or on a coordinator its in-process fallbacks")
+		workers = flag.Int("workers", 0, "concurrent in-process simulations (default GOMAXPROCS), and on a plain daemon concurrent jobs")
 		queue   = flag.Int("queue", 64, "bounded job queue capacity (full queue returns 429)")
 		timeout = flag.Duration("timeout", 10*time.Minute, "default per-job wall-clock timeout")
 		drain   = flag.Duration("drain", 30*time.Second, "shutdown drain budget before in-flight jobs are cancelled")

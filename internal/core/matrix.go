@@ -218,7 +218,7 @@ func RunMatrixContext(ctx context.Context, spec MatrixSpec) ([]*Result, error) {
 
 	progress := sweepProgress{fn: spec.OnProgress, total: totalRequests}
 	results := make([]*Result, len(jobs))
-	err := fanOut(ctx, spec.Workers, len(jobs), func(i int) (err error) {
+	err := FanOut(ctx, spec.Workers, len(jobs), func(i int) (err error) {
 		j := jobs[i]
 		results[i], err = runCell(ctx, spec, j, traces[j.Trace], progress.run())
 		return err
@@ -256,10 +256,12 @@ func (sp *sweepProgress) run() ProgressFunc {
 	}
 }
 
-// fanOut calls run for every index in [0, n) on a pool of `workers`
-// goroutines, dispatching in index order until ctx is done. It returns
-// ctx's error after a cancel, else the lowest-indexed run error.
-func fanOut(ctx context.Context, workers, n int, run func(i int) error) error {
+// FanOut calls run for every index in [0, n) on a pool of `workers`
+// goroutines, capped at n, dispatching in index order until ctx is done.
+// It returns ctx's error after a cancel, else the lowest-indexed run
+// error. It is the one pool every sweep runs on: core's matrix and
+// contention runners and ipusimd's sub-jobs.
+func FanOut(ctx context.Context, workers, n int, run func(i int) error) error {
 	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup

@@ -230,7 +230,7 @@ func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) 
 
 	progress := sweepProgress{fn: spec.OnProgress, total: totalRequests}
 	rows := make([]ContentionRow, len(cells))
-	err = fanOut(ctx, spec.Workers, len(cells), func(i int) (err error) {
+	err = FanOut(ctx, spec.Workers, len(cells), func(i int) (err error) {
 		cellSpec := spec
 		cellSpec.OnProgress = progress.run()
 		rows[i], err = RunContentionCellContext(ctx, cellSpec, cells[i])

@@ -113,9 +113,9 @@ type Device struct {
 func (d *Device) perform(now int64, blockID int, kind sim.OpKind, subpages int, extra time.Duration) int64 {
 	mode := d.Arr.Block(blockID).Mode
 	if d.gcBackground {
-		return d.Eng.PerformBackgroundMode(now, blockID, kind, mode, subpages)
+		return d.Eng.PerformBackground(now, blockID, kind, mode, subpages)
 	}
-	return d.Eng.PerformMode(now, blockID, kind, mode, subpages, extra)
+	return d.Eng.Perform(now, blockID, kind, mode, subpages, extra)
 }
 
 // NewDevice builds a fresh device. The error model must validate.
@@ -931,7 +931,7 @@ func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 		}
 		d.Met.ReadRetries += int64(retries)
 		extra += time.Duration(retries) * d.cellReadTime(b.Mode)
-		if e := d.Eng.PerformMode(now, g.pa.Block(), sim.OpRead, b.Mode, g.n, extra); e > end {
+		if e := d.Eng.Perform(now, g.pa.Block(), sim.OpRead, b.Mode, g.n, extra); e > end {
 			end = e
 		}
 	}
@@ -949,7 +949,7 @@ func (d *Device) ReadReq(now int64, offset int64, size int) int64 {
 			}
 			d.Met.SubpageReadsMLC += int64(n)
 			extra := time.Duration(n) * cost.DecodeTime
-			if e := d.Eng.Perform(now, blk, sim.OpRead, n, extra); e > end {
+			if e := d.Eng.Perform(now, blk, sim.OpRead, flash.ModeMLC, n, extra); e > end {
 				end = e
 			}
 		}

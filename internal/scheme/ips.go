@@ -225,8 +225,8 @@ func (s *IPS) switchInPlace(now int64, v int) {
 			continue
 		}
 		pagesWithValid++
-		d.Eng.PerformBackgroundMode(now, v, sim.OpRead, flash.ModeSLC, n)
-		d.Eng.PerformBackgroundMode(now, v, sim.OpProgram, flash.ModeMLC, n)
+		d.Eng.PerformBackground(now, v, sim.OpRead, flash.ModeSLC, n)
+		d.Eng.PerformBackground(now, v, sim.OpProgram, flash.ModeMLC, n)
 	}
 	// The block leaves the SLC cache: every occupancy gauge sheds it.
 	d.slcTotalPages -= len(b.Pages)

@@ -922,53 +922,79 @@ func TestCoordinatorDispatchBound(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFallbackBound: on a coordinator, Workers bounds the
-// simulations it runs in-process, not the jobs it has in flight. Two
-// concurrent sweeps with the whole fleet dead are both in flight while
-// one fallback simulation holds the single slot, and on Workers 1 no two
-// fallback simulations ever overlap.
-func TestCoordinatorFallbackBound(t *testing.T) {
-	svc, ts := newTestService(t, Options{Workers: 1, WorkerURLs: []string{abortingWorker(t)}, DefaultScale: 0.01})
-	// The first simulation holds its slot until both sweeps are seen in
-	// flight; the cleanup releases it on a failed test, before shutdown.
-	release := make(chan struct{})
-	var once sync.Once
-	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	var active, peak atomic.Int64
-	svc.coord.testHookSim = func(delta int) {
-		n := active.Add(int64(delta))
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		if delta > 0 {
-			<-release
-		}
+// TestSimulationBound: Workers bounds the simulations a daemon runs
+// in-process at once, on either daemon kind. A plain daemon on Workers 1
+// runs two 4-cell sweeps one job at a time, and the cells of the running
+// sweep queue for the one simulation slot instead of fanning out
+// unbounded. A coordinator whose whole fleet is dead has both sweeps in
+// flight while one fallback simulation holds the slot. In both rows no
+// two in-process simulations ever overlap.
+func TestSimulationBound(t *testing.T) {
+	// A fan-out of one goroutine would keep a plain daemon to one
+	// simulation whatever its bound.
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
-	var ids []string
-	for seed := 1; seed <= 2; seed++ {
-		resp, v := postJob(t, ts, fmt.Sprintf(`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","IPU"],"seed":%d}`, seed))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep %d: HTTP %d", seed, resp.StatusCode)
-		}
-		ids = append(ids, v.ID)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for mustStatsOf(svc).Running != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("stats %+v: both sweeps never in flight at once", mustStatsOf(svc))
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	once.Do(func() { close(release) })
-	for _, id := range ids {
-		if v := waitState(t, ts, id, func(v JobView) bool { return v.State.Terminal() }, 120*time.Second); v.State != StateDone {
-			t.Fatalf("sweep %s: state %s (error %q), want done", id, v.State, v.Error)
-		}
-	}
-	if st := mustStatsOf(svc); st.FallbackCells != 8 {
-		t.Fatalf("fallback %d, want all 8 cells in-process", st.FallbackCells)
-	}
-	if p := peak.Load(); p != 1 {
-		t.Fatalf("%d in-process simulations ran at once on Workers 1", p)
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		running  int    // jobs in flight while the first simulation holds its slot
+		fallback uint64 // cells a coordinator ran in-process
+	}{
+		{"plain", Options{Workers: 1, DefaultScale: 0.01}, 1, 0},
+		{"coordinator", Options{Workers: 1, WorkerURLs: []string{abortingWorker(t)}, DefaultScale: 0.01}, 2, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, ts := newTestService(t, tc.opts)
+			// The first simulation holds its slot until the row's jobs
+			// are seen in flight; the cleanup releases it on a failed
+			// test, before shutdown.
+			release := make(chan struct{})
+			var once sync.Once
+			t.Cleanup(func() { once.Do(func() { close(release) }) })
+			var active, peak atomic.Int64
+			svc.testHookSim = func(delta int) {
+				n := active.Add(int64(delta))
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if delta > 0 {
+					<-release
+				}
+			}
+			var ids []string
+			for seed := 1; seed <= 2; seed++ {
+				resp, v := postJob(t, ts, fmt.Sprintf(`{"kind":"matrix","traces":["ts0","wdev0"],"schemes":["Baseline","IPU"],"seed":%d}`, seed))
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("sweep %d: HTTP %d", seed, resp.StatusCode)
+				}
+				ids = append(ids, v.ID)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for mustStatsOf(svc).Running != tc.running {
+				if time.Now().After(deadline) {
+					t.Fatalf("stats %+v: never %d jobs in flight at once", mustStatsOf(svc), tc.running)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			// Keep the slot held a moment longer: a sub-job that ran
+			// outside the slots would start its simulation meanwhile.
+			for hold := time.Now().Add(100 * time.Millisecond); peak.Load() < 2 && time.Now().Before(hold); {
+				time.Sleep(2 * time.Millisecond)
+			}
+			once.Do(func() { close(release) })
+			for _, id := range ids {
+				if v := waitState(t, ts, id, func(v JobView) bool { return v.State.Terminal() }, 120*time.Second); v.State != StateDone {
+					t.Fatalf("sweep %s: state %s (error %q), want done", id, v.State, v.Error)
+				}
+			}
+			if st := mustStatsOf(svc); st.FallbackCells != tc.fallback {
+				t.Fatalf("fallback %d, want %d cells in-process", st.FallbackCells, tc.fallback)
+			}
+			if p := peak.Load(); p != 1 {
+				t.Fatalf("%d in-process simulations ran at once on Workers 1", p)
+			}
+		})
 	}
 }
 

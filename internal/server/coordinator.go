@@ -36,22 +36,20 @@ import (
 // message and the worker stays in the ring. A transport error, a 5xx or
 // a lost sub-job drops the worker from the ring (remapping only ~1/N of
 // the keyspace) until the coordinator restarts, and the sub-job retries
-// on the next worker or, with no worker left, runs in-process — a job
-// completes even with the whole fleet down.
+// on the next worker or, with no worker left, returns errNoWorker: the
+// server then runs it in-process, so a job completes even with the whole
+// fleet down.
 //
 // Bounds: sub-jobs in flight on the fleet share one coordinator-wide
 // pool of dispatch slots, max(GOMAXPROCS, two per configured worker),
 // however many jobs are in flight, so the workers' queues do not fill
-// with one coordinator's retries.
-// In-process runs take one of the Workers simulation slots. A sub-job
-// carries its job's remaining deadline as its timeout, and cancelling a
-// job cancels the sub-jobs its workers accepted.
+// with one coordinator's retries. A sub-job carries its job's remaining
+// deadline as its timeout, and cancelling a job cancels the sub-jobs its
+// workers accepted.
 type coordinator struct {
 	client *http.Client
-	// calls holds one token per sub-job in flight on a worker; sims one
-	// per in-process simulation, so place's fallback runs at most Workers
-	// sub-jobs at once.
-	calls, sims chan struct{}
+	// calls holds one token per sub-job in flight on a worker.
+	calls chan struct{}
 
 	mu    sync.Mutex
 	ring  *ring
@@ -62,20 +60,17 @@ type coordinator struct {
 	// sub-jobs end.
 	inFlight map[string]int
 
+	// remoteCells counts sub-jobs completed on workers, fallbackCells
+	// those the server ran in-process after place returned errNoWorker.
 	remoteCells   atomic.Uint64
 	fallbackCells atomic.Uint64
 	divertedCells atomic.Uint64
-
-	// testHookSim, if set, is called with +1 as a fallback simulation
-	// starts in its slot and -1 as it ends.
-	testHookSim func(delta int)
 }
 
-func newCoordinator(urls []string, workers int) *coordinator {
+func newCoordinator(urls []string) *coordinator {
 	c := &coordinator{
 		client:   &http.Client{},
 		calls:    make(chan struct{}, fanOutWidth(len(urls))),
-		sims:     make(chan struct{}, workers),
 		ring:     newRing(0, urls...),
 		fleet:    append([]string(nil), urls...),
 		alive:    map[string]bool{},
@@ -152,15 +147,14 @@ func (c *coordinator) view() ClusterView {
 	}
 }
 
-// place runs one sub-job: on the worker reserve picks, in a dispatch
-// slot, once more on the next pick after a failure, then in-process
-// (runLocal) in one of the Workers simulation slots. A worker that
-// rejects the sub-job (HTTP 400), fails it or cancels it at its own job
-// timeout judged the sub-job, so the job fails with its message and the
-// worker stays in the ring; any other failure drops the worker from the
-// ring. A non-nil report receives the sub-job's progress wherever it
-// runs. The bool reports a sub-job the worker served from its own result
-// cache.
+// place runs one sub-job on the worker reserve picks, in a dispatch
+// slot, and once more on the next pick after a failure. It returns
+// errNoWorker when no worker is left to try. A worker that rejects the
+// sub-job (HTTP 400), fails it or cancels it at its own job timeout
+// judged the sub-job, so the job fails with its message and the worker
+// stays in the ring; any other failure drops the worker from the ring. A
+// non-nil report receives the sub-job's progress. The bool reports a
+// sub-job the worker served from its own result cache.
 func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
 	// Placement hashes the sub-job's content address — the same key the
 	// worker's own result cache uses — so repeated sweeps hit warm caches.
@@ -189,18 +183,7 @@ func (c *coordinator) place(ctx context.Context, sub JobRequest, report core.Pro
 		}
 		c.markDead(node)
 	}
-	// No worker could serve the sub-job: run it here so the job completes.
-	if err := acquire(ctx, c.sims); err != nil {
-		return nil, false, err
-	}
-	defer func() { <-c.sims }()
-	if c.testHookSim != nil {
-		c.testHookSim(1)
-		defer c.testHookSim(-1)
-	}
-	c.fallbackCells.Add(1)
-	res, err := runLocal(ctx, sub, report)
-	return res, false, err
+	return nil, false, errNoWorker
 }
 
 // acquire takes a token from sem, or returns ctx's error first.
@@ -216,8 +199,9 @@ func acquire(ctx context.Context, sem chan struct{}) error {
 // errRejected marks a sub-job a worker refused with HTTP 400, errFailed
 // one that ended failed on its worker, and errTimedOut one the worker
 // cancelled at its own job timeout: the sub-job's fault, not the
-// worker's.
+// worker's. errNoWorker marks a sub-job no worker could take.
 var (
+	errNoWorker = errors.New("no worker can take the sub-job")
 	errRejected = errors.New("sub-job rejected")
 	errFailed   = errors.New("sub-job failed on its worker")
 	errTimedOut = errors.New("sub-job timed out on its worker")

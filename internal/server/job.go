@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
@@ -453,17 +452,11 @@ func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
 // — or, closed loop, K tenant streams — through one scheme. A "cell" is
 // an open-loop run whose flash configuration, when param is set, is the
 // sensitivity point's (param fixed at paramValue); its result is
-// bit-identical to the corresponding element of the full sweep. A panic
-// in the replay becomes the sub-job's error, so one bad cell fails its
-// job instead of the daemon.
-func runLocal(ctx context.Context, req JobRequest, report core.ProgressFunc) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sub-job panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
+// bit-identical to the corresponding element of the full sweep.
+func runLocal(ctx context.Context, req JobRequest, report core.ProgressFunc) (*core.Result, error) {
 	cfg := core.DefaultConfig()
 	if req.Param != "" {
+		var err error
 		if cfg.Flash, err = core.SensitivityCellConfig(req.Param, req.ParamValue); err != nil {
 			return nil, err
 		}

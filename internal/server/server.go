@@ -7,14 +7,17 @@
 // Every job has one path. It compiles to a flat list of canonical
 // sub-jobs — a run or cell is its own one sub-job, a sweep one sub-job
 // per cell — whose results are assembled, in list order, into the
-// response. A plain daemon replays each sub-job in-process; a
-// coordinator places it on a worker daemon by consistent hashing with
-// bounded loads — the key's ring owner unless that worker already holds
-// its share of the coordinator's sub-jobs in flight, else the next
-// worker clockwise — follows it on the worker's progress stream, and
-// replays it in-process only when no worker can. A job of one sub-job reports that sub-job's
-// request-level progress; a sweep reports one step per finished
-// sub-job.
+// response. The sub-jobs run on core's sweep pool (core.FanOut). A plain
+// daemon replays each sub-job in-process; a coordinator places it on a
+// worker daemon by consistent hashing with bounded loads — the key's
+// ring owner unless that worker already holds its share of the
+// coordinator's sub-jobs in flight, else the next worker clockwise —
+// follows it on the worker's progress stream, and replays it in-process
+// only when no worker can. Either way an in-process replay takes one of
+// Workers simulation slots, so Workers bounds the simulations a daemon
+// runs at once whatever its kind. A job of one sub-job reports that
+// sub-job's request-level progress; a sweep reports one step per
+// finished sub-job.
 //
 // The service exploits the simulator's determinism guarantee — identical
 // (seed, scale, config) produce bit-identical output — three ways.
@@ -39,6 +42,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -52,11 +56,11 @@ import (
 // Options configures a Server. The zero value is usable: every field has a
 // production default.
 type Options struct {
-	// Workers bounds in-process work; 0 means GOMAXPROCS. On a plain
-	// daemon it bounds running jobs, each of whose sub-jobs run on up to
-	// GOMAXPROCS goroutines. A coordinator runs up to QueueCap jobs at
-	// once, since they wait on the fleet, and Workers bounds only the
-	// sub-jobs it replays in-process when no worker can.
+	// Workers bounds the simulations the daemon runs in-process at once,
+	// on any daemon; 0 means GOMAXPROCS. A plain daemon also runs at most
+	// Workers jobs at once. A coordinator holds up to QueueCap jobs in
+	// flight, since they wait on the fleet, and replays a sub-job
+	// in-process only when no worker can take it.
 	Workers int
 	// QueueCap bounds jobs waiting to run; a full queue rejects
 	// submissions with 429. 0 means 64.
@@ -144,6 +148,9 @@ type Server struct {
 
 	queue chan *Job
 	wg    sync.WaitGroup // workers
+	// sims holds one token per in-process simulation: runSim runs at
+	// most Workers sub-jobs at once.
+	sims chan struct{}
 
 	// cache memoises completed result bytes by job key; store (nil unless
 	// DataDir is set) persists job records and results; coord (nil unless
@@ -160,6 +167,9 @@ type Server struct {
 	// testHookRunning, if set, is called by a worker right after a job
 	// enters StateRunning. Tests use it to block or observe workers.
 	testHookRunning func(*Job)
+	// testHookSim, if set, is called with +1 as an in-process simulation
+	// starts in its slot and -1 as it ends.
+	testHookSim func(delta int)
 }
 
 // New builds a Server and starts its worker pool. It is Open for callers
@@ -201,22 +211,23 @@ func Open(opts Options) (*Server, error) {
 		opts:       opts,
 		jobs:       map[string]*Job{},
 		queue:      make(chan *Job, queueCap),
+		sims:       make(chan struct{}, opts.Workers),
 		store:      store,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
 	s.cache = newResultCache(opts.CacheCap, store)
 	if len(opts.WorkerURLs) > 0 {
-		s.coord = newCoordinator(opts.WorkerURLs, opts.Workers)
+		s.coord = newCoordinator(opts.WorkerURLs)
 	}
 	s.stats.Workers = opts.Workers
 	s.stats.QueueCap = opts.QueueCap
 	for _, rec := range recovered {
 		s.recoverLocked(rec)
 	}
-	// A coordinator's jobs wait on the fleet, not on a simulation slot:
-	// Workers bounds only its in-process fallback (coordinator.sims), and
-	// its pool holds up to QueueCap jobs in flight.
+	// A coordinator's jobs wait on the fleet, not on a simulation slot,
+	// so its pool holds up to QueueCap jobs in flight; its in-process
+	// fallback still takes the Workers slots in sims.
 	pool := opts.Workers
 	if s.coord != nil {
 		pool = opts.QueueCap
@@ -634,73 +645,74 @@ func fanOutWidth(workerURLs int) int {
 	return max(runtime.GOMAXPROCS(0), 2*workerURLs)
 }
 
-// fanOut places every sub-job on a pool of fanOutWidth goroutines,
-// capped at the sub-job count, dispatching in list order until ctx is
-// done. A job of one sub-job relays that sub-job's request-level
-// progress; a longer list reports one step per finished sub-job. It
-// returns ctx's error after a cancel, else the lowest-indexed sub-job
-// error, else the results in list order and whether every sub-job was
-// served from a worker's result cache.
+// fanOut places every sub-job on core's sweep pool of fanOutWidth
+// goroutines, dispatching in list order until ctx is done. A job of one
+// sub-job relays that sub-job's request-level progress; a longer list
+// reports one step per finished sub-job. A panicking sub-job fails with
+// its stack instead of taking the daemon down. It returns ctx's error
+// after a cancel, else the lowest-indexed sub-job error, else the
+// results in list order and whether every sub-job was served from a
+// worker's result cache.
 func (s *Server) fanOut(ctx context.Context, subs []JobRequest, report core.ProgressFunc) ([]*core.Result, bool, error) {
-	if len(subs) == 1 {
-		res, cached, err := s.place(ctx, subs[0], report)
-		if err != nil {
-			return nil, false, err
-		}
-		return []*core.Result{res}, cached, nil
+	subReport := report
+	if len(subs) > 1 {
+		subReport = nil
 	}
 	results := make([]*core.Result, len(subs))
-	errs := make([]error, len(subs))
 	var done atomic.Int64
 	var ran atomic.Bool // some sub-job was not a cache hit
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(fanOutWidth(len(s.opts.WorkerURLs)), len(subs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				var cached bool
-				results[i], cached, errs[i] = s.place(ctx, subs[i], nil)
-				if !cached {
-					ran.Store(true)
-				}
-				if errs[i] == nil && report != nil {
-					report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
-				}
+	err := core.FanOut(ctx, fanOutWidth(len(s.opts.WorkerURLs)), len(subs), func(i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("sub-job panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-	}
-dispatch:
-	for i := range subs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	for _, err := range errs {
+		res, cached, err := s.place(ctx, subs[i], subReport)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
+		results[i] = res
+		if !cached {
+			ran.Store(true)
+		}
+		if subReport == nil && report != nil {
+			report(core.Progress{Replayed: int(done.Add(1)), Total: len(subs)})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	return results, !ran.Load(), nil
 }
 
-// place runs one sub-job: on the fleet on a coordinator, else
-// in-process. The bool reports a sub-job served from a worker's result
-// cache.
+// place runs one sub-job: on the fleet on a coordinator, in-process
+// (runSim) on a plain daemon or when no worker can take it. The bool
+// reports a sub-job served from a worker's result cache.
 func (s *Server) place(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, bool, error) {
 	if s.coord != nil {
-		return s.coord.place(ctx, sub, report)
+		res, cached, err := s.coord.place(ctx, sub, report)
+		if !errors.Is(err, errNoWorker) {
+			return res, cached, err
+		}
+		s.coord.fallbackCells.Add(1)
 	}
-	res, err := runLocal(ctx, sub, report)
+	res, err := s.runSim(ctx, sub, report)
 	return res, false, err
+}
+
+// runSim replays one sub-job in-process (runLocal) in one of the Workers
+// simulation slots, waiting for a slot until ctx is done.
+func (s *Server) runSim(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, error) {
+	if err := acquire(ctx, s.sims); err != nil {
+		return nil, err
+	}
+	defer func() { <-s.sims }()
+	if s.testHookSim != nil {
+		s.testHookSim(1)
+		defer s.testHookSim(-1)
+	}
+	return runLocal(ctx, sub, report)
 }
 
 // Shutdown stops the service gracefully: no further submissions are

@@ -31,13 +31,13 @@ func BenchmarkEnginePerform(b *testing.B) {
 		arrival := int64(i) * 20_000
 		switch i & 3 {
 		case 0:
-			end = e.PerformMode(arrival, blk, OpRead, mode, 2, 0)
+			end = e.Perform(arrival, blk, OpRead, mode, 2, 0)
 		case 1:
-			end = e.PerformMode(arrival, blk, OpProgram, mode, 4, 0)
+			end = e.Perform(arrival, blk, OpProgram, mode, 4, 0)
 		case 2:
-			end = e.PerformBackgroundMode(arrival, blk, OpProgram, mode, 4)
+			end = e.PerformBackground(arrival, blk, OpProgram, mode, 4)
 		default:
-			end = e.PerformBackgroundMode(arrival, blk, OpErase, mode, 0)
+			end = e.PerformBackground(arrival, blk, OpErase, mode, 0)
 		}
 	}
 	performSink = end

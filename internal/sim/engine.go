@@ -55,14 +55,13 @@ type OpStats struct {
 type Engine struct {
 	cfg *flash.Config
 	// unitOf maps a block to its parallel unit and chanOf a unit to its
-	// channel; slcBlocks is the SLC/MLC partition point. All three are
-	// derived from cfg once in NewEngine and shared read-only by clones,
-	// so the per-operation path does no geometry arithmetic.
-	unitOf    []int32
-	chanOf    []int32
-	slcBlocks int
-	chipFree  []int64 // next instant each parallel unit (plane) is idle
-	chanFree  []int64 // next instant each channel bus is idle
+	// channel. Both are derived from cfg once in NewEngine and shared
+	// read-only by clones, so the per-operation path does no geometry
+	// arithmetic.
+	unitOf   []int32
+	chanOf   []int32
+	chipFree []int64 // next instant each parallel unit (plane) is idle
+	chanFree []int64 // next instant each channel bus is idle
 	// gcBacklog is deferred background (GC) work per chip, in nanoseconds.
 	// Background work drains into the idle gaps between host operations —
 	// the host-priority scheduling real FTLs use, with erase-suspend — and
@@ -89,7 +88,6 @@ func NewEngine(cfg *flash.Config) *Engine {
 		cfg:       cfg,
 		unitOf:    make([]int32, cfg.Blocks),
 		chanOf:    make([]int32, units),
-		slcBlocks: cfg.SLCBlocks(),
 		chipFree:  make([]int64, units),
 		chanFree:  make([]int64, cfg.Channels),
 		gcBacklog: make([]int64, units),
@@ -148,24 +146,19 @@ func (e *Engine) cellTime(kind OpKind, mode flash.Mode) time.Duration {
 	}
 }
 
-// Perform schedules one flash operation touching the given block.
+// Perform schedules one flash operation touching the given block, whose
+// cells currently operate in the given mode.
 //
 // arrival is the earliest instant the operation may start. subpages sets
 // the bus transfer volume (zero for erase). extra is controller-side time
 // appended after the flash operation (ECC decode, read retries); it
-// occupies neither chip nor channel.
+// occupies neither chip nor channel. The caller supplies the mode because
+// the block ID does not fix it: in-place switched blocks operate in MLC
+// mode while occupying SLC-home IDs.
 //
 // Perform returns the operation completion time. The chip is busy for the
 // cell time plus the transfer, the channel for the transfer only.
-func (e *Engine) Perform(arrival int64, blockID int, kind OpKind, subpages int, extra time.Duration) int64 {
-	return e.PerformMode(arrival, blockID, kind, e.modeOf(blockID), subpages, extra)
-}
-
-// PerformMode is Perform with the cell mode supplied by the caller instead
-// of derived from the block-ID partition. In-place switched blocks operate
-// in MLC mode while occupying SLC-home IDs, so schemes that switch blocks
-// must pass the block's actual mode.
-func (e *Engine) PerformMode(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int, extra time.Duration) int64 {
+func (e *Engine) Perform(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int, extra time.Duration) int64 {
 	chip := e.unitOf[blockID]
 	ch := e.chanOf[chip]
 	xfer := int64(e.cfg.Timing.TransferPerSubpage) * int64(subpages)
@@ -212,14 +205,9 @@ func (e *Engine) PerformMode(arrival int64, blockID int, kind OpKind, mode flash
 // subordinate priority: its cost joins the chip's backlog and is worked
 // off during idle gaps, the way real FTLs interleave GC with host traffic
 // (using program/erase suspension). The result is the enqueue time — GC
-// data movement is bookkept immediately; only the time is deferred.
-func (e *Engine) PerformBackground(arrival int64, blockID int, kind OpKind, subpages int) int64 {
-	return e.PerformBackgroundMode(arrival, blockID, kind, e.modeOf(blockID), subpages)
-}
-
-// PerformBackgroundMode is PerformBackground with an explicit cell mode,
-// for operations on in-place switched blocks.
-func (e *Engine) PerformBackgroundMode(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int) int64 {
+// data movement is bookkept immediately; only the time is deferred. The
+// mode is the block's current cell mode, as for Perform.
+func (e *Engine) PerformBackground(arrival int64, blockID int, kind OpKind, mode flash.Mode, subpages int) int64 {
 	chip := e.unitOf[blockID]
 	xfer := int64(e.cfg.Timing.TransferPerSubpage) * int64(subpages)
 	busy := int64(e.cellTime(kind, mode)) + xfer
@@ -249,15 +237,6 @@ func (e *Engine) Backlog(chip int) int64 { return e.gcBacklog[chip] }
 // background becomes programmable again.
 func (e *Engine) ChipAvailableAt(chip int) int64 {
 	return e.chipFree[chip] + e.gcBacklog[chip]
-}
-
-// modeOf derives a block's mode from the SLC/MLC partition (SLC blocks
-// occupy the low IDs, mirroring flash.NewArray).
-func (e *Engine) modeOf(blockID int) flash.Mode {
-	if blockID < e.slcBlocks {
-		return flash.ModeSLC
-	}
-	return flash.ModeMLC
 }
 
 // Now returns the latest instant any chip becomes idle — an upper bound on

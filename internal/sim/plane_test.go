@@ -46,8 +46,8 @@ func TestPlanesOperateInParallel(t *testing.T) {
 	e := NewEngine(c)
 	// Blocks 0 and 2 share channel 0 but live on different planes:
 	// their cell operations overlap (only the bus serialises).
-	endA := e.Perform(0, 0, OpProgram, 4, 0)
-	endB := e.Perform(0, 2, OpProgram, 4, 0)
+	endA := e.Perform(0, 0, OpProgram, flash.ModeSLC, 4, 0)
+	endB := e.Perform(0, 2, OpProgram, flash.ModeSLC, 4, 0)
 	xfer := 4 * int64(c.Timing.TransferPerSubpage)
 	if endB >= endA+int64(c.Timing.SLCProgram) {
 		t.Errorf("planes serialised like one chip: endA=%d endB=%d", endA, endB)

@@ -26,11 +26,11 @@ func TestPerformNeverTravelsBackInTime(t *testing.T) {
 		}
 		chip := blk % cfg.Chips()
 		if bg {
-			end := e.PerformBackground(arrival, blk, k, n)
+			end := e.PerformBackground(arrival, blk, k, partitionMode(cfg, blk), n)
 			return end == arrival && e.Backlog(chip) >= 0
 		}
-		end := e.Perform(arrival, blk, k, n, 0)
-		minService := int64(e.cellTime(k, e.modeOf(blk)))
+		end := e.Perform(arrival, blk, k, partitionMode(cfg, blk), n, 0)
+		minService := int64(e.cellTime(k, partitionMode(cfg, blk)))
 		if end < arrival+minService {
 			return false
 		}
@@ -50,9 +50,9 @@ func TestBusyConservation(t *testing.T) {
 	cfg := testConfig()
 	e := NewEngine(cfg)
 	for i := 0; i < 500; i++ {
-		e.Perform(int64(i)*1000, i%cfg.Blocks, OpKind(i%3), 1+i%3, 0)
+		e.Perform(int64(i)*1000, i%cfg.Blocks, OpKind(i%3), partitionMode(cfg, i%cfg.Blocks), 1+i%3, 0)
 		if i%7 == 0 {
-			e.PerformBackground(int64(i)*1000, i%cfg.Blocks, OpProgram, 2)
+			e.PerformBackground(int64(i)*1000, i%cfg.Blocks, OpProgram, partitionMode(cfg, i%cfg.Blocks), 2)
 		}
 	}
 	var total, perChip int64
