@@ -63,10 +63,12 @@ golden:
 
 # The scheme-matrix acceptance gate: every registered scheme through the
 # invariant harness (checked replays, stress, structural sweeps), the
-# cross-scheme differential runner, and the golden metric snapshots.
+# cross-scheme differential runner, the golden metric snapshots, and the
+# shared device template every scheme borrows (clone and recycle fidelity
+# across every scheme pair, builder purity, one template per geometry).
 check-schemes:
 	$(GO) test -count 1 ./internal/scheme
-	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames' ./internal/core
+	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay|TestBuildersLeaveDeviceUnchanged|TestSnapshot|TestResetSnapshotCache' ./internal/core
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-reference
 # bit-identity differential across every scheme, multi-tenant replay

@@ -135,21 +135,17 @@ func TestRunProgressSnapshots(t *testing.T) {
 	}
 }
 
-// poolFreeTotal counts the released devices currently pooled across the
-// cached templates of every registered scheme on fc.
+// poolFreeTotal counts the released devices currently pooled by the one
+// template every scheme on fc shares.
 func poolFreeTotal(fc flash.Config) int {
-	total := 0
-	for _, name := range SchemeNames {
-		key := snapshotKey{flash: fc, err: DefaultConfig().Error, scheme: name}
-		t, err := snapshots.Get(key, func() (*template, error) { return nil, errors.New("not cached") })
-		if err != nil {
-			continue
-		}
-		t.mu.Lock()
-		total += len(t.free)
-		t.mu.Unlock()
+	key := snapshotKey{flash: fc, err: DefaultConfig().Error}
+	t, err := snapshots.Get(key, func() (*template, error) { return nil, errors.New("not cached") })
+	if err != nil {
+		return 0
 	}
-	return total
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.free)
 }
 
 // TestRunMatrixContextCancelReturnsDevicesToPool cancels a sweep mid-run

@@ -89,8 +89,9 @@ type Simulator struct {
 	cfg    Config
 	scheme scheme.Scheme
 
-	// tmpl is the snapshot-cache template the scheme was cloned from, so
-	// Release can hand it back for recycling; nil for NewFresh.
+	// tmpl is the snapshot-cache template the scheme's device was copied
+	// from, so Release can hand the device back for recycling; nil for
+	// NewFresh.
 	tmpl *template
 
 	// progress, if non-nil, is invoked every progressEvery requests (and
@@ -101,30 +102,48 @@ type Simulator struct {
 
 // New builds a simulator. The flash configuration is copied, so one Config
 // value can seed many simulators. Device construction goes through the
-// precondition-snapshot cache: the first simulator for a (flash, error,
-// scheme) combination builds and pre-fills a template device, and every
-// later one starts from a deep clone of it — identical state at a fraction
-// of the start-up cost. The invariant checker is attached per instance,
-// after cloning.
+// precondition-snapshot cache: the first simulator for a (flash, error)
+// combination builds and pre-fills a template device, and every later one,
+// whatever its scheme, starts from a copy of it — identical state at a
+// fraction of the start-up cost. The registered builder then wraps the
+// copy in the scheme's policy, and the invariant checker is attached per
+// instance.
 func New(cfg Config) (*Simulator, error) {
-	s, tmpl, err := snapshotScheme(cfg)
+	build, err := lookupScheme(cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	s.Device().AttachChecker(cfg.Check)
+	d, tmpl, err := snapshotDevice(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := build(d)
+	if err != nil {
+		tmpl.release(d)
+		return nil, err
+	}
+	d.AttachChecker(cfg.Check)
 	return &Simulator{cfg: cfg, scheme: s, tmpl: tmpl}, nil
 }
 
 // NewFresh builds a simulator from scratch, bypassing the snapshot cache.
-// It exists for clone-fidelity differentials — comparing a cloned or
+// It exists for clone-fidelity differentials — comparing a copied or
 // recycled device's replay against a freshly constructed one — and for
 // callers that must not share template state with anyone.
 func NewFresh(cfg Config) (*Simulator, error) {
-	s, err := buildScheme(cfg)
+	build, err := lookupScheme(cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	s.Device().AttachChecker(cfg.Check)
+	d, err := newDevice(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := build(d)
+	if err != nil {
+		return nil, err
+	}
+	d.AttachChecker(cfg.Check)
 	return &Simulator{cfg: cfg, scheme: s}, nil
 }
 
@@ -144,7 +163,7 @@ func (s *Simulator) OnProgress(every int, fn ProgressFunc) {
 	s.progress = fn
 }
 
-// Release hands the scheme instance back to its template's free pool for
+// Release hands the scheme's device back to its template's free pool for
 // recycling and invalidates the simulator: every later Write, Read or
 // run on it fails with ErrReleased. Only callers that fully own the
 // simulator (matrix workers, daemon jobs) may call it — a released
@@ -157,7 +176,7 @@ func (s *Simulator) Release() {
 		d := s.scheme.Device()
 		d.Check = nil
 		d.TestHooks.AfterHostWrite = nil
-		s.tmpl.release(s.scheme)
+		s.tmpl.release(d)
 	}
 	s.scheme, s.tmpl = nil, nil
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
 	"ipusim/internal/scheme"
 )
 
@@ -17,10 +15,12 @@ import (
 // and every IPU ablation/extension variant register themselves at init;
 // external packages add their own with RegisterScheme.
 
-// SchemeBuilder constructs one scheme instance over the given geometry and
-// error model. Builders must not retain the pointers beyond construction
-// hand-off: core passes per-simulator copies.
-type SchemeBuilder func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error)
+// SchemeBuilder wraps one scheme instance around a device that is already
+// built (and preconditioned) for the simulator's geometry and error model.
+// The device is a copy of the template every scheme on that geometry
+// shares: a builder sets only its scheme's own fields and must leave the
+// device unchanged.
+type SchemeBuilder func(d *scheme.Device) (scheme.Scheme, error)
 
 var (
 	schemeRegMu sync.RWMutex
@@ -88,44 +88,35 @@ func Schemes() []string {
 }
 
 // lookupScheme resolves a registered builder.
-func lookupScheme(name string) (SchemeBuilder, bool) {
+func lookupScheme(name string) (SchemeBuilder, error) {
 	schemeRegMu.RLock()
-	defer schemeRegMu.RUnlock()
 	b, ok := schemeReg[name]
-	return b, ok
-}
-
-// buildScheme constructs (and, per cfg.Flash.PreFillMLC, preconditions) a
-// scheme instance from scratch via the registry.
-func buildScheme(cfg Config) (scheme.Scheme, error) {
-	build, ok := lookupScheme(cfg.Scheme)
+	schemeRegMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown scheme %q (registered: %s)",
-			cfg.Scheme, strings.Join(Schemes(), ", "))
+			name, strings.Join(Schemes(), ", "))
 	}
-	fc := cfg.Flash // copy: the scheme retains a pointer
-	em := cfg.Error
-	return build(&fc, &em)
+	return b, nil
 }
 
 func init() {
 	// The paper's three counterparts, in the paper's order; these also
 	// populate SchemeNames.
-	registerPaperScheme("Baseline", func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewBaseline(fc, em)
+	registerPaperScheme("Baseline", func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewBaseline(d), nil
 	})
-	registerPaperScheme("MGA", func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewMGA(fc, em)
+	registerPaperScheme("MGA", func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewMGA(d), nil
 	})
 	registerPaperScheme("IPU", ipuBuilder(scheme.DefaultIPUVariant()))
 
 	// The cross-paper counterparts: In-place Switch (arXiv:2409.14360)
 	// and IPU with a time-efficient preemptive GC (arXiv:1807.09313).
-	registerPaperScheme("IPS", func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewIPS(fc, em)
+	registerPaperScheme("IPS", func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewIPS(d), nil
 	})
-	registerPaperScheme("IPU-PGC", func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewIPUPGC(fc, em, scheme.DefaultPGCConfig())
+	registerPaperScheme("IPU-PGC", func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewIPUPGC(d, scheme.DefaultPGCConfig())
 	})
 
 	// The remaining IPU ablation/extension variants, sorted for a
@@ -155,7 +146,7 @@ func registerPaperScheme(name string, build SchemeBuilder) {
 
 // ipuBuilder adapts one IPU variant to the SchemeBuilder shape.
 func ipuBuilder(v scheme.IPUVariant) SchemeBuilder {
-	return func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewIPUVariant(fc, em, v)
+	return func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewIPUVariant(d, v)
 	}
 }

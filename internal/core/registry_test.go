@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
 	"ipusim/internal/scheme"
 	"ipusim/internal/trace"
 )
@@ -71,10 +69,10 @@ func TestSchemeNamesOrderDeterministic(t *testing.T) {
 // registry: no core edits to add a counterpart.
 func TestRegisterSchemePlugsIntoNew(t *testing.T) {
 	const name = "IPU-registry-test"
-	RegisterScheme(name, func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
+	RegisterScheme(name, func(d *scheme.Device) (scheme.Scheme, error) {
 		v := scheme.DefaultIPUVariant()
 		v.Name = name
-		return scheme.NewIPUVariant(fc, em, v)
+		return scheme.NewIPUVariant(d, v)
 	})
 	found := false
 	for _, n := range Schemes() {
@@ -113,8 +111,8 @@ func TestRegisterSchemeConflicts(t *testing.T) {
 		}()
 		fn()
 	}
-	dummy := func(fc *flash.Config, em *errmodel.Model) (scheme.Scheme, error) {
-		return scheme.NewBaseline(fc, em)
+	dummy := func(d *scheme.Device) (scheme.Scheme, error) {
+		return scheme.NewBaseline(d), nil
 	}
 	mustPanic("duplicate", func() { RegisterScheme("IPU", dummy) })
 	mustPanic("empty name", func() { RegisterScheme("", dummy) })

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"ipusim/internal/errmodel"
@@ -12,41 +13,48 @@ import (
 // The precondition-snapshot cache. Building a simulator is dominated by
 // MLC preconditioning: PreFillMLC programs the entire logical space before
 // the first request replays. Every sweep job used to pay that cost. The
-// cache instead builds one preconditioned template per (flash config,
-// error model, scheme) and hands each job a deep clone — two bulk memory
-// copies instead of O(device) program operations. Templates are read-only
-// once built and cloning never mutates them, so any number of jobs can
-// clone the same template concurrently.
+// cache instead builds one preconditioned template device per (flash
+// config, error model) and hands each job a copy of it — bulk memory
+// copies instead of O(device) program operations. The device is built
+// without reference to any scheme, so every scheme shares the template:
+// a builder only wraps the copy in its policy and never mutates it.
+// Templates are read-only once built and copying never mutates them, so
+// any number of jobs can copy the same template concurrently.
 
 // snapshotKey identifies one device template. Both config types are flat
 // comparable structs, so the key is usable directly as a map key.
 type snapshotKey struct {
-	flash  flash.Config
-	err    errmodel.Model
-	scheme string
+	flash flash.Config
+	err   errmodel.Model
 }
 
-// template is one preconditioned device and its pool of released clones.
-// A pooled clone is handed to the next job after restoring it from the
-// template in place — one bulk copy pass reusing the clone's backing
-// stores, with no allocation and no garbage. Sweeps that release their
-// simulators therefore run the steady state entirely on recycled devices.
+// template is one preconditioned device and its pool of released copies.
+// A pooled device is handed to the next job, whatever its scheme, after
+// restoring it from the template in place — one pass over what the last
+// job dirtied, reusing the device's backing stores, with no allocation and
+// no garbage. Sweeps that release their simulators therefore run the
+// steady state entirely on recycled devices.
 type template struct {
-	s scheme.Scheme
+	dev *scheme.Device
 
 	mu   sync.Mutex
-	free []scheme.Scheme
+	free []*scheme.Device
 }
 
-// snapshotFreeCap bounds the released clones pooled per template, limiting
-// retained memory to a few devices per key while covering the worker
-// parallelism of a typical sweep.
+// snapshotFreeCap is the floor of the released devices pooled per
+// template. Every scheme draws from one pool, so the pool must cover the
+// simulations that can run at once on one geometry: freeCap raises the
+// floor to GOMAXPROCS on wider hosts.
 const snapshotFreeCap = 4
 
-// snapshots holds the resident templates. A template at the default
-// geometry holds the whole flash array (~8.5 MB), and sensitivity sweeps
-// create one key per config variation, so the cap keeps a full P/E sweep
-// (4 baselines x 3 schemes) resident with headroom.
+// freeCap bounds one template's pool of released devices.
+func freeCap() int { return max(snapshotFreeCap, runtime.GOMAXPROCS(0)) }
+
+// snapshots holds the resident templates. A device at the default geometry
+// is about 9.5 MiB (the flash array plus the mapping table; about 0.64 GB
+// at the full Table 2 geometry), and sensitivity sweeps create one key per
+// config variation, so the cap keeps a full P/E sweep (4 keys) resident
+// with headroom.
 var snapshots = lru.Cache[snapshotKey, *template]{Cap: 16}
 
 // ResetSnapshotCache drops every cached device template, releasing their
@@ -54,49 +62,59 @@ var snapshots = lru.Cache[snapshotKey, *template]{Cap: 16}
 // and are handed to their waiters but are no longer retained.
 func ResetSnapshotCache() { snapshots.Reset() }
 
-// snapshotScheme returns a fresh scheme instance for cfg, cloned from the
-// cached preconditioned template (building and caching it on first use),
-// and the template it came from.
-func snapshotScheme(cfg Config) (scheme.Scheme, *template, error) {
-	key := snapshotKey{flash: cfg.Flash, err: cfg.Error, scheme: cfg.Scheme}
+// snapshotDevice returns a device for cfg copied from the cached
+// preconditioned template (building and caching it on first use), and the
+// template it came from.
+func snapshotDevice(cfg Config) (*scheme.Device, *template, error) {
+	key := snapshotKey{flash: cfg.Flash, err: cfg.Error}
 	t, err := snapshots.Get(key, func() (*template, error) {
-		s, err := buildScheme(cfg)
+		d, err := newDevice(cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &template{s: s}, nil
+		return &template{dev: d}, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return t.clone(), t, nil
+	return t.copy(), t, nil
 }
 
-// clone returns a copy of the template, recycling a released clone by
-// restoring it in place when the pool has one.
-func (t *template) clone() scheme.Scheme {
+// newDevice builds (and, per cfg.Flash.PreFillMLC, preconditions) a device
+// from scratch.
+func newDevice(cfg Config) (*scheme.Device, error) {
+	fc := cfg.Flash // copy: the device retains a pointer
+	em := cfg.Error
+	return scheme.NewDevice(&fc, &em)
+}
+
+// copy returns a copy of the template device, recycling a released device
+// by restoring it in place when the pool has one.
+func (t *template) copy() *scheme.Device {
 	t.mu.Lock()
-	var reuse scheme.Scheme
+	var reuse *scheme.Device
 	if n := len(t.free); n > 0 {
 		reuse = t.free[n-1]
 		t.free[n-1] = nil
 		t.free = t.free[:n-1]
 	}
 	t.mu.Unlock()
-	if reuse != nil && reuse.Restore(t.s) {
-		return reuse
+	if reuse == nil {
+		return t.dev.Clone()
 	}
-	return t.s.Clone()
+	reuse.Restore(t.dev)
+	return reuse
 }
 
-// release returns a clone to the template's free pool. The caller must be
+// release returns a device to the template's free pool. The caller must be
 // done with it entirely: the next job overwrites its state in place. A
-// full pool drops the clone to the garbage collector, as does evicting
+// full pool drops the device to the garbage collector, as does evicting
 // the template.
-func (t *template) release(s scheme.Scheme) {
+func (t *template) release(d *scheme.Device) {
+	n := freeCap()
 	t.mu.Lock()
-	if len(t.free) < snapshotFreeCap {
-		t.free = append(t.free, s)
+	if len(t.free) < n {
+		t.free = append(t.free, d)
 	}
 	t.mu.Unlock()
 }

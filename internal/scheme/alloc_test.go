@@ -1,10 +1,6 @@
 package scheme
 
-import (
-	"testing"
-
-	"ipusim/internal/errmodel"
-)
+import "testing"
 
 // preconditioned builds a scheme and drives enough host writes through it
 // to reach steady state: every device-owned scratch buffer (LSN ranges,
@@ -15,26 +11,7 @@ func preconditioned(tb testing.TB, name string) Scheme {
 	tb.Helper()
 	cfg := tinyConfig()
 	cfg.PreFillMLC = true // reads below hit mapped data
-	em := errmodel.Default()
-	var s Scheme
-	var err error
-	switch name {
-	case "Baseline":
-		s, err = NewBaseline(&cfg, &em)
-	case "MGA":
-		s, err = NewMGA(&cfg, &em)
-	case "IPU":
-		s, err = NewIPU(&cfg, &em)
-	case "IPS":
-		s, err = NewIPS(&cfg, &em)
-	case "IPU-PGC":
-		s, err = NewIPUPGC(&cfg, &em, DefaultPGCConfig())
-	default:
-		tb.Fatalf("unknown scheme %q", name)
-	}
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s := newScheme(tb, name, cfg)
 	now := int64(0)
 	for i := 0; i < 4000; i++ {
 		now += 500_000

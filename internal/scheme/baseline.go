@@ -1,9 +1,6 @@
 package scheme
 
-import (
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
-)
+import "ipusim/internal/flash"
 
 // Baseline is the paper's comparison point: a dynamic page-level mapping
 // FTL without partial programming. Every write chunk consumes a whole SLC
@@ -14,29 +11,8 @@ type Baseline struct {
 	dev *Device
 }
 
-// NewBaseline builds the Baseline scheme on a fresh device.
-func NewBaseline(cfg *flash.Config, em *errmodel.Model) (*Baseline, error) {
-	d, err := NewDevice(cfg, em)
-	if err != nil {
-		return nil, err
-	}
-	return &Baseline{dev: d}, nil
-}
-
-// Clone implements Scheme.
-func (b *Baseline) Clone() Scheme {
-	return &Baseline{dev: b.dev.Clone()}
-}
-
-// Restore implements Scheme.
-func (b *Baseline) Restore(from Scheme) bool {
-	t, ok := from.(*Baseline)
-	if !ok || b.dev.Map.Len() != t.dev.Map.Len() || b.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
-		return false
-	}
-	b.dev.Restore(t.dev)
-	return true
-}
+// NewBaseline builds the Baseline scheme over d.
+func NewBaseline(d *Device) *Baseline { return &Baseline{dev: d} }
 
 // Name implements Scheme.
 func (b *Baseline) Name() string { return "Baseline" }

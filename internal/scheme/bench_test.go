@@ -3,7 +3,6 @@ package scheme
 import (
 	"testing"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
 
@@ -19,24 +18,14 @@ func benchConfig() flash.Config {
 // *testing.T plumbing of newScheme.
 func benchIPUDevice(b *testing.B, cfg flash.Config) *Device {
 	b.Helper()
-	em := errmodel.Default()
-	s, err := NewIPU(&cfg, &em)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s.Device()
+	return NewIPU(newTestDevice(b, cfg)).Device()
 }
 
 // populatedIPU returns an IPU device with a realistic mix of hot and cold
 // blocks for victim-selection microbenchmarks.
 func populatedIPU(b *testing.B) *IPU {
 	b.Helper()
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPU(&cfg, &em)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := NewIPU(newTestDevice(b, tinyConfig()))
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
 		now += 500_000
@@ -191,20 +180,15 @@ func BenchmarkGCMoveFlushAll(b *testing.B) {
 func BenchmarkHostWrite(b *testing.B) {
 	for _, name := range schemeNames {
 		b.Run(name, func(b *testing.B) {
-			cfg := tinyConfig()
-			em := errmodel.Default()
+			d := newTestDevice(b, tinyConfig())
 			var s Scheme
-			var err error
 			switch name {
 			case "Baseline":
-				s, err = NewBaseline(&cfg, &em)
+				s = NewBaseline(d)
 			case "MGA":
-				s, err = NewMGA(&cfg, &em)
+				s = NewMGA(d)
 			default:
-				s, err = NewIPU(&cfg, &em)
-			}
-			if err != nil {
-				b.Fatal(err)
+				s = NewIPU(d)
 			}
 			now := int64(0)
 			b.ResetTimer()
@@ -220,11 +204,7 @@ func BenchmarkHostWrite(b *testing.B) {
 func BenchmarkHostRead(b *testing.B) {
 	cfg := tinyConfig()
 	cfg.PreFillMLC = true
-	em := errmodel.Default()
-	s, err := NewIPU(&cfg, &em)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := NewIPU(newTestDevice(b, cfg))
 	now := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

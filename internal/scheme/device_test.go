@@ -8,12 +8,13 @@ import (
 	"ipusim/internal/flash"
 )
 
-func newTestDevice(t *testing.T, cfg flash.Config) *Device {
-	t.Helper()
+// newTestDevice builds a device on cfg with the default error model.
+func newTestDevice(tb testing.TB, cfg flash.Config) *Device {
+	tb.Helper()
 	em := errmodel.Default()
 	d, err := NewDevice(&cfg, &em)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
@@ -88,11 +89,7 @@ func TestPreFillMapsWholeLogicalSpace(t *testing.T) {
 func TestPreFillOverwriteInvalidatesMLCCopy(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PreFillMLC = true
-	em := errmodel.Default()
-	s, err := NewIPU(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewIPU(newTestDevice(t, cfg))
 	d := s.Device()
 	old := d.Map.Get(0)
 	s.Write(0, 0, 4096)
@@ -157,11 +154,7 @@ func TestBlockReadyGating(t *testing.T) {
 
 func TestHostOverflowToMLCUnderPressure(t *testing.T) {
 	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewBaseline(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewBaseline(newTestDevice(t, cfg))
 	d := s.Device()
 	// Slam writes with zero inter-arrival: erases cannot complete between
 	// allocations, so some host writes must divert to the MLC region.
@@ -181,11 +174,7 @@ func TestStripingSpreadsChunks(t *testing.T) {
 	cfg.Blocks = 128
 	cfg.SLCRatio = 0.5 // 64 SLC blocks: stripes = min(2, 64/12) = 2
 	cfg.LogicalSubpages = cfg.MLCSubpages() / 2
-	em := errmodel.Default()
-	s, err := NewBaseline(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewBaseline(newTestDevice(t, cfg))
 	d := s.Device()
 	s.Write(0, 0, 4096)
 	s.Write(1, 100*4096, 4096)

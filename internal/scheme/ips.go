@@ -1,7 +1,6 @@
 package scheme
 
 import (
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 	"ipusim/internal/sim"
 )
@@ -44,17 +43,13 @@ type IPS struct {
 	maxSwitched int
 }
 
-// NewIPS builds the In-place Switch scheme on a fresh device.
-func NewIPS(cfg *flash.Config, em *errmodel.Model) (*IPS, error) {
-	d, err := NewDevice(cfg, em)
-	if err != nil {
-		return nil, err
-	}
-	maxSwitched := cfg.SLCBlocks() / ipsSwitchedBudgetDiv
+// NewIPS builds the In-place Switch scheme over d.
+func NewIPS(d *Device) *IPS {
+	maxSwitched := d.Cfg.SLCBlocks() / ipsSwitchedBudgetDiv
 	if maxSwitched < 1 {
 		maxSwitched = 1
 	}
-	return &IPS{dev: d, maxSwitched: maxSwitched}, nil
+	return &IPS{dev: d, maxSwitched: maxSwitched}
 }
 
 // Name implements Scheme.
@@ -65,27 +60,6 @@ func (s *IPS) Device() *Device { return s.dev }
 
 // Metrics implements Scheme.
 func (s *IPS) Metrics() *Metrics { return s.dev.Met }
-
-// Clone implements Scheme.
-func (s *IPS) Clone() Scheme {
-	return &IPS{
-		dev:         s.dev.Clone(),
-		switched:    append([]int(nil), s.switched...),
-		maxSwitched: s.maxSwitched,
-	}
-}
-
-// Restore implements Scheme.
-func (s *IPS) Restore(from Scheme) bool {
-	t, ok := from.(*IPS)
-	if !ok || s.maxSwitched != t.maxSwitched ||
-		s.dev.Map.Len() != t.dev.Map.Len() || s.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
-		return false
-	}
-	s.dev.Restore(t.dev)
-	s.switched = append(s.switched[:0], t.switched...)
-	return true
-}
 
 // Write implements Scheme.
 func (s *IPS) Write(now int64, offset int64, size int) int64 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ipusim/internal/check"
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
 
@@ -20,12 +19,7 @@ func driveIPSColdFill(s *IPS, writes int) {
 }
 
 func TestIPSSwitchesMostlyValidVictims(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPS(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewIPS(newTestDevice(t, tinyConfig()))
 	d := s.Device()
 	d.AttachChecker(check.Full)
 	driveIPSColdFill(s, 400)
@@ -72,12 +66,7 @@ func TestIPSSwitchesMostlyValidVictims(t *testing.T) {
 }
 
 func TestIPSBudgetForcesSwitchBackReclaims(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPS(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewIPS(newTestDevice(t, tinyConfig()))
 	d := s.Device()
 	d.AttachChecker(check.Full)
 	// Enough cold churn to exhaust the budget several times over.
@@ -107,12 +96,7 @@ func TestIPSBudgetForcesSwitchBackReclaims(t *testing.T) {
 }
 
 func TestIPSReadsFromSwitchedBlocksPayMLC(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPS(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewIPS(newTestDevice(t, tinyConfig()))
 	d := s.Device()
 	driveIPSColdFill(s, 400)
 	if s.Metrics().InPlaceSwitches == 0 {
@@ -144,12 +128,7 @@ func TestIPSReadsFromSwitchedBlocksPayMLC(t *testing.T) {
 }
 
 func TestIPSIntraPageUpdate(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPS(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewIPS(newTestDevice(t, tinyConfig()))
 	d := s.Device()
 	s.Write(0, 0, 4096)
 	first := d.Map.Get(0)
@@ -165,40 +144,4 @@ func TestIPSIntraPageUpdate(t *testing.T) {
 		t.Error("old version not invalidated")
 	}
 	checkConsistency(t, d)
-}
-
-func TestIPSCloneAndRestore(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPS(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveIPSColdFill(s, 500)
-	c := s.Clone().(*IPS)
-	if len(c.switched) != len(s.switched) {
-		t.Fatalf("clone switched %v, want %v", c.switched, s.switched)
-	}
-	// Diverge the original; the clone's switched set must not follow.
-	snap := append([]int(nil), c.switched...)
-	driveIPSColdFill(s, 500)
-	for i, v := range snap {
-		if c.switched[i] != v {
-			t.Fatal("clone's switched set aliased the original")
-		}
-	}
-	if !s.Restore(c) {
-		t.Fatal("restore onto same geometry refused")
-	}
-	if len(s.switched) != len(snap) {
-		t.Errorf("restored switched %v, want %v", s.switched, snap)
-	}
-	// Type and parameter mismatches must refuse.
-	other, err := NewIPU(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Restore(other) {
-		t.Error("restore accepted a different scheme type")
-	}
 }

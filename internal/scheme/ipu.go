@@ -3,7 +3,6 @@ package scheme
 import (
 	"fmt"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
 
@@ -98,22 +97,21 @@ type IPU struct {
 	victimFn VictimSelector
 }
 
-// NewIPU builds the paper's IPU scheme on a fresh device.
-func NewIPU(cfg *flash.Config, em *errmodel.Model) (*IPU, error) {
-	return NewIPUVariant(cfg, em, DefaultIPUVariant())
-}
+// NewIPU builds the paper's IPU scheme over d.
+func NewIPU(d *Device) *IPU { return newIPU(d, DefaultIPUVariant()) }
 
-// NewIPUVariant builds an IPU variant (ablation or extension).
-func NewIPUVariant(cfg *flash.Config, em *errmodel.Model, v IPUVariant) (*IPU, error) {
+// NewIPUVariant builds an IPU variant (ablation or extension) over d.
+func NewIPUVariant(d *Device, v IPUVariant) (*IPU, error) {
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
+	return newIPU(d, v), nil
+}
+
+// newIPU builds a validated variant.
+func newIPU(d *Device, v IPUVariant) *IPU {
 	if v.CombineBudget == 0 {
 		v.CombineBudget = 2
-	}
-	d, err := NewDevice(cfg, em)
-	if err != nil {
-		return nil, err
 	}
 	stripes := len(d.open[flash.LevelWork])
 	u := &IPU{
@@ -123,12 +121,11 @@ func NewIPUVariant(cfg *flash.Config, em *errmodel.Model, v IPUVariant) (*IPU, e
 		hasCombine: make([]bool, stripes),
 	}
 	u.bindVictim()
-	return u, nil
+	return u
 }
 
 // bindVictim installs the variant's victim selector. The CombineCold
-// wrapper closes over the receiver, so clones must call this again to
-// protect their own combine pages rather than the template's.
+// wrapper closes over the receiver to protect its combine pages.
 func (u *IPU) bindVictim() {
 	sel := ISRVictim
 	if u.v.GreedyGC {
@@ -146,34 +143,6 @@ func (u *IPU) bindVictim() {
 	} else {
 		u.victimFn = sel
 	}
-}
-
-// Clone implements Scheme.
-func (u *IPU) Clone() Scheme {
-	c := &IPU{
-		dev:        u.dev.Clone(),
-		v:          u.v,
-		combine:    append([]flash.PPA(nil), u.combine...),
-		hasCombine: append([]bool(nil), u.hasCombine...),
-		combineRR:  u.combineRR,
-	}
-	c.bindVictim()
-	return c
-}
-
-// Restore implements Scheme.
-func (u *IPU) Restore(from Scheme) bool {
-	t, ok := from.(*IPU)
-	if !ok || u.v != t.v || len(u.combine) != len(t.combine) ||
-		u.dev.Map.Len() != t.dev.Map.Len() || u.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
-		return false
-	}
-	u.dev.Restore(t.dev)
-	copy(u.combine, t.combine)
-	copy(u.hasCombine, t.hasCombine)
-	u.combineRR = t.combineRR
-	// victimFn is already bound to u.
-	return true
 }
 
 // Name implements Scheme.

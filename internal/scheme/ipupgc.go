@@ -3,8 +3,6 @@ package scheme
 import (
 	"fmt"
 
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
 	"ipusim/internal/sim"
 )
 
@@ -72,19 +70,15 @@ type IPUPGC struct {
 	pendingTotal int64
 }
 
-// NewIPUPGC builds IPU with the preemptive collector.
-func NewIPUPGC(cfg *flash.Config, em *errmodel.Model, pgc PGCConfig) (*IPUPGC, error) {
+// NewIPUPGC builds IPU with the preemptive collector over d.
+func NewIPUPGC(d *Device, pgc PGCConfig) (*IPUPGC, error) {
 	if err := pgc.Validate(); err != nil {
 		return nil, err
 	}
 	if pgc.StepPages == 0 {
 		pgc.StepPages = defaultPGCStepPages
 	}
-	u, err := NewIPU(cfg, em)
-	if err != nil {
-		return nil, err
-	}
-	return &IPUPGC{ipu: u, pgc: pgc, victim: -1}, nil
+	return &IPUPGC{ipu: NewIPU(d), pgc: pgc, victim: -1}, nil
 }
 
 // Name implements Scheme.
@@ -98,30 +92,6 @@ func (g *IPUPGC) Metrics() *Metrics { return g.ipu.dev.Met }
 
 // Config returns the active preemption parameters.
 func (g *IPUPGC) Config() PGCConfig { return g.pgc }
-
-// Clone implements Scheme.
-func (g *IPUPGC) Clone() Scheme {
-	return &IPUPGC{
-		ipu:          g.ipu.Clone().(*IPU),
-		pgc:          g.pgc,
-		victim:       g.victim,
-		victimErase:  g.victimErase,
-		cursor:       g.cursor,
-		pendingUsed:  g.pendingUsed,
-		pendingTotal: g.pendingTotal,
-	}
-}
-
-// Restore implements Scheme.
-func (g *IPUPGC) Restore(from Scheme) bool {
-	t, ok := from.(*IPUPGC)
-	if !ok || g.pgc != t.pgc || !g.ipu.Restore(t.ipu) {
-		return false
-	}
-	g.victim, g.victimErase, g.cursor = t.victim, t.victimErase, t.cursor
-	g.pendingUsed, g.pendingTotal = t.pendingUsed, t.pendingTotal
-	return true
-}
 
 // Write implements Scheme: IPU placement, then the bounded preemptive
 // step, then the emergency collector as backstop.

@@ -4,14 +4,11 @@ import (
 	"testing"
 
 	"ipusim/internal/check"
-	"ipusim/internal/errmodel"
 )
 
 func newPGC(t *testing.T, pgc PGCConfig) *IPUPGC {
 	t.Helper()
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPUPGC(&cfg, &em, pgc)
+	s, err := NewIPUPGC(newTestDevice(t, tinyConfig()), pgc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +31,7 @@ func TestPGCConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	// Zero StepPages defaults at construction.
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	s, err := NewIPUPGC(&cfg, &em, PGCConfig{Watermark: 0.2})
+	s, err := NewIPUPGC(newTestDevice(t, tinyConfig()), PGCConfig{Watermark: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +46,8 @@ func TestPGCConfigValidate(t *testing.T) {
 // activity. Any divergence means the preemptive path leaks into the
 // disabled configuration.
 func TestPGCWatermarkZeroIsIdenticalToIPU(t *testing.T) {
-	cfg := tinyConfig()
-	em := errmodel.Default()
-	u, err := NewIPU(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := tinyConfig()
-	g, err := NewIPUPGC(&cfg2, &em, PGCConfig{Watermark: 0, StepPages: 2})
+	u := NewIPU(newTestDevice(t, tinyConfig()))
+	g, err := NewIPUPGC(newTestDevice(t, tinyConfig()), PGCConfig{Watermark: 0, StepPages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +103,4 @@ func TestPGCPreemptsEmergencyGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConsistency(t, g.Device())
-}
-
-func TestPGCCloneAndRestore(t *testing.T) {
-	g := newPGC(t, DefaultPGCConfig())
-	driveWorkload(t, g, 3000, 37)
-	c := g.Clone().(*IPUPGC)
-	if c.victim != g.victim || c.cursor != g.cursor {
-		t.Fatal("clone did not copy collector state")
-	}
-	// Diverge and restore: collector state must snap back.
-	victim, cursor := c.victim, c.cursor
-	driveWorkload(t, g, 1000, 41)
-	if !g.Restore(c) {
-		t.Fatal("restore refused")
-	}
-	if g.victim != victim || g.cursor != cursor {
-		t.Error("restore did not reset collector state")
-	}
-	// A different watermark must refuse to restore.
-	other := newPGC(t, PGCConfig{Watermark: 0.25, StepPages: 2})
-	if g.Restore(other) {
-		t.Error("restore accepted mismatched preemption parameters")
-	}
 }

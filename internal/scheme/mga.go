@@ -1,9 +1,6 @@
 package scheme
 
-import (
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
-)
+import "ipusim/internal/flash"
 
 // MGA is the Mapping-Granularity-Adaptive FTL (Feng et al., DATE'17), the
 // paper's closest related work: subpage-granularity mapping with partial
@@ -28,12 +25,8 @@ type MGA struct {
 	victimFn VictimSelector
 }
 
-// NewMGA builds the MGA scheme on a fresh device.
-func NewMGA(cfg *flash.Config, em *errmodel.Model) (*MGA, error) {
-	d, err := NewDevice(cfg, em)
-	if err != nil {
-		return nil, err
-	}
+// NewMGA builds the MGA scheme over d.
+func NewMGA(d *Device) *MGA {
 	stripes := len(d.open[flash.LevelWork])
 	m := &MGA{
 		dev:       d,
@@ -41,36 +34,7 @@ func NewMGA(cfg *flash.Config, em *errmodel.Model) (*MGA, error) {
 		hasOpen:   make([]bool, stripes),
 	}
 	m.victimFn = m.victim
-	return m, nil
-}
-
-// Clone implements Scheme.
-func (m *MGA) Clone() Scheme {
-	c := &MGA{
-		dev:       m.dev.Clone(),
-		openPages: append([]flash.PPA(nil), m.openPages...),
-		hasOpen:   append([]bool(nil), m.hasOpen...),
-		rr:        m.rr,
-	}
-	// Rebind the victim selector: the method value must capture the clone,
-	// or its GC would protect the template's open pages instead.
-	c.victimFn = c.victim
-	return c
-}
-
-// Restore implements Scheme.
-func (m *MGA) Restore(from Scheme) bool {
-	t, ok := from.(*MGA)
-	if !ok || len(m.openPages) != len(t.openPages) ||
-		m.dev.Map.Len() != t.dev.Map.Len() || m.dev.Arr.NumBlocks() != t.dev.Arr.NumBlocks() {
-		return false
-	}
-	m.dev.Restore(t.dev)
-	copy(m.openPages, t.openPages)
-	copy(m.hasOpen, t.hasOpen)
-	m.rr = t.rr
-	// victimFn is already bound to m.
-	return true
+	return m
 }
 
 // Name implements Scheme.

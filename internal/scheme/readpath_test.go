@@ -3,7 +3,6 @@ package scheme
 import (
 	"testing"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 	"ipusim/internal/sim"
 )
@@ -63,11 +62,7 @@ func TestReadSLCvsMLCAccounting(t *testing.T) {
 func TestReadRetriesAtExtremeWear(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PEBaseline = 60000 // far beyond rated life: BER exceeds ECC capability
-	em := errmodel.Default()
-	s, err := NewBaseline(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewBaseline(newTestDevice(t, cfg))
 	d := s.Device()
 	s.Write(0, 0, 4096)
 	endHealthy := func() int64 {
@@ -88,11 +83,7 @@ func TestReadRetriesAtExtremeWear(t *testing.T) {
 func TestUncorrectableCountedAtAbsurdWear(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PEBaseline = 2_000_000
-	em := errmodel.Default()
-	s, err := NewBaseline(&cfg, &em)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewBaseline(newTestDevice(t, cfg))
 	s.Write(0, 0, 4096)
 	s.Read(1, 0, 4096)
 	if s.Metrics().UncorrectableReads == 0 {

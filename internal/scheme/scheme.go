@@ -16,7 +16,9 @@
 //
 // All three share the Device: flash array, timing engine, error model,
 // logical-to-physical bookkeeping, SLC-cache and MLC-region allocators,
-// and garbage-collection plumbing.
+// and garbage-collection plumbing. The device is built (and
+// preconditioned) without reference to any scheme; a scheme is a policy
+// over a device it borrows.
 package scheme
 
 import (
@@ -24,7 +26,12 @@ import (
 	"ipusim/internal/metrics"
 )
 
-// Scheme is one flash translation layer driving the shared Device.
+// Scheme is one flash translation layer driving a Device it is given.
+// Every constructor takes a device built by NewDevice (preconditioned
+// when Config.PreFillMLC is set) and sets only the scheme's own fields:
+// it never mutates the device, so one preconditioned template can seed
+// every scheme, and Device.Clone and Device.Restore are the only copy
+// path.
 type Scheme interface {
 	// Name returns the paper's label for the scheme.
 	Name() string
@@ -37,17 +44,6 @@ type Scheme interface {
 	Device() *Device
 	// Metrics exposes the run statistics.
 	Metrics() *Metrics
-	// Clone returns a deep copy of the scheme and its device, so a
-	// preconditioned instance can serve as a template for many independent
-	// runs. Clone only between requests (never mid-GC); the copy starts
-	// with no checker attached.
-	Clone() Scheme
-	// Restore overwrites this instance with a deep copy of from, reusing
-	// its own allocations — a Clone into recycled storage. It reports false
-	// (leaving the receiver untouched) when from is a different concrete
-	// scheme or geometry. Like Clone, the restored instance starts with no
-	// checker attached.
-	Restore(from Scheme) bool
 }
 
 // Metrics aggregates everything the paper's figures report for one run.

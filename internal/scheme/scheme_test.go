@@ -22,29 +22,28 @@ func tinyConfig() flash.Config {
 	return c
 }
 
-func newScheme(t *testing.T, name string, cfg flash.Config) Scheme {
-	t.Helper()
-	em := errmodel.Default()
-	var s Scheme
-	var err error
+// newScheme builds the named scheme over a fresh device on cfg.
+func newScheme(tb testing.TB, name string, cfg flash.Config) Scheme {
+	tb.Helper()
+	d := newTestDevice(tb, cfg)
 	switch name {
 	case "Baseline":
-		s, err = NewBaseline(&cfg, &em)
+		return NewBaseline(d)
 	case "MGA":
-		s, err = NewMGA(&cfg, &em)
+		return NewMGA(d)
 	case "IPU":
-		s, err = NewIPU(&cfg, &em)
+		return NewIPU(d)
 	case "IPS":
-		s, err = NewIPS(&cfg, &em)
+		return NewIPS(d)
 	case "IPU-PGC":
-		s, err = NewIPUPGC(&cfg, &em, DefaultPGCConfig())
-	default:
-		t.Fatalf("unknown scheme %s", name)
+		s, err := NewIPUPGC(d, DefaultPGCConfig())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	tb.Fatalf("unknown scheme %s", name)
+	return nil
 }
 
 var schemeNames = []string{"Baseline", "MGA", "IPU", "IPS", "IPU-PGC"}

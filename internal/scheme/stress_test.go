@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
 
@@ -25,7 +24,6 @@ func stressConfig() flash.Config {
 
 func allSchemes(t *testing.T, cfg flash.Config) []Scheme {
 	t.Helper()
-	em := errmodel.Default()
 	var out []Scheme
 	for _, n := range schemeNames {
 		out = append(out, newScheme(t, n, cfg))
@@ -36,8 +34,7 @@ func allSchemes(t *testing.T, cfg flash.Config) []Scheme {
 		"IPU-noupdate": IPUVariants()["IPU-noupdate"],
 		"IPU-AC":       IPUVariants()["IPU-AC"],
 	} {
-		c := cfg
-		s, err := NewIPUVariant(&c, &em, v)
+		s, err := NewIPUVariant(newTestDevice(t, cfg), v)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -3,7 +3,6 @@ package scheme
 import (
 	"testing"
 
-	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
 
@@ -13,8 +12,7 @@ func newVariant(t *testing.T, cfg flash.Config, name string) *IPU {
 	if !ok {
 		t.Fatalf("unknown variant %s", name)
 	}
-	em := errmodel.Default()
-	s, err := NewIPUVariant(&cfg, &em, v)
+	s, err := NewIPUVariant(newTestDevice(t, cfg), v)
 	if err != nil {
 		t.Fatal(err)
 	}

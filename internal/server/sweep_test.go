@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"ipusim/internal/core"
-	"ipusim/internal/errmodel"
-	"ipusim/internal/flash"
 	"ipusim/internal/scheme"
 )
 
@@ -98,11 +96,11 @@ func TestSweepMatchesCore(t *testing.T) {
 }
 
 // panicScheme is registered once, under a name no paper list or pinned
-// key mentions; building its device panics.
+// key mentions; its builder panics.
 const panicScheme = "test-panicking-builder"
 
 var registerPanicScheme = sync.OnceFunc(func() {
-	core.RegisterScheme(panicScheme, func(*flash.Config, *errmodel.Model) (scheme.Scheme, error) {
+	core.RegisterScheme(panicScheme, func(*scheme.Device) (scheme.Scheme, error) {
 		panic("boom")
 	})
 })
