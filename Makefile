@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay fuzz-itc fuzz-canonical fuzz-config golden clean
+.PHONY: all build test vet race serve serve-test serve-cluster-test bench bench-json bench-baseline bench-check bench-module check-schemes check-flash check-tenants check-closedloop experiments ablation sensitivity fuzz fuzz-parse fuzz-replay fuzz-itc fuzz-canonical fuzz-config golden clean
 
 all: build test
 
@@ -69,6 +69,17 @@ golden:
 check-schemes:
 	$(GO) test -count 1 ./internal/scheme
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay|TestBuildersLeaveDeviceUnchanged|TestSnapshot|TestResetSnapshotCache' ./internal/core
+
+# The flash-state acceptance gate: the flash array (8-byte subpages, the
+# SLC write-time column, J kept only in SLC mode, the checker's all-slot
+# column dropped by Clone and Restore, the dirty-page restore fast path)
+# and the invariant checker (stale-version test on restored devices), the
+# FuzzReplay seeds and checked replays of every scheme, the goldens, and
+# the clone and recycled-restore differentials over every scheme.
+check-flash:
+	$(GO) test -count 1 ./internal/flash ./internal/check
+	$(GO) test -count 1 -run 'FuzzReplay|TestCheckedReplayAllSchemes|TestCheckedDeviceCopiesShareNoTimeColumn' ./internal/scheme
+	$(GO) test -count 1 -run 'TestGolden|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay' ./internal/core
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-reference
 # bit-identity differential across every scheme, multi-tenant replay

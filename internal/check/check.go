@@ -116,7 +116,9 @@ type Checker struct {
 
 // New builds a checker over a device's flash array and translation map.
 // prefilled declares the whole logical space mapped at time zero (the
-// PreFillMLC preconditioning).
+// PreFillMLC preconditioning). The stale-version test reads the write time
+// of any slot, so arr must keep all write times
+// (flash.Array.TrackAllWriteTimes) for as long as the checker is used.
 func New(level Level, cfg *flash.Config, arr *flash.Array, m *ftl.Map, prefilled bool) *Checker {
 	c := &Checker{
 		level:     level,
@@ -201,9 +203,11 @@ func (c *Checker) checkLSN(l flash.LSN) error {
 	if sp.LSN != l {
 		return fmt.Errorf("check: LSN %d maps to %v which stores LSN %d", l, ppa, sp.LSN)
 	}
-	if c.state[l] == lsnWritten && c.monotone && sp.WriteTime < c.lastWrite[l] {
-		return fmt.Errorf("check: LSN %d at %v stores version from t=%d, latest host write t=%d (stale data)",
-			l, ppa, sp.WriteTime, c.lastWrite[l])
+	if c.state[l] == lsnWritten && c.monotone {
+		if wt := c.arr.WriteTime(ppa); wt < c.lastWrite[l] {
+			return fmt.Errorf("check: LSN %d at %v stores version from t=%d, latest host write t=%d (stale data)",
+				l, ppa, wt, c.lastWrite[l])
+		}
 	}
 	return nil
 }

@@ -29,6 +29,7 @@ func fixture(t *testing.T, level Level, prefilled bool) (*flash.Config, *flash.A
 	if err != nil {
 		t.Fatal(err)
 	}
+	arr.TrackAllWriteTimes(true)
 	m := ftl.NewMap(cfg.LogicalSubpages)
 	return cfg, arr, m, New(level, cfg, arr, m, prefilled)
 }

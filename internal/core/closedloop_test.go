@@ -266,7 +266,7 @@ func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
 				for ti := range l.rings {
 					clear(l.rings[ti])
 				}
-				clear(l.counts)
+				clear(l.cursors)
 				clear(l.accums)
 				l.last = 0
 				for i := 0; i < n; i++ {

@@ -70,18 +70,19 @@ type loop struct {
 	weights []float64
 	shares  []int
 	rings   [][]int64
-	counts  []int
+	// cursors holds each tenant's next gate slot, wrapping at its share.
+	cursors []int
 	// accums holds per-tenant statistics; nil unless the source is a
 	// multi-tenant schedule.
 	accums []tenantAccum
 	last   int64
 
-	// one backs shares, counts and rings of a single-tenant run, so the
+	// one backs shares, cursors and rings of a single-tenant run, so the
 	// open loop allocates nothing.
 	one struct {
-		share, count [1]int
-		ring         [1][]int64
-		slot         [1]int64
+		share, cursor [1]int
+		ring          [1][]int64
+		slot          [1]int64
 	}
 }
 
@@ -107,10 +108,10 @@ func (s *Simulator) newLoop(src source, depth int, weights []float64, wc *cache.
 	}
 	if k := len(weights); k > 1 {
 		l.shares = workload.DepthShares(depth, weights)
-		l.counts = make([]int, k)
+		l.cursors = make([]int, k)
 		l.rings = make([][]int64, k)
 	} else {
-		l.shares, l.counts, l.rings = l.one.share[:], l.one.count[:], l.one.ring[:]
+		l.shares, l.cursors, l.rings = l.one.share[:], l.one.cursor[:], l.one.ring[:]
 		l.shares[0] = max(depth, 1)
 	}
 	total := 0
@@ -139,8 +140,12 @@ func (l *loop) step(i int) int64 {
 	issue := r.Time
 	slot := 0
 	if l.gated {
-		slot = l.counts[ti] % l.shares[ti]
-		l.counts[ti]++
+		slot = l.cursors[ti]
+		if next := slot + 1; next < l.shares[ti] {
+			l.cursors[ti] = next
+		} else {
+			l.cursors[ti] = 0
+		}
 		if gate := l.rings[ti][slot]; gate > issue {
 			issue = gate
 		}

@@ -51,7 +51,7 @@ const snapshotFreeCap = 4
 func freeCap() int { return max(snapshotFreeCap, runtime.GOMAXPROCS(0)) }
 
 // snapshots holds the resident templates. A device at the default geometry
-// is about 9.5 MiB (the flash array plus the mapping table; about 0.64 GB
+// is about 6.0 MB (the flash array plus the mapping table; about 0.38 GB
 // at the full Table 2 geometry), and sensitivity sweeps create one key per
 // config variation, so the cap keeps a full P/E sweep (4 keys) resident
 // with headroom.

@@ -254,6 +254,23 @@ func TestSnapshotSkipsPreconditioning(t *testing.T) {
 	if allocs > 128 {
 		t.Errorf("warm New allocates %.0f objects, want a bounded clone (<= 128)", allocs)
 	}
+
+	// A warm New+Release restores a pooled device in place, so it
+	// allocates only the Simulator and the scheme struct, which carries
+	// its per-stripe pages inline and binds no victim-selector closure.
+	for _, name := range names {
+		cfg.Scheme = name
+		allocs := testing.AllocsPerRun(5, func() {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Release()
+		})
+		if allocs > 2 {
+			t.Errorf("%s: warm New+Release allocates %.0f objects, want <= 2", name, allocs)
+		}
+	}
 }
 
 // TestSnapshotCacheEvicts exercises the LRU bound. Templates are keyed by

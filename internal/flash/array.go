@@ -29,6 +29,19 @@ type Array struct {
 	pages []Page
 	subs  []Subpage
 
+	// slcTimes is the write-time column of the SLC-home slots: flat slot i
+	// below len(slcTimes) was last programmed at slcTimes[i]. SLC-home
+	// blocks occupy the low IDs, so their slots are the subpage store's
+	// prefix. Eq. 2 scores only SLC-mode blocks, which are always SLC-home,
+	// so MLC-home slots keep no time here. A slot holding no data (free or
+	// dead) reads 0.
+	slcTimes []int64
+	// allTimes, when non-nil, is a write-time column over every slot, kept
+	// only while TrackAllWriteTimes is on (an attached invariant checker
+	// needs the time of any slot). Clone and Restore never copy or alias
+	// it, so an unchecked device carries none.
+	allTimes []int64
+
 	// slcIDs and mlcIDs partition block IDs by mode. SLC blocks occupy the
 	// low IDs, which keeps them striped across all chips.
 	slcIDs []int
@@ -47,8 +60,8 @@ type Array struct {
 	// SLCJCount / SLCJSumWT aggregate every SLC block's J set (Eq. 2)
 	// array-wide, so ISR victim selection derives the cache-wide mean age T
 	// in O(1) instead of re-walking every block per GC trigger. Maintained
-	// alongside the per-block JCount/JSumWT in ProgramPage, Invalidate and
-	// Erase.
+	// alongside the per-block JCount/JSumWT in ProgramPage, Invalidate,
+	// Erase and SwitchToMLC.
 	SLCJCount int64
 	SLCJSumWT int64
 
@@ -92,6 +105,7 @@ func NewArray(cfg *Config) (*Array, error) {
 	a.dirtyPages = make([]uint64, (totalPages+63)/64)
 	a.pages = make([]Page, totalPages)
 	a.subs = make([]Subpage, totalPages*slots)
+	a.slcTimes = make([]int64, nSLC*cfg.SLCPagesPerBlock*slots)
 	for i := range a.subs {
 		a.subs[i].LSN = InvalidLSN
 	}
@@ -173,15 +187,17 @@ func (a *Array) pagesIn(id int) int {
 }
 
 // Clone returns a deep copy of the array sharing only the immutable config
-// and block-ID index slices. The copy is two bulk memmoves of the flat
-// page/subpage stores plus per-block view rebinding, independent of how
-// much of the device has been programmed — the heart of the
-// precondition-snapshot layer.
+// and block-ID index slices. The copy is bulk memmoves of the flat
+// page/subpage stores and the SLC write-time column plus per-block view
+// rebinding, independent of how much of the device has been programmed —
+// the heart of the precondition-snapshot layer. The copy keeps no
+// all-slot write-time column (see TrackAllWriteTimes).
 func (a *Array) Clone() *Array {
 	c := &Array{
 		blocks:      make([]Block, len(a.blocks)),
 		pages:       make([]Page, len(a.pages)),
 		subs:        make([]Subpage, len(a.subs)),
+		slcTimes:    make([]int64, len(a.slcTimes)),
 		slcUsed:     make([]uint64, len(a.slcUsed)),
 		dirtyBlocks: make([]uint64, len(a.dirtyBlocks)),
 		dirtyPages:  make([]uint64, len(a.dirtyPages)),
@@ -200,8 +216,12 @@ func (a *Array) Clone() *Array {
 // still equal t. A short replay touches a small fraction of the device, so
 // this turns the dominant full-store memmove into a few per-block struct
 // copies and per-page slot copies.
+//
+// Restore drops a's all-slot write-time column and never takes t's: the
+// result tracks SLC-home write times only, like a fresh clone.
 func (a *Array) Restore(t *Array) {
 	blocks, pages, subs, used := a.blocks, a.pages, a.subs, a.slcUsed
+	slcTimes := a.slcTimes
 	dirtyB, dirtyP := a.dirtyBlocks, a.dirtyPages
 	gen := a.gen
 	fast := a.restoredFrom == t && a.restoredGen == t.gen
@@ -230,13 +250,18 @@ func (a *Array) Restore(t *Array) {
 				i := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				pages[i] = t.pages[i]
-				copy(subs[i*slots:(i+1)*slots], t.subs[i*slots:(i+1)*slots])
+				lo, hi := i*slots, (i+1)*slots
+				copy(subs[lo:hi], t.subs[lo:hi])
+				if hi <= len(slcTimes) {
+					copy(slcTimes[lo:hi], t.slcTimes[lo:hi])
+				}
 			}
 		}
 	} else {
 		copy(blocks, t.blocks)
 		copy(pages, t.pages)
 		copy(subs, t.subs)
+		copy(slcTimes, t.slcTimes)
 		for i := range dirtyB {
 			dirtyB[i] = 0
 		}
@@ -247,6 +272,7 @@ func (a *Array) Restore(t *Array) {
 	copy(used, t.slcUsed)
 	*a = *t
 	a.blocks, a.pages, a.subs, a.slcUsed = blocks, pages, subs, used
+	a.slcTimes, a.allTimes = slcTimes, nil
 	a.dirtyBlocks, a.dirtyPages = dirtyB, dirtyP
 	// a's content changed: advance its own generation so any array that
 	// recorded (a, oldGen) as its template falls back to a full copy.
@@ -287,6 +313,44 @@ func (a *Array) Subpage(p PPA) *Subpage {
 	return a.blocks[p.Block()].Slot(p.Page(), p.Slot())
 }
 
+// slotIndex returns a physical address's index in the flat subpage store.
+func (a *Array) slotIndex(p PPA) int {
+	return (a.pageOffset(p.Block())+p.Page())*a.spp + p.Slot()
+}
+
+// WriteTime returns the simulation time (ns) at which the slot at p was
+// last programmed, or 0 if it holds no data. The time of an SLC-home slot
+// is always known; that of an MLC-home slot only while TrackAllWriteTimes
+// is on, and WriteTime panics for one otherwise.
+func (a *Array) WriteTime(p PPA) int64 {
+	i := a.slotIndex(p)
+	if a.allTimes != nil {
+		return a.allTimes[i]
+	}
+	if i >= len(a.slcTimes) {
+		panic(fmt.Sprintf("flash: write time of MLC-home slot %v is kept only while TrackAllWriteTimes is on", p))
+	}
+	return a.slcTimes[i]
+}
+
+// TrackAllWriteTimes turns the all-slot write-time column on or off. On
+// allocates it (once; turning it on again keeps the column) seeded from
+// the SLC-home column, with every MLC-home slot at 0, the time
+// preconditioning programs them at. An MLC-home slot programmed before
+// the column existed therefore reads at most its true time; every slot
+// programmed while it is on reads exactly. Off drops it. Clone and
+// Restore drop it too, so only a device with an invariant checker attached
+// pays for it.
+func (a *Array) TrackAllWriteTimes(on bool) {
+	switch {
+	case !on:
+		a.allTimes = nil
+	case a.allTimes == nil:
+		a.allTimes = make([]int64, len(a.subs))
+		copy(a.allTimes, a.slcTimes)
+	}
+}
+
 // PageOf returns the page at a physical address.
 func (a *Array) PageOf(p PPA) *Page {
 	return &a.blocks[p.Block()].Pages[p.Page()]
@@ -323,8 +387,9 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 				blockID, pageIdx, a.cfg.MaxProgramsPerSLCPage)
 		}
 	}
+	pi := a.pageOffset(blockID) + pageIdx
 	a.markDirty(blockID)
-	a.markPageDirty(a.pageOffset(blockID) + pageIdx)
+	a.markPageDirty(pi)
 	written := 0
 	for _, w := range writes {
 		if w.Slot < 0 || w.Slot >= len(slots) {
@@ -334,34 +399,41 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 		if s.State != SubFree {
 			return false, fmt.Errorf("flash: programming %s slot b%d p%d s%d", s.State, blockID, pageIdx, w.Slot)
 		}
-		*s = Subpage{LSN: w.LSN, WriteTime: now, State: SubValid}
+		*s = Subpage{LSN: w.LSN, State: SubValid}
 		s.SetPartial(partial)
 		written++
 	}
-	// Maintain the Eq. 2 aggregates: a first program adds its subpages to
-	// J; the first partial program marks the page updated, removing its
-	// previously written valid subpages (the new versions of updated data
-	// are hot, not members of J).
-	switch pg.ProgramCount {
-	case 0:
-		b.JCount += written
-		b.JSumWT += now * int64(written)
-		if b.Mode == ModeSLC {
+	lo, hi := pi*a.spp, (pi+1)*a.spp
+	if blockID < a.nSLC {
+		stamp(a.slcTimes[lo:hi], writes, now)
+	}
+	if a.allTimes != nil {
+		stamp(a.allTimes[lo:hi], writes, now)
+	}
+	// Maintain the Eq. 2 aggregates of an SLC-mode block: a first program
+	// adds its subpages to J; the first partial program marks the page
+	// updated, removing its previously written valid subpages (the new
+	// versions of updated data are hot, not members of J). Partial
+	// programs happen only in SLC mode.
+	if b.Mode == ModeSLC {
+		switch pg.ProgramCount {
+		case 0:
+			b.JCount += written
+			b.JSumWT += now * int64(written)
 			a.SLCJCount += int64(written)
 			a.SLCJSumWT += now * int64(written)
-		}
-	case 1:
-		justWritten := 0
-		for _, w := range writes {
-			justWritten |= 1 << w.Slot
-		}
-		for i := range slots {
-			if justWritten&(1<<i) == 0 && slots[i].State == SubValid {
-				b.JCount--
-				b.JSumWT -= slots[i].WriteTime
-				if b.Mode == ModeSLC {
+		case 1:
+			justWritten := 0
+			for _, w := range writes {
+				justWritten |= 1 << w.Slot
+			}
+			times := a.slcTimes[lo:hi]
+			for i := range slots {
+				if justWritten&(1<<i) == 0 && slots[i].State == SubValid {
+					b.JCount--
+					b.JSumWT -= times[i]
 					a.SLCJCount--
-					a.SLCJSumWT -= slots[i].WriteTime
+					a.SLCJSumWT -= times[i]
 				}
 			}
 		}
@@ -387,6 +459,14 @@ func (a *Array) ProgramPage(blockID, pageIdx int, writes []SlotWrite, now int64)
 		b.NextFreePage = pageIdx + 1
 	}
 	return partial, nil
+}
+
+// stamp records now as the write time of every slot in writes; times is
+// the page's run of a write-time column.
+func stamp(times []int64, writes []SlotWrite, now int64) {
+	for _, w := range writes {
+		times[w.Slot] = now
+	}
 }
 
 // applyDisturb records the program disturb of one partial operation: valid
@@ -449,13 +529,12 @@ func (a *Array) Invalidate(ppa PPA) error {
 	s.State = SubInvalid
 	b.ValidSub--
 	b.InvalidSub++
-	if pg.ProgramCount <= 1 {
+	if pg.ProgramCount <= 1 && b.Mode == ModeSLC {
+		wt := a.slcTimes[a.slotIndex(ppa)]
 		b.JCount--
-		b.JSumWT -= s.WriteTime
-		if b.Mode == ModeSLC {
-			a.SLCJCount--
-			a.SLCJSumWT -= s.WriteTime
-		}
+		b.JSumWT -= wt
+		a.SLCJCount--
+		a.SLCJSumWT -= wt
 	}
 	return nil
 }
@@ -467,13 +546,21 @@ func (a *Array) Erase(blockID int) error {
 	if b.ValidSub != 0 {
 		return fmt.Errorf("flash: erasing block %d with %d valid subpages", blockID, b.ValidSub)
 	}
+	po := a.pageOffset(blockID)
 	a.markDirty(blockID)
-	a.markPageRangeDirty(a.pageOffset(blockID), len(b.Pages))
+	a.markPageRangeDirty(po, len(b.Pages))
 	for p := range b.Pages {
 		b.Pages[p].ProgramCount = 0
 	}
 	for i := range b.slots {
 		b.slots[i] = Subpage{LSN: InvalidLSN}
+	}
+	lo, hi := po*a.spp, po*a.spp+len(b.slots)
+	if blockID < a.nSLC {
+		clear(a.slcTimes[lo:hi])
+	}
+	if a.allTimes != nil {
+		clear(a.allTimes[lo:hi])
 	}
 	b.EraseCount++
 	b.NextFreePage = 0
@@ -507,8 +594,9 @@ func (a *Array) Erase(blockID int) error {
 //     programmed, so nothing can land in them before the next erase.
 //
 // The block leaves the SLC cache: its J aggregates are removed from the
-// array-wide Eq. 2 sums and its used bit is cleared so GC victim scans
-// skip it. It rejoins the cache only through SwitchToSLC after an erase.
+// array-wide Eq. 2 sums and zeroed (J is kept only in SLC mode), and its
+// used bit is cleared so GC victim scans skip it. It rejoins the cache
+// only through SwitchToSLC after an erase.
 func (a *Array) SwitchToMLC(blockID int) error {
 	if blockID >= a.nSLC {
 		return fmt.Errorf("flash: switching non-SLC-home block %d", blockID)
@@ -517,8 +605,10 @@ func (a *Array) SwitchToMLC(blockID int) error {
 	if b.Mode != ModeSLC {
 		return fmt.Errorf("flash: switching block %d already in MLC mode", blockID)
 	}
+	po := a.pageOffset(blockID)
+	base := po * a.spp
 	a.markDirty(blockID)
-	a.markPageRangeDirty(a.pageOffset(blockID), len(b.Pages))
+	a.markPageRangeDirty(po, len(b.Pages))
 	for i := range b.slots {
 		s := &b.slots[i]
 		switch s.State {
@@ -528,6 +618,10 @@ func (a *Array) SwitchToMLC(blockID int) error {
 			*s = Subpage{LSN: InvalidLSN, State: SubDead}
 			b.InvalidSub--
 			b.DeadSub++
+			a.slcTimes[base+i] = 0
+			if a.allTimes != nil {
+				a.allTimes[base+i] = 0
+			}
 		case SubFree:
 			s.State = SubDead
 			b.DeadSub++
@@ -535,6 +629,7 @@ func (a *Array) SwitchToMLC(blockID int) error {
 	}
 	a.SLCJCount -= int64(b.JCount)
 	a.SLCJSumWT -= b.JSumWT
+	b.JCount, b.JSumWT = 0, 0
 	a.slcUsed[blockID>>6] &^= 1 << (blockID & 63)
 	b.NextFreePage = len(b.Pages)
 	b.Mode = ModeMLC
@@ -570,9 +665,10 @@ func (a *Array) SwitchToSLC(blockID int) error {
 func (a *Array) UsedSLCWords() []uint64 { return a.slcUsed }
 
 // CheckInvariants walks the array verifying that cached counters match slot
-// states and that every slot's stress counters are within the bounds that
-// make Subpage's narrow fields exact. It is O(device size) and intended for
-// tests.
+// states, that the write-time columns agree with each other and read 0 on
+// every slot holding no data, and that every slot's stress counters are
+// within the bounds that make Subpage's narrow fields exact. It is
+// O(device size) and intended for tests.
 func (a *Array) CheckInvariants() error {
 	var slcJCount, slcJSum int64
 	maxInPage := a.cfg.SlotsPerPage() - 1
@@ -581,19 +677,24 @@ func (a *Array) CheckInvariants() error {
 		var valid, invalid, dead int
 		var jCount int
 		var jSum int64
-		for p := range b.Pages {
-			if b.Pages[p].ProgramCount <= 1 {
-				for _, sp := range b.PageSlots(p) {
-					if sp.State == SubValid {
-						jCount++
-						jSum += sp.WriteTime
+		base := a.pageOffset(id) * a.spp
+		if b.Mode == ModeSLC {
+			for p := range b.Pages {
+				if b.Pages[p].ProgramCount <= 1 {
+					for s, sp := range b.PageSlots(p) {
+						if sp.State == SubValid {
+							jCount++
+							jSum += a.slcTimes[base+p*a.spp+s]
+						}
 					}
 				}
 			}
 		}
+		// Outside SLC mode J is zero: a block keeps J only while Eq. 2 can
+		// score it.
 		if jCount != b.JCount || jSum != b.JSumWT {
-			return fmt.Errorf("block %d J aggregates: have (%d,%d) want (%d,%d)",
-				id, b.JCount, b.JSumWT, jCount, jSum)
+			return fmt.Errorf("block %d (%v mode) J aggregates: have (%d,%d) want (%d,%d)",
+				id, b.Mode, b.JCount, b.JSumWT, jCount, jSum)
 		}
 		if b.Mode == ModeSLC {
 			slcJCount += int64(jCount)
@@ -609,6 +710,9 @@ func (a *Array) CheckInvariants() error {
 			anyUsed := false
 			for i := range slots {
 				sp := &slots[i]
+				if err := a.checkWriteTimes(id, p, i, base+p*a.spp+i, sp.State); err != nil {
+					return err
+				}
 				// Every program consumes a free slot, so a slot sees at
 				// most slots-1 later programs of its own page and as many
 				// of each neighbour; a block switches to MLC at most once
@@ -666,6 +770,27 @@ func (a *Array) CheckInvariants() error {
 	if slcJCount != a.SLCJCount || slcJSum != a.SLCJSumWT {
 		return fmt.Errorf("array SLC J aggregates: have (%d,%d) want (%d,%d)",
 			a.SLCJCount, a.SLCJSumWT, slcJCount, slcJSum)
+	}
+	return nil
+}
+
+// checkWriteTimes verifies flat slot i (page p, slot s of block id) in
+// both write-time columns: a slot holding no data reads 0, and while the
+// all-slot column is kept it matches the SLC-home column on every
+// SLC-home slot.
+func (a *Array) checkWriteTimes(id, p, s, i int, state SubpageState) error {
+	empty := state == SubFree || state == SubDead
+	if i < len(a.slcTimes) {
+		wt := a.slcTimes[i]
+		if empty && wt != 0 {
+			return fmt.Errorf("block %d page %d slot %d: %s slot with write time %d", id, p, s, state, wt)
+		}
+		if a.allTimes != nil && a.allTimes[i] != wt {
+			return fmt.Errorf("block %d page %d slot %d: all-slot write time %d, SLC column %d",
+				id, p, s, a.allTimes[i], wt)
+		}
+	} else if a.allTimes != nil && empty && a.allTimes[i] != 0 {
+		return fmt.Errorf("block %d page %d slot %d: %s slot with write time %d", id, p, s, state, a.allTimes[i])
 	}
 	return nil
 }

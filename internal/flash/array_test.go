@@ -101,8 +101,11 @@ func TestProgramConventionalThenPartial(t *testing.T) {
 		t.Errorf("counters: valid=%d ops=%d partial=%d", b.ValidSub, b.ProgramOps, b.PartialOps)
 	}
 	s := a.Subpage(NewPPA(blk, 0, 2))
-	if !s.Partial() || s.LSN != 12 || s.WriteTime != 200 || s.State != SubValid {
+	if !s.Partial() || s.LSN != 12 || s.State != SubValid {
 		t.Errorf("partial slot state: %+v", *s)
+	}
+	if wt := a.WriteTime(NewPPA(blk, 0, 2)); wt != 200 {
+		t.Errorf("partial slot write time %d, want 200", wt)
 	}
 	s0 := a.Subpage(NewPPA(blk, 0, 0))
 	if s0.Partial() {

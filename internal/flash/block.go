@@ -34,16 +34,15 @@ func (s SubpageState) String() string {
 }
 
 // Subpage is the unit of partial programming and of mapping bookkeeping.
-// It is 16 bytes: the device holds one per 4 KiB of raw capacity, so its
-// size sets the simulator's memory footprint. The narrow counters are
-// exact, not saturating: Config.Validate caps a page at 8 slots and every
+// It is 8 bytes: the device holds one per 4 KiB of raw capacity, so its
+// size sets the simulator's memory footprint. Write times live outside
+// it, in the array's write-time column (Array.WriteTime), which covers
+// only the SLC-home slots Eq. 2 scores. The narrow counters are exact,
+// not saturating: Config.Validate caps a page at 8 slots and every
 // program consumes a free slot, so InPageDisturb never exceeds slots-1,
 // NeighborDisturb never exceeds 2*(slots-1) and the reprogram count never
 // exceeds 1 (see Array.CheckInvariants).
 type Subpage struct {
-	// WriteTime is the simulation time (ns) at which the slot was
-	// programmed. Used by the ISR garbage-collection metric (Eq. 2).
-	WriteTime int64
 	// LSN is the logical subpage stored here, or InvalidLSN.
 	LSN LSN
 	// State is the slot lifecycle state.
@@ -152,8 +151,10 @@ type Block struct {
 	// pages (program count <= 1) — the index set J of the paper's Eq. 2.
 	// JCount is their number and JSumWT the sum of their write times, so
 	// GC victim selection computes the coldness weight IS' from per-block
-	// aggregates in O(1) instead of rescanning every subpage. Maintained
-	// by Array.ProgramPage, Array.Invalidate and Array.Erase.
+	// aggregates in O(1) instead of rescanning every subpage. They are
+	// kept only while the block is in SLC mode, the only blocks Eq. 2
+	// scores, and are zero otherwise. Maintained by Array.ProgramPage,
+	// Array.Invalidate, Array.Erase and Array.SwitchToMLC.
 	JCount int
 	JSumWT int64
 }

@@ -315,8 +315,9 @@ func DefaultConfig() Config {
 }
 
 // PaperConfig returns the full Table 2 geometry (65536 blocks, 128 GiB MLC).
-// Its flash array alone holds about 0.54 GB of simulation state (32.7 M
-// subpage slots at 16 bytes each); tests use DefaultConfig.
+// Its flash array alone holds about 287 MB of simulation state (32.7 M
+// subpage slots at 8 bytes each, plus an 8-byte write time for each of
+// the 0.84 M SLC-home slots); tests use DefaultConfig.
 func PaperConfig() Config {
 	c := DefaultConfig()
 	c.Blocks = 65536

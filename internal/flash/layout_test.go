@@ -7,12 +7,12 @@ import (
 	"unsafe"
 )
 
-// TestSubpageIs16Bytes pins the per-slot footprint: the device holds one
+// TestSubpageIs8Bytes pins the per-slot footprint: the device holds one
 // Subpage per 4 KiB of raw capacity, so growing it grows every template
 // and recycled clone proportionally.
-func TestSubpageIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Subpage{}); got != 16 {
-		t.Fatalf("Subpage is %d bytes, want 16", got)
+func TestSubpageIs8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Subpage{}); got != 8 {
+		t.Fatalf("Subpage is %d bytes, want 8", got)
 	}
 }
 

@@ -1,15 +1,18 @@
 package flash
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // requireEqualArrays fails unless got and want hold identical flash state:
-// every block's scalar fields, every subpage, the device-wide counters and
-// the used-block bitset. Slice headers are compared by shape, not address,
-// so a restored clone and a fresh clone compare equal.
+// every block's scalar fields, every subpage, the SLC write-time column,
+// the device-wide counters and the used-block bitset. Slice headers are
+// compared by shape, not address, so a restored clone and a fresh clone
+// compare equal. The all-slot write-time column is checker state, not
+// flash state: requireNoAllTimes covers it.
 func requireEqualArrays(t *testing.T, got, want *Array) {
 	t.Helper()
 	if len(got.blocks) != len(want.blocks) {
@@ -39,6 +42,14 @@ func requireEqualArrays(t *testing.T, got, want *Array) {
 			t.Fatalf("block %d: %+v != %+v", id, g, w)
 		}
 	}
+	if len(got.slcTimes) != len(want.slcTimes) {
+		t.Fatalf("SLC write-time column length %d != %d", len(got.slcTimes), len(want.slcTimes))
+	}
+	for i := range got.slcTimes {
+		if got.slcTimes[i] != want.slcTimes[i] {
+			t.Fatalf("SLC write time of slot %d: %d != %d", i, got.slcTimes[i], want.slcTimes[i])
+		}
+	}
 	if len(got.slcUsed) != len(want.slcUsed) {
 		t.Fatalf("slcUsed length mismatch")
 	}
@@ -51,6 +62,8 @@ func requireEqualArrays(t *testing.T, got, want *Array) {
 	gc.blocks, wc.blocks = nil, nil
 	gc.pages, wc.pages = nil, nil
 	gc.subs, wc.subs = nil, nil
+	gc.slcTimes, wc.slcTimes = nil, nil
+	gc.allTimes, wc.allTimes = nil, nil
 	gc.slcUsed, wc.slcUsed = nil, nil
 	gc.slcIDs, wc.slcIDs = nil, nil
 	gc.mlcIDs, wc.mlcIDs = nil, nil
@@ -61,6 +74,15 @@ func requireEqualArrays(t *testing.T, got, want *Array) {
 	gc.restoredGen, wc.restoredGen = 0, 0
 	if !reflect.DeepEqual(gc, wc) {
 		t.Fatalf("array-wide counters differ: %+v != %+v", gc, wc)
+	}
+}
+
+// requireNoAllTimes fails unless a keeps no all-slot write-time column,
+// the state Clone and Restore leave behind.
+func requireNoAllTimes(t *testing.T, a *Array) {
+	t.Helper()
+	if a.allTimes != nil {
+		t.Fatal("clone or restore kept an all-slot write-time column")
 	}
 }
 
@@ -84,9 +106,24 @@ func requireSelfContained(t *testing.T, a *Array) {
 	}
 }
 
+// requireOwnTimes fails if a's write-time columns share backing memory
+// with other's.
+func requireOwnTimes(t *testing.T, a, other *Array) {
+	t.Helper()
+	if len(a.slcTimes) > 0 && &a.slcTimes[0] == &other.slcTimes[0] {
+		t.Fatal("SLC write-time column aliases another array's")
+	}
+	if a.allTimes != nil && other.allTimes != nil && &a.allTimes[0] == &other.allTimes[0] {
+		t.Fatal("all-slot write-time column aliases another array's")
+	}
+}
+
 // mutationStorm drives the array through steps random mutations using every
 // Array mutator: programs (conventional and partial, SLC and MLC),
-// invalidates, dead-marking, erases and in-place mode switches.
+// invalidates, dead-marking, erases and in-place mode switches. After each
+// program it compares the slot's write time with the program's (on an
+// MLC-home slot only while the array keeps all write times), and panics on
+// a mismatch.
 func mutationStorm(a *Array, rng *rand.Rand, steps int, next *LSN) {
 	var valid []PPA
 	allIDs := make([]int, a.NumBlocks())
@@ -120,7 +157,13 @@ func mutationStorm(a *Array, rng *rand.Rand, steps int, next *LSN) {
 			if _, err := a.ProgramPage(blk, page, []SlotWrite{{slot, *next}}, int64(step)); err != nil {
 				panic(err)
 			}
-			valid = append(valid, NewPPA(blk, page, slot))
+			ppa := NewPPA(blk, page, slot)
+			if blk < a.nSLC || a.allTimes != nil {
+				if wt := a.WriteTime(ppa); wt != int64(step) {
+					panic(fmt.Sprintf("slot %v programmed at %d reads write time %d", ppa, step, wt))
+				}
+			}
+			valid = append(valid, ppa)
 			*next++
 		case 4: // invalidate a random valid slot
 			if len(valid) == 0 {
@@ -192,10 +235,18 @@ func TestRestoreDirtyFastPathMatchesFullCopy(t *testing.T) {
 
 	recycled := template.Clone()
 	for round := 0; round < 5; round++ {
+		// Odd rounds run checked, with the all-slot column kept, as a
+		// recycled device under an invariant checker does.
+		recycled.TrackAllWriteTimes(round%2 == 1)
 		mutationStorm(recycled, rng, 800, &next)
+		if err := recycled.CheckInvariants(); err != nil {
+			t.Fatalf("round %d before restore: %v", round, err)
+		}
 		recycled.Restore(template) // dirty-only fast path after round 0
 		requireEqualArrays(t, recycled, template.Clone())
 		requireSelfContained(t, recycled)
+		requireNoAllTimes(t, recycled)
+		requireOwnTimes(t, recycled, template)
 		if err := recycled.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -304,12 +304,16 @@ func must(err error) {
 
 // AttachChecker wires an invariant checker of the given level to the
 // device. check.Off detaches. Attach before replaying any request: the
-// shadow store must observe every host write.
+// shadow store must observe every host write. The checker reads the write
+// time of any slot, so the array keeps an all-slot write-time column while
+// one is attached; detaching, Clone and Restore drop it.
 func (d *Device) AttachChecker(level check.Level) {
 	if level == check.Off {
 		d.Check = nil
+		d.Arr.TrackAllWriteTimes(false)
 		return
 	}
+	d.Arr.TrackAllWriteTimes(true)
 	d.Check = check.New(level, d.Cfg, d.Arr, d.Map, d.Cfg.PreFillMLC)
 }
 
@@ -705,16 +709,16 @@ func (d *Device) ensureMLCSpace(now int64) {
 }
 
 // selectMLCVictim picks the MLC block with the most reclaimable (invalid or
-// dead) subpages. Returns -1 when no block frees any space.
+// dead) subpages, the first in MLCBlockIDs order on a tie, skipping the
+// open blocks. Returns -1 when no block frees any space. The open test
+// runs only for a block that would win, which picks the same block as
+// testing every block first.
 func (d *Device) selectMLCVictim() int {
 	best, bestScore := -1, 0
 	for _, id := range d.Arr.MLCBlockIDs() {
-		if d.isOpenMLC(id) {
-			continue
-		}
 		b := d.Arr.Block(id)
 		score := b.InvalidSub + b.DeadSub
-		if score > bestScore {
+		if score > bestScore && !d.isOpenMLC(id) {
 			best, bestScore = id, score
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ipusim/internal/check"
 	"ipusim/internal/errmodel"
 	"ipusim/internal/flash"
 )
@@ -228,5 +229,56 @@ func TestPerformRoutesBackground(t *testing.T) {
 	end = d.perform(0, blk, 1, 1, 0)
 	if end <= 0 {
 		t.Error("foreground op must advance time")
+	}
+}
+
+// TestCheckedDeviceCopiesShareNoTimeColumn: the all-slot write-time column
+// a checker needs belongs to the checked device alone. Clone and Restore
+// leave the copy without one (and without a checker), attaching a checker
+// to the copy seeds a fresh column rather than the source's, and neither
+// copy path disturbs the source's column.
+func TestCheckedDeviceCopiesShareNoTimeColumn(t *testing.T) {
+	mlcTime := func(d *Device, p flash.PPA) (wt int64, kept bool) {
+		defer func() {
+			if recover() != nil {
+				kept = false
+			}
+		}()
+		return d.Arr.WriteTime(p), true
+	}
+	d := newTestDevice(t, tinyConfig())
+	d.AttachChecker(check.Full)
+	d.WriteFrameMLC(100, []flash.LSN{0})
+	p := d.Map.Get(0)
+	if wt, kept := mlcTime(d, p); !kept || wt != 100 {
+		t.Fatalf("checked device's MLC-home write time: %d, kept %v", wt, kept)
+	}
+
+	c := d.Clone()
+	if _, kept := mlcTime(c, p); kept || c.Check != nil {
+		t.Fatalf("clone kept the checker (%v) or its time column (%v)", c.Check != nil, kept)
+	}
+	c.AttachChecker(check.Full)
+	if wt, _ := mlcTime(c, p); wt != 0 {
+		t.Fatalf("clone's fresh column reads the source's time %d, want the seed 0", wt)
+	}
+	c.WriteFrameMLC(200, []flash.LSN{0})
+	if wt, _ := mlcTime(d, c.Map.Get(0)); wt != 0 {
+		t.Fatalf("clone's program reached the source's column: %d", wt)
+	}
+
+	r := newTestDevice(t, tinyConfig())
+	r.AttachChecker(check.Full)
+	r.Restore(d)
+	if _, kept := mlcTime(r, p); kept || r.Check != nil {
+		t.Fatalf("restored device kept the checker (%v) or a time column (%v)", r.Check != nil, kept)
+	}
+	if wt, kept := mlcTime(d, p); !kept || wt != 100 {
+		t.Fatalf("source's column after copies: %d, kept %v", wt, kept)
+	}
+
+	d.AttachChecker(check.Off)
+	if _, kept := mlcTime(d, p); kept {
+		t.Fatal("detaching the checker kept the time column")
 	}
 }

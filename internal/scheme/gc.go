@@ -16,6 +16,37 @@ type VictimSelector func(d *Device, now int64, excl *ExcludeSet) int
 // MoveValid relocates a victim block's valid data ahead of its erase.
 type MoveValid func(d *Device, now int64, victim int)
 
+// inlineStripes is the stripe count a scheme holds its per-stripe pages
+// for inline, so the scheme struct and its pages are one allocation. SLC
+// stripes are one per channel (NewDevice), and Table 2 has 8 channels.
+const inlineStripes = 8
+
+// stripePages returns n per-stripe page slots, each flash.UnmappedPPA
+// (no page). They are carved from buf, the scheme's inline storage, when
+// it is long enough, and allocated otherwise.
+func stripePages(buf []flash.PPA, n int) []flash.PPA {
+	var pages []flash.PPA
+	if n <= len(buf) {
+		pages = buf[:n:n]
+	} else {
+		pages = make([]flash.PPA, n)
+	}
+	for i := range pages {
+		pages[i] = flash.UnmappedPPA
+	}
+	return pages
+}
+
+// excludePages adds the block of every held page in pages (a scheme's
+// per-stripe open or shared pages) to excl.
+func excludePages(excl *ExcludeSet, pages []flash.PPA) {
+	for _, pp := range pages {
+		if pp.Mapped() {
+			excl.Add(pp.Block())
+		}
+	}
+}
+
 // maxGCVictimsPerTrigger bounds the work of one GC invocation so a
 // pathological all-hot cache cannot spin; the trigger re-fires on the next
 // write if space is still low.

@@ -86,15 +86,11 @@ type IPU struct {
 	dev *Device
 	v   IPUVariant
 
-	// Adaptive-combine state (IPU-AC): per-stripe shared cold pages.
+	// Adaptive-combine state (IPU-AC): each stripe's shared cold page,
+	// flash.UnmappedPPA when the stripe has none.
 	combine    []flash.PPA
-	hasCombine []bool
 	combineRR  int
-
-	// victimFn is the variant's victim selector (with combine-page
-	// protection baked in), created once so the per-write GC call does not
-	// allocate a closure.
-	victimFn VictimSelector
+	combineBuf [inlineStripes]flash.PPA
 }
 
 // NewIPU builds the paper's IPU scheme over d.
@@ -110,39 +106,30 @@ func NewIPUVariant(d *Device, v IPUVariant) (*IPU, error) {
 
 // newIPU builds a validated variant.
 func newIPU(d *Device, v IPUVariant) *IPU {
-	if v.CombineBudget == 0 {
-		v.CombineBudget = 2
-	}
-	stripes := len(d.open[flash.LevelWork])
-	u := &IPU{
-		dev:        d,
-		v:          v,
-		combine:    make([]flash.PPA, stripes),
-		hasCombine: make([]bool, stripes),
-	}
-	u.bindVictim()
+	u := &IPU{}
+	u.init(d, v)
 	return u
 }
 
-// bindVictim installs the variant's victim selector. The CombineCold
-// wrapper closes over the receiver to protect its combine pages.
-func (u *IPU) bindVictim() {
-	sel := ISRVictim
+// init sets up a validated variant in place. The combine pages live in u
+// itself, so u must not be copied afterwards.
+func (u *IPU) init(d *Device, v IPUVariant) {
+	if v.CombineBudget == 0 {
+		v.CombineBudget = 2
+	}
+	u.dev, u.v = d, v
+	u.combine = stripePages(u.combineBuf[:], len(d.open[flash.LevelWork]))
+}
+
+// victim is the variant's victim selector: ISR (Eq. 1–2), or greedy for
+// the GreedyGC ablation, with the combine pages' blocks protected (only
+// CombineCold ever holds one).
+func (u *IPU) victim(d *Device, now int64, excl *ExcludeSet) int {
+	excludePages(excl, u.combine)
 	if u.v.GreedyGC {
-		sel = GreedyVictim
+		return GreedyVictim(d, now, excl)
 	}
-	if u.v.CombineCold {
-		u.victimFn = func(d *Device, now int64, excl *ExcludeSet) int {
-			for i, pp := range u.combine {
-				if u.hasCombine[i] {
-					excl.Add(pp.Block())
-				}
-			}
-			return sel(d, now, excl)
-		}
-	} else {
-		u.victimFn = sel
-	}
+	return ISRVictim(d, now, excl)
 }
 
 // Name implements Scheme.
@@ -207,7 +194,7 @@ func intraPageRoom(d *Device, oldPage flash.PPA, n int) (free [8]int, ok bool) {
 // Write implements Scheme, following Algorithm 1.
 func (u *IPU) Write(now int64, offset int64, size int) int64 {
 	end := u.placeChunks(now, offset, size)
-	u.dev.MaybeGCSLC(now, u.victimFn, MoveIPU)
+	u.dev.MaybeGCSLC(now, u.victim, MoveIPU)
 	u.dev.NoteHostWrite(now, offset, size)
 	u.dev.RecordWrite(now, end)
 	return end
@@ -278,7 +265,6 @@ func (u *IPU) writeChunk(now int64, chunk []flash.LSN) int64 {
 			slot := u.combineRR % len(u.combine)
 			u.combineRR++
 			u.combine[slot] = d.Map.Get(chunk[0]).PageAddr()
-			u.hasCombine[slot] = true
 		}
 		return e
 	}
@@ -295,13 +281,13 @@ func (u *IPU) appendCold(now int64, chunk []flash.LSN) (int64, bool) {
 	for try := 0; try < len(u.combine); try++ {
 		slot := u.combineRR % len(u.combine)
 		u.combineRR++
-		if !u.hasCombine[slot] {
+		pp := u.combine[slot]
+		if !pp.Mapped() {
 			continue
 		}
-		pp := u.combine[slot]
 		b := d.Arr.Block(pp.Block())
 		if int(b.Pages[pp.Page()].ProgramCount) >= u.v.CombineBudget {
-			u.hasCombine[slot] = false
+			u.combine[slot] = flash.UnmappedPPA
 			continue
 		}
 		var free [8]int

@@ -53,7 +53,7 @@ func (c *PGCConfig) Validate() error {
 // ISRVictim, MoveIPU per page), so with Watermark zero the scheme
 // replays bit-identically to IPU.
 type IPUPGC struct {
-	ipu *IPU
+	ipu IPU
 	pgc PGCConfig
 
 	// victim is the block being incrementally cleaned (-1 when none);
@@ -78,7 +78,9 @@ func NewIPUPGC(d *Device, pgc PGCConfig) (*IPUPGC, error) {
 	if pgc.StepPages == 0 {
 		pgc.StepPages = defaultPGCStepPages
 	}
-	return &IPUPGC{ipu: NewIPU(d), pgc: pgc, victim: -1}, nil
+	g := &IPUPGC{pgc: pgc, victim: -1}
+	g.ipu.init(d, DefaultIPUVariant())
+	return g, nil
 }
 
 // Name implements Scheme.
@@ -99,7 +101,7 @@ func (g *IPUPGC) Write(now int64, offset int64, size int) int64 {
 	d := g.ipu.dev
 	end := g.ipu.placeChunks(now, offset, size)
 	g.preemptiveStep(now)
-	d.MaybeGCSLC(now, g.ipu.victimFn, MoveIPU)
+	d.MaybeGCSLC(now, g.ipu.victim, MoveIPU)
 	d.NoteHostWrite(now, offset, size)
 	d.RecordWrite(now, end)
 	return end
@@ -129,7 +131,7 @@ func (g *IPUPGC) preemptiveStep(now int64) {
 			return
 		}
 		t0 := d.Eng.ScanNS()
-		v := g.ipu.victimFn(d, now, d.openExcludes())
+		v := g.ipu.victim(d, now, d.openExcludes())
 		d.Met.GCScanNS += d.Eng.ScanNS() - t0
 		if v < 0 {
 			return

@@ -16,24 +16,17 @@ import "ipusim/internal/flash"
 type MGA struct {
 	dev *Device
 
-	openPages []flash.PPA // per-stripe page accepting appends
-	hasOpen   []bool
+	// openPages holds each stripe's page accepting appends,
+	// flash.UnmappedPPA when the stripe has none.
+	openPages []flash.PPA
 	rr        int
-
-	// victimFn is the bound victim method, created once so the per-write
-	// GC call does not allocate a method-value closure.
-	victimFn VictimSelector
+	openBuf   [inlineStripes]flash.PPA
 }
 
 // NewMGA builds the MGA scheme over d.
 func NewMGA(d *Device) *MGA {
-	stripes := len(d.open[flash.LevelWork])
-	m := &MGA{
-		dev:       d,
-		openPages: make([]flash.PPA, stripes),
-		hasOpen:   make([]bool, stripes),
-	}
-	m.victimFn = m.victim
+	m := &MGA{dev: d}
+	m.openPages = stripePages(m.openBuf[:], len(d.open[flash.LevelWork]))
 	return m
 }
 
@@ -50,10 +43,10 @@ func (m *MGA) Metrics() *Metrics { return m.dev.Met }
 // the page is absent, full, or out of program budget). The slot indices
 // come back in a fixed-size array: a page has at most 8 slots.
 func (m *MGA) roomAt(slot int) (free [8]int, nFree int) {
-	if !m.hasOpen[slot] {
+	pp := m.openPages[slot]
+	if !pp.Mapped() {
 		return free, 0
 	}
-	pp := m.openPages[slot]
 	b := m.dev.Arr.Block(pp.Block())
 	if int(b.Pages[pp.Page()].ProgramCount) >= m.dev.Cfg.MaxProgramsPerSLCPage {
 		return free, 0
@@ -127,10 +120,9 @@ func (m *MGA) Write(now int64, offset int64, size int) int64 {
 				end = e
 			}
 			m.openPages[slot] = flash.NewPPA(blk, page, 0)
-			m.hasOpen[slot] = true
 		}
 	}
-	d.MaybeGCSLC(now, m.victimFn, MoveFlushAll)
+	d.MaybeGCSLC(now, m.victim, MoveFlushAll)
 	d.NoteHostWrite(now, offset, size)
 	d.RecordWrite(now, end)
 	return end
@@ -139,11 +131,7 @@ func (m *MGA) Write(now int64, offset int64, size int) int64 {
 // victim wraps GreedyVictim, additionally protecting the open pages'
 // blocks from collection.
 func (m *MGA) victim(d *Device, now int64, excl *ExcludeSet) int {
-	for i, pp := range m.openPages {
-		if m.hasOpen[i] {
-			excl.Add(pp.Block())
-		}
-	}
+	excludePages(excl, m.openPages)
 	return GreedyVictim(d, now, excl)
 }
 
