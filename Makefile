@@ -52,7 +52,7 @@ serve-test:
 # race detector.
 serve-cluster-test:
 	$(GO) test -race -count 1 \
-	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit|TestCoordinatorBoundedLoad|TestCoordinatorReleasesInFlight|TestCoordinatorFailedSubJobKeepsWorker|TestRingBoundedLoad|TestSimulationBound' \
+	  -run 'TestCacheHit|TestCanonicalKey|TestJobKey|TestSubJobKeysPinned|TestRestartRecovery|TestCoordinator|TestContentionCoordinator|TestSubmitValidation|TestV3FieldValidation|TestContentionValidation|TestRing|TestStore|TestSubJobPanicContained|TestForwardedCacheHit|TestCoordinatorBoundedLoad|TestCoordinatorReleasesInFlight|TestCoordinatorFailedSubJobKeepsWorker|TestRingBoundedLoad|TestSimulationBound' \
 	  ./internal/server
 	$(GO) test -race -count 1 -run TestDaemonCluster ./cmd/ipusimd
 
