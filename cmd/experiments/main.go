@@ -269,8 +269,12 @@ func run(ctx context.Context, out io.Writer, o runOpts) error {
 
 	if o.Sensitivity != "" {
 		sensSpec := spec
-		sensSpec.Schemes = nil // RunSensitivityContext defaults to Baseline vs IPU
-		tab, err := core.RunSensitivityContext(ctx, o.Sensitivity, sensSpec)
+		sensSpec.Schemes = nil // SensitivityPlan defaults to core.SensitivitySchemes
+		plan, err := core.SensitivityPlan(o.Sensitivity, sensSpec)
+		if err != nil {
+			return err
+		}
+		tab, err := core.RunPlan(ctx, plan)
 		if err != nil {
 			return err
 		}

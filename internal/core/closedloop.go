@@ -166,7 +166,7 @@ func (s *Simulator) closedLoop(spec *ClosedLoopSpec) (*loop, error) {
 		}
 		return s.newLoop(source{tr: spec.Trace}, spec.Depth, []float64{1}, spec.WriteCache)
 	}
-	sched, weights, err := s.buildTenantSchedule(spec)
+	sched, weights, err := closedLoopSchedule(spec, s.cfg.Flash.LogicalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +182,12 @@ func (s traceSource) Record(i int) (int64, bool, int64, int) {
 	return r.Time, r.Op == trace.OpWrite, r.Offset, r.Size
 }
 
-// buildTenantSchedule returns the spec's merged tenant schedule with the
-// tenants' normalised QoS weights.
-func (s *Simulator) buildTenantSchedule(spec *ClosedLoopSpec) (*workload.Schedule, []float64, error) {
+// closedLoopSchedule returns the normalized spec's merged tenant
+// schedule over a logical space, with the tenants' normalised QoS
+// weights.
+func closedLoopSchedule(spec *ClosedLoopSpec, logicalBytes int64) (*workload.Schedule, []float64, error) {
 	specs := workload.NormalizeTenants(spec.Tenants, DefaultTenantTrace, spec.Seed, spec.Scale)
-	sched, err := tenantSchedule(specs, s.cfg.Flash.LogicalBytes())
+	sched, err := tenantSchedule(specs, logicalBytes)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -99,31 +99,6 @@ func TestContentionConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestContentionCellMatchesStudyRow checks the coordinator's unit of
-// dispatch: replaying one cell standalone must reproduce exactly the row
-// the pooled study computes for it.
-func TestContentionCellMatchesStudyRow(t *testing.T) {
-	spec := smallContentionSpec()
-	rows, err := RunTenantContentionContext(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := ContentionCells(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spot-check a buffered and an unbuffered cell.
-	for _, i := range []int{1, len(cells) - 1} {
-		row, err := RunContentionCellContext(context.Background(), spec, cells[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(row, rows[i]) {
-			t.Errorf("standalone cell %d diverged from study row:\n got %+v\nwant %+v", i, row, rows[i])
-		}
-	}
-}
-
 // TestContentionProgressAndCancel checks the pooled study's aggregated
 // progress (monotone non-decreasing totals over the whole study) and
 // that cancelling mid-study returns ctx's error.

@@ -3,11 +3,23 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
+
+	"ipusim/internal/metrics"
 )
 
+// runSensitivity runs a sensitivity sweep the way cmd/experiments does.
+func runSensitivity(param string, spec MatrixSpec) (*metrics.Table, error) {
+	p, err := SensitivityPlan(param, spec)
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(context.Background(), p)
+}
+
 func TestRunSensitivityUnknownParam(t *testing.T) {
-	if _, err := RunSensitivityContext(context.Background(), "voltage", MatrixSpec{}); err != nil {
+	if _, err := SensitivityPlan("voltage", MatrixSpec{}); err != nil {
 		if !strings.Contains(err.Error(), "unknown sensitivity parameter") {
 			t.Errorf("unexpected error: %v", err)
 		}
@@ -18,7 +30,7 @@ func TestRunSensitivityUnknownParam(t *testing.T) {
 
 func TestRunSensitivitySLCRatio(t *testing.T) {
 	fc := smallFlash()
-	tab, err := RunSensitivityContext(context.Background(), "slcratio", MatrixSpec{
+	tab, err := runSensitivity("slcratio", MatrixSpec{
 		Traces: []string{"ads"},
 		Scale:  0.002,
 		Flash:  &fc,
@@ -91,5 +103,42 @@ func TestSensitivityCachePressureShape(t *testing.T) {
 	}
 	if overflow[0.025] <= overflow[0.10] {
 		t.Errorf("smaller cache must overflow more: %v", overflow)
+	}
+}
+
+// TestSensitivityProgressSpansSweep: a sensitivity sweep reports
+// progress over the whole sweep, as MatrixSpec.OnProgress documents:
+// every snapshot carries one Total, and the last Replayed is the
+// requests of every point combined.
+func TestSensitivityProgressSpansSweep(t *testing.T) {
+	fc := smallFlash()
+	var mu sync.Mutex
+	totals := map[int]bool{}
+	var replayed int
+	spec := MatrixSpec{
+		Traces:  []string{"ads"},
+		Scale:   0.002,
+		Flash:   &fc,
+		Workers: 2,
+		OnProgress: func(p Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			totals[p.Total] = true
+			replayed = max(replayed, p.Replayed)
+		},
+	}
+	if _, err := runSensitivity("slcratio", spec); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := SyntheticTrace("ads", 42, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(SensitivityParams["slcratio"]) * len(SensitivitySchemes) * tr.Len()
+	if len(totals) != 1 || !totals[want] {
+		t.Errorf("progress totals %v, want only %d", totals, want)
+	}
+	if replayed != want {
+		t.Errorf("final progress %d of %d requests", replayed, want)
 	}
 }

@@ -42,6 +42,13 @@ func DefaultTenantMixes() []TenantMix {
 	}
 }
 
+// The contention study's defaults: the shared closed-loop queue depth
+// and the buffered arm's write-cache capacity.
+const (
+	ContentionDepth      = 16
+	ContentionCacheBytes = 4 << 20
+)
+
 // TenantContentionSpec parameterises the contention study. Zero values
 // take the evaluation defaults.
 type TenantContentionSpec struct {
@@ -82,10 +89,10 @@ func (spec *TenantContentionSpec) normalize() {
 		spec.Schemes = append([]string(nil), SchemeNames...)
 	}
 	if spec.Depth <= 0 {
-		spec.Depth = 16
+		spec.Depth = ContentionDepth
 	}
 	if spec.CacheBytes <= 0 {
-		spec.CacheBytes = 4 << 20
+		spec.CacheBytes = ContentionCacheBytes
 	}
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)
@@ -141,105 +148,73 @@ func ContentionCells(spec TenantContentionSpec) ([]ContentionCell, error) {
 	return cells, nil
 }
 
-// contentionRunSpec builds the closed-loop spec one cell replays.
-func contentionRunSpec(spec *TenantContentionSpec, cell ContentionCell) ClosedLoopSpec {
-	run := ClosedLoopSpec{
-		Depth:   spec.Depth,
-		Tenants: cell.Mix.Tenants,
-		Seed:    spec.Seed,
-		Scale:   spec.Scale,
-	}
+// unit returns the replay unit of one cell of the normalized spec.
+func (spec *TenantContentionSpec) unit(cell ContentionCell) Unit {
+	u := Unit{Tenants: cell.Mix.Tenants, Scheme: cell.Scheme, Flash: spec.Flash, Depth: spec.Depth, Seed: spec.Seed, Scale: spec.Scale}
 	if cell.Buffered {
-		run.WriteCache = &cache.Config{CapacityBytes: spec.CacheBytes}
+		wc := cache.Config{CapacityBytes: spec.CacheBytes}.Normalize()
+		u.WriteCache = &wc
 	}
-	return run
+	return u
 }
 
-// contentionConfig returns the simulator configuration of a cell replaying
-// schemeName.
-func contentionConfig(spec *TenantContentionSpec, schemeName string) Config {
-	cfg := DefaultConfig()
-	if spec.Flash != nil {
-		cfg.Flash = *spec.Flash
-	}
-	cfg.Scheme = schemeName
-	return cfg
+// row returns the cell's row of the study.
+func (cell ContentionCell) row(res *Result) ContentionRow {
+	return ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}
 }
 
-// RunContentionCellContext replays one contention cell on a snapshot-
-// cached device and returns its row. It is the unit a cluster
-// coordinator dispatches — and the local fallback when a remote worker
-// dies. The spec's Workers field is irrelevant here.
+// RunContentionCellContext replays one contention cell — its
+// ContentionPlan unit, through RunUnit — and returns its row. The spec's
+// Workers field is irrelevant here.
 func RunContentionCellContext(ctx context.Context, spec TenantContentionSpec, cell ContentionCell) (ContentionRow, error) {
 	spec.normalize()
-	res, err := RunOn(ctx, contentionConfig(&spec, cell.Scheme), func(sim *Simulator) (*Result, error) {
-		sim.OnProgress(0, spec.OnProgress)
-		return sim.RunClosedLoopSpec(ctx, contentionRunSpec(&spec, cell))
-	})
+	res, err := RunUnit(ctx, spec.unit(cell), 0, spec.OnProgress)
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	return ContentionRow{Mix: cell.Mix.Name, Scheme: cell.Scheme, Buffered: cell.Buffered, Result: res}, nil
+	return cell.row(res), nil
 }
 
-// contentionMixRequests builds a mix's merged schedule through the
-// schedule cache, exactly as its cells will, and returns its request
-// count — the per-cell progress total. Every cell of the mix then shares
-// the cached schedule instead of building its own.
-func contentionMixRequests(spec *TenantContentionSpec, mix TenantMix) (int, error) {
-	run := contentionRunSpec(spec, ContentionCell{Mix: mix})
-	run.normalize()
-	specs := workload.NormalizeTenants(run.Tenants, DefaultTenantTrace, run.Seed, run.Scale)
-	cfg := contentionConfig(spec, "")
-	sched, err := tenantSchedule(specs, cfg.Flash.LogicalBytes())
-	if err != nil {
-		return 0, err
-	}
-	return sched.Len(), nil
-}
-
-// RunTenantContentionContext replays every (mix, buffer arm, scheme) cell
-// of the contention study on a fixed pool of spec.Workers goroutines.
-// Each mix's merged schedule is built once up front and shared read-only
-// by its cells; devices come from the snapshot cache and are
-// released back to it. Rows come back in the deterministic
-// mix/buffer/scheme enumeration order with results bit-identical to a
-// serial (Workers=1) study, independent of scheduling.
-//
-// Cancelling ctx stops every in-flight cell within 64 requests (the
-// request loop's cancellation bound) and returns ctx's error; partially
-// replayed devices still rejoin the snapshot cache's free pool.
-func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) ([]ContentionRow, error) {
+// ContentionPlan is the contention study as a plan: one closed-loop unit
+// per cell, in ContentionCells order, assembled into the study's rows in
+// that order.
+func ContentionPlan(spec TenantContentionSpec) (Plan[[]ContentionRow], error) {
 	spec.normalize()
 	cells, err := ContentionCells(spec)
 	if err != nil {
-		return nil, err
+		return Plan[[]ContentionRow]{}, err
 	}
-
-	// Warm the schedule cache before the fan-out and total the study's
-	// requests for aggregated progress (each mix runs 2*len(Schemes)
-	// cells: one per scheme and buffer arm).
-	var totalRequests int64
-	for _, mix := range spec.Mixes {
-		n, err := contentionMixRequests(&spec, mix)
-		if err != nil {
-			return nil, err
-		}
-		totalRequests += int64(n) * int64(2*len(spec.Schemes))
+	units := make([]Unit, len(cells))
+	for i, c := range cells {
+		units[i] = spec.unit(c)
 	}
+	return Plan[[]ContentionRow]{
+		Units: units,
+		Assemble: func(rs []*Result) []ContentionRow {
+			rows := make([]ContentionRow, len(cells))
+			for i, c := range cells {
+				rows[i] = c.row(rs[i])
+			}
+			return rows
+		},
+		workers:    spec.Workers,
+		onProgress: spec.OnProgress,
+	}, nil
+}
 
-	progress := sweepProgress{fn: spec.OnProgress, total: totalRequests}
-	rows := make([]ContentionRow, len(cells))
-	err = FanOut(ctx, spec.Workers, len(cells), func(i int) (err error) {
-		cellSpec := spec
-		cellSpec.OnProgress = progress.run()
-		rows[i], err = RunContentionCellContext(ctx, cellSpec, cells[i])
-		return err
-	})
+// RunTenantContentionContext replays every (mix, buffer arm, scheme) cell
+// of the contention study (ContentionPlan, run by RunPlan) on a fixed
+// pool of spec.Workers goroutines. Each mix's merged schedule is built
+// once, before the fan-out, and shared read-only by its cells. Rows come
+// back in the deterministic mix/buffer/scheme enumeration order, each
+// bit-identical to its cell run alone; progress and cancellation follow
+// RunPlan.
+func RunTenantContentionContext(ctx context.Context, spec TenantContentionSpec) ([]ContentionRow, error) {
+	p, err := ContentionPlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return RunPlan(ctx, p)
 }
 
 // TenantContention renders the contention study: within each (mix, buffer

@@ -55,11 +55,12 @@ func canonicalRequest(req JobRequest, defaultScale float64) (JobRequest, error) 
 		out.PEBaselines = orDefault(req.PEBaselines, []int{0})
 	case "sensitivity":
 		out.Traces = orDefault(req.Traces, trace.ProfileNames())
-		out.Schemes = orDefault(req.Schemes, []string{"Baseline", "IPU"})
+		out.Schemes = orDefault(req.Schemes, slices.Clone(core.SensitivitySchemes))
 		out.Param = req.Param
 	case "contention":
 		out.Schemes = orDefault(req.Schemes, slices.Clone(core.SchemeNames))
-		out.QueueDepth, out.CacheBytes = cmp.Or(req.QueueDepth, 16), cmp.Or(req.CacheBytes, 4<<20)
+		out.QueueDepth = cmp.Or(req.QueueDepth, core.ContentionDepth)
+		out.CacheBytes = cmp.Or(req.CacheBytes, core.ContentionCacheBytes)
 		for _, mix := range orDefault(req.Mixes, core.DefaultTenantMixes()) {
 			out.Mixes = append(out.Mixes, core.TenantMix{
 				Name:    mix.Name,

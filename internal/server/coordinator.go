@@ -18,8 +18,9 @@ import (
 )
 
 // coordinator places a job's sub-jobs on a fleet of worker daemons. The
-// server runs every job as the same flat list of sub-jobs (subJobs) and
-// assembles their results the same way on any daemon; a coordinator only
+// server runs every job as the same flat list of sub-jobs (subJobs: a
+// sweep's are its core plan's units, one each) and assembles their
+// results with the plan's assembler on any daemon; a coordinator only
 // decides where each sub-job runs. It places each on a worker by
 // consistent hashing with bounded loads on its content-addressed key and
 // follows it on the worker's progress stream. The coordinator counts its

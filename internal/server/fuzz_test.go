@@ -129,7 +129,7 @@ func parentCanonicalRequest(req JobRequest, defaultScale float64) JobRequest {
 			req.Scheme = "IPU"
 		}
 		// Schema v3: tenants and the write cache are canonicalised with
-		// every default made explicit — exactly mirroring runLocal and
+		// every default made explicit — exactly mirroring unitOf and
 		// the core engine — so spelled-out and defaulted submissions share
 		// an address. A v2 request leaves both fields absent, marshals
 		// without them (omitempty), and keeps its v2 key byte for byte.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"ipusim/internal/cache"
@@ -194,10 +193,9 @@ func compile(req JobRequest, defaultScale float64) (JobRequest, []JobRequest, fu
 	switch canon.Kind {
 	case "run", "cell":
 		err = validateRun(canon)
-	case "matrix":
+	case "matrix", "sensitivity":
+		// An unknown sensitivity param fails in core.SensitivityPlan.
 		err = validateMatrix(canon)
-	case "sensitivity":
-		err = validateSensitivity(canon)
 	case "contention":
 		err = validateContention(canon)
 	}
@@ -261,7 +259,7 @@ func validateTraces(names []string) error {
 	return nil
 }
 
-// validateRun checks a "run" or "cell" (see runLocal).
+// validateRun checks a "run" or "cell" (see unitOf).
 func validateRun(req JobRequest) error {
 	multiTenant := len(req.Tenants) > 0
 	if err := validateSchemes([]string{req.Scheme}); err != nil {
@@ -291,12 +289,8 @@ func validateRun(req JobRequest) error {
 			return err
 		}
 	}
-	if req.Param != "" {
-		if _, err := core.SensitivityCellConfig(req.Param, req.ParamValue); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := unitOf(req).Config()
+	return err
 }
 
 func validateMatrix(req JobRequest) error {
@@ -332,10 +326,8 @@ func validateContention(req JobRequest) error {
 	if err := validateSchemes(req.Schemes); err != nil {
 		return err
 	}
+	// An empty mix fails in core.ContentionPlan.
 	for _, mix := range req.Mixes {
-		if len(mix.Tenants) == 0 {
-			return fmt.Errorf("contention mix %q is empty", mix.Name)
-		}
 		if err := validateTenants(mix.Tenants); err != nil {
 			return err
 		}
@@ -349,37 +341,13 @@ func validateContention(req JobRequest) error {
 	return nil
 }
 
-func validateSensitivity(req JobRequest) error {
-	if _, ok := core.SensitivityParams[req.Param]; !ok {
-		return fmt.Errorf("unknown sensitivity param %q (have %s)", req.Param, strings.Join(core.SensitivityParamNames(), ", "))
-	}
-	if err := validateSchemes(req.Schemes); err != nil {
-		return err
-	}
-	return validateTraces(req.Traces)
-}
-
 // subJobs decomposes a canonical request into its canonical sub-jobs plus
 // the step that assembles their results, in list order, into the job's
 // response. A "run" or "cell" is its own one sub-job, so a worker gets
-// the canonical request unchanged. Matrix and sensitivity cells are
-// "cell" sub-jobs — every sensitivity point goes into the one list — and
-// contention cells are multi-tenant closed-loop "run" sub-jobs. The
-// assembled response is the one core's sweep runners return for the
-// same parameters.
+// the canonical request unchanged. A sweep is its core plan: one sub-job
+// per unit (subJob) and the plan's assembler, so the response is the one
+// core's sweep runners return for the same parameters.
 func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
-	cell := func(c core.MatrixCell, value float64) JobRequest {
-		return JobRequest{
-			Kind:       "cell",
-			Trace:      c.Trace,
-			Scheme:     c.Scheme,
-			PEBaseline: c.PE,
-			Scale:      req.Scale,
-			Seed:       req.Seed,
-			Param:      req.Param,
-			ParamValue: value,
-		}
-	}
 	spec := core.MatrixSpec{
 		Traces:      req.Traces,
 		Schemes:     req.Schemes,
@@ -387,108 +355,76 @@ func subJobs(req JobRequest) ([]JobRequest, func([]*core.Result) any, error) {
 		Scale:       req.Scale,
 		Seed:        req.Seed,
 	}
-	var subs []JobRequest
 	switch req.Kind {
 	case "run", "cell":
 		return []JobRequest{req}, func(rs []*core.Result) any { return rs[0] }, nil
 	case "matrix":
-		for _, c := range core.Cells(spec) {
-			subs = append(subs, cell(c, 0))
-		}
-		return subs, func(rs []*core.Result) any { return rs }, nil
+		return planSubJobs(core.MatrixPlan(spec), nil)
 	case "sensitivity":
-		// A sensitivity point changes only the flash configuration, which a
-		// cell rebuilds from (param, value): every point shares the cells.
-		values := core.SensitivityParams[req.Param]
-		cells := core.Cells(spec)
-		for _, v := range values {
-			for _, c := range cells {
-				subs = append(subs, cell(c, v))
-			}
-		}
-		return subs, func(rs []*core.Result) any {
-			perPoint := make([][]*core.Result, len(values))
-			for i := range perPoint {
-				perPoint[i] = rs[i*len(cells) : (i+1)*len(cells)]
-			}
-			return core.SensitivityTable(req.Param, values, perPoint)
-		}, nil
+		return planSubJobs(core.SensitivityPlan(req.Param, spec))
 	case "contention":
-		cells, err := core.ContentionCells(core.TenantContentionSpec{
-			Mixes:   req.Mixes,
-			Schemes: req.Schemes,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, c := range cells {
-			sub := JobRequest{
-				Kind:       "run",
-				Scheme:     c.Scheme,
-				QueueDepth: req.QueueDepth,
-				Scale:      req.Scale,
-				Seed:       req.Seed,
-				Tenants:    c.Mix.Tenants,
-			}
-			if c.Buffered {
-				wc := cache.Config{CapacityBytes: req.CacheBytes}.Normalize()
-				sub.WriteCache = &wc
-			}
-			subs = append(subs, sub)
-		}
-		return subs, func(rs []*core.Result) any {
-			rows := make([]core.ContentionRow, len(cells))
-			for i, c := range cells {
-				rows[i] = core.ContentionRow{Mix: c.Mix.Name, Scheme: c.Scheme, Buffered: c.Buffered, Result: rs[i]}
-			}
-			return rows
-		}, nil
+		return planSubJobs(core.ContentionPlan(core.TenantContentionSpec{
+			Mixes:      req.Mixes,
+			Schemes:    req.Schemes,
+			Depth:      req.QueueDepth,
+			CacheBytes: req.CacheBytes,
+			Seed:       req.Seed,
+			Scale:      req.Scale,
+		}))
 	}
 	return nil, nil, fmt.Errorf("unknown kind %q", req.Kind)
 }
 
-// runLocal replays one canonical sub-job in-process, reporting its
-// request-level progress to a non-nil report. A "run" replays one trace
-// — or, closed loop, K tenant streams — through one scheme. A "cell" is
-// an open-loop run whose flash configuration, when param is set, is the
-// sensitivity point's (param fixed at paramValue); its result is
-// bit-identical to the corresponding element of the full sweep.
-func runLocal(ctx context.Context, req JobRequest, report core.ProgressFunc) (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	if req.Param != "" {
-		var err error
-		if cfg.Flash, err = core.SensitivityCellConfig(req.Param, req.ParamValue); err != nil {
-			return nil, err
-		}
+// planSubJobs maps a plan's units 1:1 to sub-jobs and wraps its
+// assembler.
+func planSubJobs[T any](p core.Plan[T], err error) ([]JobRequest, func([]*core.Result) any, error) {
+	if err != nil {
+		return nil, nil, err
 	}
-	cfg.Scheme = req.Scheme
-	if req.PEBaseline > 0 {
-		cfg.Flash.PEBaseline = req.PEBaseline
+	subs := make([]JobRequest, len(p.Units))
+	for i, u := range p.Units {
+		subs[i] = subJob(u)
 	}
-	return core.RunOn(ctx, cfg, func(sim *core.Simulator) (*core.Result, error) {
-		sim.OnProgress(0, report)
-		if req.QueueDepth == 0 {
-			tr, err := core.SyntheticTrace(req.Trace, req.Seed, req.Scale)
-			if err != nil {
-				return nil, err
-			}
-			return sim.RunContext(ctx, tr)
-		}
-		spec := core.ClosedLoopSpec{
-			Depth:      req.QueueDepth,
-			Tenants:    req.Tenants,
-			WriteCache: req.WriteCache,
-			Seed:       req.Seed,
-			Scale:      req.Scale,
-		}
-		if len(req.Tenants) == 0 {
-			// The bounded trace cache shares one immutable instance
-			// across concurrent jobs replaying the same workload.
-			var err error
-			if spec.Trace, err = core.SyntheticTrace(req.Trace, req.Seed, req.Scale); err != nil {
-				return nil, err
-			}
-		}
-		return sim.RunClosedLoopSpec(ctx, spec)
-	})
+	return subs, func(rs []*core.Result) any { return p.Assemble(rs) }, nil
+}
+
+// subJob is the canonical sub-job of a plan unit: a "cell" when the unit
+// replays open loop, else a closed-loop "run". A daemon's plans never
+// override the flash geometry, so the unit's Flash is not carried.
+func subJob(u core.Unit) JobRequest {
+	kind := "run"
+	if u.Depth == 0 {
+		kind = "cell"
+	}
+	return JobRequest{
+		Kind:       kind,
+		Scheme:     u.Scheme,
+		Trace:      u.Trace,
+		QueueDepth: u.Depth,
+		PEBaseline: u.PE,
+		Param:      u.Param,
+		ParamValue: u.Value,
+		Scale:      u.Scale,
+		Seed:       u.Seed,
+		Tenants:    u.Tenants,
+		WriteCache: u.WriteCache,
+	}
+}
+
+// unitOf is the replay unit of a canonical "run" or "cell": subJob's
+// inverse. Its result is bit-identical to the corresponding element of
+// the full sweep.
+func unitOf(req JobRequest) core.Unit {
+	return core.Unit{
+		Trace:      req.Trace,
+		Tenants:    req.Tenants,
+		Scheme:     req.Scheme,
+		PE:         req.PEBaseline,
+		Param:      req.Param,
+		Value:      req.ParamValue,
+		Depth:      req.QueueDepth,
+		WriteCache: req.WriteCache,
+		Seed:       req.Seed,
+		Scale:      req.Scale,
+	}
 }

@@ -6,10 +6,12 @@
 //
 // Every job has one path. It compiles to a flat list of canonical
 // sub-jobs — a run or cell is its own one sub-job, a sweep one sub-job
-// per cell — whose results are assembled, in list order, into the
-// response. The sub-jobs run on core's sweep pool (core.FanOut). A plain
-// daemon replays each sub-job in-process; a coordinator places it on a
-// worker daemon by consistent hashing with bounded loads — the key's
+// per unit of its core plan (core.MatrixPlan, SensitivityPlan,
+// ContentionPlan) — whose results the plan's assembler turns, in list
+// order, into the response. The sub-jobs run on core's sweep pool
+// (core.FanOut). A plain daemon replays each sub-job in-process
+// (core.RunUnit); a coordinator places it on a worker daemon by
+// consistent hashing with bounded loads — the key's
 // ring owner unless that worker already holds its share of the
 // coordinator's sub-jobs in flight, else the next worker clockwise —
 // follows it on the worker's progress stream, and replays it in-process
@@ -701,8 +703,9 @@ func (s *Server) place(ctx context.Context, sub JobRequest, report core.Progress
 	return res, false, err
 }
 
-// runSim replays one sub-job in-process (runLocal) in one of the Workers
-// simulation slots, waiting for a slot until ctx is done.
+// runSim replays one sub-job in-process — its unit (unitOf), through
+// core.RunUnit — in one of the Workers simulation slots, waiting for a
+// slot until ctx is done.
 func (s *Server) runSim(ctx context.Context, sub JobRequest, report core.ProgressFunc) (*core.Result, error) {
 	if err := acquire(ctx, s.sims); err != nil {
 		return nil, err
@@ -712,7 +715,7 @@ func (s *Server) runSim(ctx context.Context, sub JobRequest, report core.Progres
 		s.testHookSim(1)
 		defer s.testHookSim(-1)
 	}
-	return runLocal(ctx, sub, report)
+	return core.RunUnit(ctx, unitOf(sub), 0, report)
 }
 
 // Shutdown stops the service gracefully: no further submissions are

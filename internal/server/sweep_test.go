@@ -2,7 +2,8 @@ package server
 
 import (
 	"bytes"
-	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,68 +17,40 @@ import (
 )
 
 // TestSweepMatchesCore: a plain daemon runs a sweep as its sub-job list,
-// in-process, and assembles the response. core's sweep runners, which
-// cmd/experiments uses, are the reference: on the same canonical
-// parameters the result must be their json.Marshal byte for byte. An
-// n-cell sweep reports one progress step per finished sub-job, so it
+// in-process, and assembles the response. Its bytes must hash to the
+// SHA-256 of what core's sweep runners (the ones cmd/experiments calls)
+// returned for the same canonical parameters before the daemon and core
+// shared one plan per sweep kind: the digests pin the assembled output.
+// An n-cell sweep reports one progress step per finished sub-job, so it
 // ends at n of n.
 func TestSweepMatchesCore(t *testing.T) {
-	ctx := context.Background()
 	_, ts := newTestService(t, Options{Workers: 2, DefaultScale: 0.01})
 	for _, tc := range []struct {
-		name  string
-		body  string
-		cells int
-		core  func(c JobRequest) (any, error)
+		name   string
+		body   string
+		cells  int
+		sha256 string
 	}{
 		{
-			name:  "matrix",
-			body:  `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","IPU"],"peBaselines":[0,3000],"seed":4}`,
-			cells: 4,
-			core: func(c JobRequest) (any, error) {
-				return core.RunMatrixContext(ctx, core.MatrixSpec{
-					Traces: c.Traces, Schemes: c.Schemes, PEBaselines: c.PEBaselines, Scale: c.Scale, Seed: c.Seed,
-				})
-			},
+			name:   "matrix",
+			body:   `{"kind":"matrix","traces":["ts0"],"schemes":["Baseline","IPU"],"peBaselines":[0,3000],"seed":4}`,
+			cells:  4,
+			sha256: "5ef1891f1a97c1cab7bc8db3cfe80594deadd02f592ad013f6323351af0b98d4",
 		},
 		{
-			name:  "sensitivity",
-			body:  `{"kind":"sensitivity","param":"slcratio","traces":["wdev0"],"schemes":["IPU"]}`,
-			cells: len(core.SensitivityParams["slcratio"]),
-			core: func(c JobRequest) (any, error) {
-				return core.RunSensitivityContext(ctx, c.Param, core.MatrixSpec{
-					Traces: c.Traces, Schemes: c.Schemes, Scale: c.Scale, Seed: c.Seed,
-				})
-			},
+			name:   "sensitivity",
+			body:   `{"kind":"sensitivity","param":"slcratio","traces":["wdev0"],"schemes":["IPU"]}`,
+			cells:  len(core.SensitivityParams["slcratio"]),
+			sha256: "52ff949201cf485c22970dba3ea30e9689f737382836c3914a668f3629b336ad",
 		},
 		{
-			name:  "contention",
-			body:  contentionTestBody,
-			cells: 4,
-			core: func(c JobRequest) (any, error) {
-				return core.RunTenantContentionContext(ctx, core.TenantContentionSpec{
-					Mixes: c.Mixes, Schemes: c.Schemes, Depth: c.QueueDepth, CacheBytes: c.CacheBytes, Seed: c.Seed, Scale: c.Scale,
-				})
-			},
+			name:   "contention",
+			body:   contentionTestBody,
+			cells:  4,
+			sha256: "87fe6a0ed652e1e515b840cf10d6bd7be98978e98e981c45f8f18e72a92bce79",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var req JobRequest
-			if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
-				t.Fatal(err)
-			}
-			canon, err := canonicalRequest(req, 0.01)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := tc.core(canon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
 			v, shown := runToResult(t, ts, tc.body, 120*time.Second)
 			// The handler indents what it serves; the stored bytes are
 			// compact.
@@ -85,8 +58,8 @@ func TestSweepMatchesCore(t *testing.T) {
 			if err := json.Compact(&got, shown); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("daemon response differs from core's runner:\n%s\nvs\n%s", got.Bytes(), want)
+			if sum := sha256.Sum256(got.Bytes()); hex.EncodeToString(sum[:]) != tc.sha256 {
+				t.Fatalf("daemon response hashes to %x, want %s:\n%s", sum, tc.sha256, got.Bytes())
 			}
 			if want := (core.Progress{Replayed: tc.cells, Total: tc.cells}); v.Progress != want {
 				t.Fatalf("final progress %+v, want %+v", v.Progress, want)
