@@ -730,9 +730,9 @@ func (d *Device) selectMLCVictim() int {
 // SLC movement can nest an MLC GC while iterating the SLC collector.
 func (d *Device) moveMLCVictim(now int64, victim int) {
 	b := d.Arr.Block(victim)
-	c := &d.mlcMoveFrames
-	c.reset(d.frames)
 	slots := d.slots
+	c := &d.mlcMoveFrames
+	c.reset(d.frames, len(b.Pages)*slots)
 	for p := range b.Pages {
 		valid := 0
 		ps := b.PageSlots(p)
