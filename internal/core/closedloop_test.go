@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ipusim/internal/cache"
 	"ipusim/internal/trace"
@@ -279,9 +281,49 @@ func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				replay()
 			}
-			if avg := testing.AllocsPerRun(3, replay); avg != 0 {
+			if avg := allocsPerRun(3, replay); avg != 0 {
 				t.Fatalf("steady-state %s loop allocates %.2f/replay, want 0", name, avg)
 			}
 		})
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun measured on a quiescent process.
+// AllocsPerRun counts every malloc in the process, not only f's, so work
+// still in flight when the measurement starts — finalizers a GC cycle
+// queued, a goroutine winding down, the runtime finishing a cycle — reads
+// as allocations by f. That made the zero-allocation tests below fail
+// once in a while under full-suite load and never alone. allocsPerRun
+// first completes two GC cycles and waits for the finalizers they queued
+// to run, then for the goroutine count to hold still. A steady-state f
+// allocates nothing, so it then gives the runtime no reason to start
+// another cycle during the measured runs.
+func allocsPerRun(runs int, f func()) float64 {
+	quiesce()
+	return testing.AllocsPerRun(runs, f)
+}
+
+// quiesce waits, within a few seconds, for the process's GC, finalizer
+// and goroutine activity to settle.
+func quiesce() {
+	ran := make(chan struct{})
+	sentinel := new([64]byte) // larger than the tiny allocator's blocks, so its finalizer runs
+	runtime.SetFinalizer(sentinel, func(*[64]byte) { close(ran) })
+	sentinel = nil
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+	}
+	prev, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == prev {
+			still++
+		} else {
+			prev, still = n, 0
+		}
 	}
 }

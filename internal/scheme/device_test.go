@@ -282,3 +282,31 @@ func TestCheckedDeviceCopiesShareNoTimeColumn(t *testing.T) {
 		t.Fatal("detaching the checker kept the time column")
 	}
 }
+
+// TestClonedDeviceIsReadOnly: a device that has been cloned or restored
+// from shares its flash blocks with its copies, so a write to it panics,
+// while its copies write freely without reaching it.
+func TestClonedDeviceIsReadOnly(t *testing.T) {
+	d := newTestDevice(t, tinyConfig())
+	NewBaseline(d).Write(1, 0, 4096)
+	before := d.Arr.Block(d.Map.Get(0).Block()).ValidSub
+	c := d.Clone()
+	r := newTestDevice(t, tinyConfig())
+	r.Restore(c)
+	for name, src := range map[string]*Device{"cloned-from": d, "restored-from": c} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a write to a %s device did not panic", name)
+				}
+			}()
+			NewBaseline(src).Write(2, 0, 4096)
+		}()
+	}
+	NewBaseline(r).Write(3, 0, 4096)
+	NewBaseline(r).Write(4, 0, 4096)
+	old := d.Map.Get(0)
+	if got := d.Arr.Block(old.Block()).ValidSub; got != before || d.Arr.Subpage(old).State != flash.SubValid {
+		t.Fatalf("a copy's writes reached its source: block %d holds %d valid subpages, want %d", old.Block(), got, before)
+	}
+}

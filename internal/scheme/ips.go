@@ -37,11 +37,18 @@ const ipsSwitchedBudgetDiv = 4
 type IPS struct {
 	dev *Device
 	// switched lists the SLC-home blocks currently operating in MLC mode,
-	// in switch order.
+	// in switch order. It never outgrows maxSwitched, and it is carved
+	// from switchedBuf when the budget fits there, so a replay's switches
+	// allocate nothing.
 	switched []int
 	// maxSwitched is the switched-block budget.
 	maxSwitched int
+	switchedBuf [inlineSwitched]int
 }
+
+// inlineSwitched is the switched-block budget IPS holds inline: the
+// default geometry's 51 SLC blocks give a budget of 12.
+const inlineSwitched = 16
 
 // NewIPS builds the In-place Switch scheme over d.
 func NewIPS(d *Device) *IPS {
@@ -49,7 +56,11 @@ func NewIPS(d *Device) *IPS {
 	if maxSwitched < 1 {
 		maxSwitched = 1
 	}
-	return &IPS{dev: d, maxSwitched: maxSwitched}
+	s := &IPS{dev: d, maxSwitched: maxSwitched}
+	if maxSwitched <= inlineSwitched {
+		s.switched = s.switchedBuf[:0:maxSwitched]
+	}
+	return s
 }
 
 // Name implements Scheme.

@@ -285,6 +285,7 @@ func DecodeITC(name string, data []byte) (*Trace, error) {
 		return nil, itcError(name, "max offset memo %d does not match records (%d)", maxEnd, gotMax)
 	}
 	t.maxEnd = maxEnd
+	t.recordValidity()
 	return t, nil
 }
 

@@ -159,6 +159,7 @@ func ParseMSR(name string, r io.Reader) (*Trace, error) {
 		t.time[i] = (t.time[i] - base) * filetimeTick
 	}
 	t.Sort()
+	t.recordValidity()
 	return t, nil
 }
 

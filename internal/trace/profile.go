@@ -216,5 +216,6 @@ func Generate(p Profile, seed int64, scale float64) (*Trace, error) {
 		}
 		tr.Append(rec)
 	}
+	tr.recordValidity()
 	return tr, nil
 }

@@ -61,6 +61,13 @@ type Trace struct {
 	// (appending can only grow the maximum), so replay set-up never
 	// rescans the columns.
 	maxEnd int64
+
+	// valid records that the trace passed Validate's checks when its
+	// producer (Generate, DecodeITC, ParseMSR) built it, before anyone
+	// else could see it, so every replay of a shared cached trace skips
+	// the O(n) scan. Append and Sort clear it. Validate only reads it, so
+	// concurrent replays of one trace never write it.
+	valid bool
 }
 
 // New builds a trace from the given records.
@@ -109,6 +116,7 @@ func (t *Trace) Append(r Record) {
 	if e := r.End(); e > t.maxEnd {
 		t.maxEnd = e
 	}
+	t.valid = false
 }
 
 // Len returns the number of records.
@@ -121,8 +129,21 @@ func (t *Trace) At(i int) Record {
 }
 
 // Validate checks the trace is well-formed: ordered timestamps, positive
-// sizes, non-negative offsets.
+// sizes, non-negative offsets. A trace its producer recorded as valid
+// returns nil at once; any other trace is scanned on every call.
 func (t *Trace) Validate() error {
+	if t.valid {
+		return nil
+	}
+	return t.check()
+}
+
+// recordValidity scans the trace once and records the outcome for
+// Validate. Only a producer may call it, while the trace is still its own.
+func (t *Trace) recordValidity() { t.valid = t.check() == nil }
+
+// check is Validate's O(n) scan.
+func (t *Trace) check() error {
 	prev := int64(-1)
 	for i := range t.time {
 		if t.time[i] < prev {
@@ -147,6 +168,7 @@ func (t *Trace) MaxOffset() int64 { return t.maxEnd }
 // Sort orders records by timestamp, breaking ties by original order.
 func (t *Trace) Sort() {
 	sort.Stable((*byTime)(t))
+	t.valid = false
 }
 
 // byTime sorts the four columns together by the time column.

@@ -184,3 +184,59 @@ func TestParseMSRSortsOutOfOrder(t *testing.T) {
 		t.Error("records not sorted by time")
 	}
 }
+
+// TestTraceValidityRecorded: a producer records validity once, so Validate
+// on a produced trace is O(1); Append and Sort clear the record, and a
+// hand-built trace is still scanned on every call.
+func TestTraceValidityRecorded(t *testing.T) {
+	gen, err := Generate(Profiles["ts0"], 3, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := WriteMSR(&csv, gen); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseMSR("ts0", &csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var itc bytes.Buffer
+	if err := WriteITC(&itc, gen); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeITC("ts0", itc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*Trace{"Generate": gen, "ParseMSR": parsed, "DecodeITC": decoded} {
+		if !tr.valid {
+			t.Fatalf("%s did not record its trace as valid", name)
+		}
+	}
+
+	// An appended record clears the record, so a bad one is caught.
+	gen.Append(Record{Time: gen.At(gen.Len() - 1).Time, Size: 0})
+	if gen.valid || gen.Validate() == nil {
+		t.Fatal("Append of an invalid record kept the trace valid")
+	}
+	parsed.Sort()
+	if parsed.valid {
+		t.Fatal("Sort kept the validity record")
+	}
+	if err := parsed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.valid {
+		t.Fatal("Validate wrote the validity record")
+	}
+
+	hand := New("hand", Record{Time: 0, Size: 1})
+	if hand.valid {
+		t.Fatal("a hand-built trace was recorded valid")
+	}
+	hand.Append(Record{Time: -1, Size: 1})
+	if hand.Validate() == nil {
+		t.Fatal("an out-of-order hand-built trace validated")
+	}
+}
