@@ -72,14 +72,21 @@ check-schemes:
 
 # The flash-state acceptance gate: the flash array (8-byte subpages, the
 # SLC write-time column, J kept only in SLC mode, the checker's all-slot
-# column dropped by Clone and Restore, the dirty-page restore fast path)
-# and the invariant checker (stale-version test on restored devices), the
-# FuzzReplay seeds and checked replays of every scheme, the goldens, and
-# the clone and recycled-restore differentials over every scheme.
+# column dropped by Clone and Restore, copy-on-write copies: every view in
+# a copy's own run or its frozen source's, a cloned-from array's mutators
+# panicking, Restore recycling runs, copies leaving their template's hash
+# unchanged) and the invariant checker (stale-version test on restored
+# devices), the FuzzReplay seeds and checked replays of every scheme, a
+# cloned-from device refusing writes, the victim-sized GC frame collector,
+# the goldens, the clone and recycled-restore differentials over every
+# scheme, a warm pooled copy replaying without allocating, and every
+# scheme's replays on serial and Workers 4 copies leaving the template
+# unchanged under the race detector.
 check-flash:
 	$(GO) test -count 1 ./internal/flash ./internal/check
-	$(GO) test -count 1 -run 'FuzzReplay|TestCheckedReplayAllSchemes|TestCheckedDeviceCopiesShareNoTimeColumn' ./internal/scheme
-	$(GO) test -count 1 -run 'TestGolden|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay' ./internal/core
+	$(GO) test -count 1 -run 'FuzzReplay|TestCheckedReplayAllSchemes|TestCheckedDeviceCopiesShareNoTimeColumn|TestClonedDeviceIsReadOnly|TestFrameCollector' ./internal/scheme
+	$(GO) test -count 1 -run 'TestGolden|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay|TestPooledCopyReplayZeroAllocs' ./internal/core
+	$(GO) test -race -count 1 -run 'TestTemplateUnchangedByCopies' ./internal/core
 
 # The multi-tenant/spec-API acceptance gate: the spec-vs-reference
 # bit-identity differential across every scheme, multi-tenant replay
