@@ -131,10 +131,12 @@ type Block struct {
 	// NextFreePage is the append pointer for sequential page allocation.
 	// Pages below it have been programmed at least once.
 	NextFreePage int
-	// Pages holds the physical pages.
+	// Pages holds the physical pages: a view of the block's page run,
+	// which a copied array shares with its source until its first
+	// mutation of the block (see Array). Read it through the Block after
+	// a mutation, not through a slice taken before it.
 	Pages []Page
-	// slots is the block's run of the array's flat subpage store, page by
-	// page.
+	// slots is the block's slot run, page by page, shared like Pages.
 	slots []Subpage
 
 	// Cached counters, maintained by Array mutators.
