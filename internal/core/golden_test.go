@@ -11,31 +11,63 @@ import (
 	"ipusim/internal/trace"
 )
 
-// TestGoldenMetrics pins the full report of two traces across all five
-// comparison schemes to snapshot files. Any behavioural drift — a changed
-// GC decision, a latency model tweak, an accounting fix — fails here with a
-// line diff. Accept intentional changes with:
+// TestGoldenMetrics pins the full report of two traces across every
+// registered scheme — the five comparison schemes and the IPU variants —
+// to snapshot files. Any behavioural drift — a changed GC decision, a
+// latency model tweak, an accounting fix — fails here with a line diff.
+// Accept intentional changes with:
 //
 //	go test ./internal/core -run Golden -update
 func TestGoldenMetrics(t *testing.T) {
 	fc := smallFlash()
+	schemes := Schemes()
 	res, err := RunMatrixContext(context.Background(), MatrixSpec{
 		Traces:  []string{"ts0", "wdev0"},
-		Schemes: SchemeNames,
+		Schemes: schemes,
 		Scale:   0.003,
 		Flash:   &fc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 10 {
-		t.Fatalf("results = %d, want 10", len(res))
+	if want := 2 * len(schemes); len(res) != want {
+		t.Fatalf("results = %d, want %d", len(res), want)
 	}
 	for _, r := range res {
 		r := r
 		t.Run(fmt.Sprintf("%s-%s", r.Trace, r.Scheme), func(t *testing.T) {
 			snap := *r
 			path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s.json", r.Trace, r.Scheme))
+			golden.Check(t, path, &snap)
+		})
+	}
+}
+
+// TestGoldenMLCGC pins ts0 at scale 0.05 on the default preconditioned
+// geometry for the five comparison schemes. The small-geometry goldens
+// never fill the MLC region, so these are the snapshots that cover the MLC
+// garbage collector (victim pick, frame-merging movement, erase); the
+// MLCGCs check keeps them covering it.
+func TestGoldenMLCGC(t *testing.T) {
+	res, err := RunMatrixContext(context.Background(), MatrixSpec{
+		Traces:  []string{"ts0"},
+		Schemes: SchemeNames,
+		Scale:   0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(SchemeNames) {
+		t.Fatalf("results = %d, want %d", len(res), len(SchemeNames))
+	}
+	for _, r := range res {
+		r := r
+		t.Run(fmt.Sprintf("%s-%s", r.Trace, r.Scheme), func(t *testing.T) {
+			if r.MLCGCs == 0 {
+				t.Fatalf("%s ran no MLC GC; the snapshot no longer covers the MLC collector", r.Scheme)
+			}
+			snap := *r
+			path := filepath.Join("testdata", "golden", fmt.Sprintf("mlcgc-%s-%s.json", r.Trace, r.Scheme))
 			golden.Check(t, path, &snap)
 		})
 	}
