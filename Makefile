@@ -62,10 +62,13 @@ golden:
 	$(GO) test ./internal/core -run Golden -update
 
 # The scheme-matrix acceptance gate: every registered scheme through the
-# invariant harness (checked replays, stress, structural sweeps), the
-# cross-scheme differential runner, the golden metric snapshots, and the
-# shared device template every scheme borrows (clone and recycle fidelity
-# across every scheme pair, builder purity, one template per geometry).
+# invariant harness (checked replays, stress, structural sweeps, and the
+# FuzzReplay seeds, one per IPU variant included), the cross-scheme
+# differential runner, the golden metric snapshots (ts0 and wdev0 over
+# every registered scheme, IPU variants included, plus the mlcgc-ts0
+# snapshots that cover the MLC collector), and the shared device template
+# every scheme borrows (clone and recycle fidelity across every scheme
+# pair, builder purity, one template per geometry).
 check-schemes:
 	$(GO) test -count 1 ./internal/scheme
 	$(GO) test -count 1 -run 'TestDifferential|TestRunDifferential|TestGolden|TestRegistry|TestSchemeNames|TestCloneMatchesFreshReplay|TestCloneIndependence|TestRecycledCloneMatchesFreshReplay|TestBuildersLeaveDeviceUnchanged|TestSnapshot|TestResetSnapshotCache' ./internal/core

@@ -30,17 +30,12 @@ func NewMap(n int) *Map {
 	return m
 }
 
-// Clone returns a deep copy of the map.
-func (m *Map) Clone() *Map {
-	c := &Map{entries: make([]flash.PPA, len(m.entries)), mapped: m.mapped}
-	copy(c.entries, m.entries)
-	return c
-}
-
-// Restore overwrites m with a copy of t, reusing m's entry table. Both maps
-// must cover the same logical space.
+// Restore overwrites m with a copy of t. The entry table is sized from t:
+// m's is reused when it is large enough, so restoring a map of the same
+// logical space allocates nothing, and restoring into an empty Map is a
+// clone that writes the table once.
 func (m *Map) Restore(t *Map) {
-	copy(m.entries, t.entries)
+	m.entries = append(m.entries[:0], t.entries...)
 	m.mapped = t.mapped
 }
 

@@ -52,54 +52,90 @@ func excludePages(excl *ExcludeSet, pages []flash.PPA) {
 // write if space is still low.
 const maxGCVictimsPerTrigger = 2
 
-// gcHysteresis is the collect-until multiple of the trigger threshold.
-// Collecting past the trigger point keeps a few spare erased blocks in the
-// free pool, so a freshly opened block is rarely still mid-erase when the
-// next host write lands on its chip.
-const gcHysteresis = 1
+// slcLow is the one SLC GC trigger test: the free-page count has fallen
+// below frac of the cache's page capacity. The collectors test it with
+// Config.GCThresholdFraction (Table 2: 5%) both to start and to keep
+// collecting; IPU-PGC tests its earlier watermark. The capacity is read at
+// every test because an in-place switch shrinks the cache.
+func (d *Device) slcLow(frac float64) bool {
+	return d.slcFreePages < int(float64(d.slcTotalPages)*frac)
+}
+
+// beginGC marks a collector active (active is the SLC or MLC flag) and
+// routes flash operations to the background track, returning the routing
+// endGC restores. Every collector brackets its work as
+// defer d.endGC(active, d.beginGC(active)).
+func (d *Device) beginGC(active *bool) (wasBackground bool) {
+	*active = true
+	wasBackground = d.gcBackground
+	d.gcBackground = true
+	return wasBackground
+}
+
+// endGC closes a beginGC bracket.
+func (d *Device) endGC(active *bool, wasBackground bool) {
+	*active = false
+	d.gcBackground = wasBackground
+}
+
+// pickSLCVictim is the one point where an SLC victim is chosen: it runs
+// the scheme's selector with the open allocation points excluded and
+// charges the selection to Metrics.GCScanNS from the engine's
+// deterministic scan clock (the Fig. 12 overhead comparison).
+func (d *Device) pickSLCVictim(now int64, selectVictim VictimSelector) int {
+	t0 := d.Eng.ScanNS()
+	v := selectVictim(d, now, d.openExcludes())
+	d.Met.GCScanNS += d.Eng.ScanNS() - t0
+	return v
+}
+
+// noteSLCVictim counts one SLC collection and samples its victim's page
+// utilisation (Fig. 9).
+func (d *Device) noteSLCVictim(v int) {
+	b := d.Arr.Block(v)
+	d.Met.SLCGCs++
+	d.Met.GCVictimUsedSub += int64(b.UsedSlots())
+	d.Met.GCVictimTotalSub += int64(b.TotalSlots())
+}
+
+// eraseBlock erases a victim in the current track and gates its reuse on
+// the erase (and the chip's earlier backlog) completing.
+func (d *Device) eraseBlock(now int64, v int) {
+	must(d.Arr.Erase(v))
+	d.perform(now, v, sim.OpErase, 0, 0)
+	d.blockReadyAt[v] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(v))
+}
+
+// freeSLCVictim erases an SLC-home victim whose valid data has all moved
+// out and returns it to the cache's free pool, crediting the pages the
+// erase frees.
+func (d *Device) freeSLCVictim(now int64, v int) {
+	b := d.Arr.Block(v)
+	if b.ValidSub != 0 {
+		panic("scheme: GC movement left valid data in victim")
+	}
+	freeBefore := b.FreePages()
+	d.eraseBlock(now, v)
+	d.slcFreePages += len(b.Pages) - freeBefore
+	d.slcFree = append(d.slcFree, v)
+}
 
 // MaybeGCSLC runs the SLC-cache garbage collector when the free-page
 // fraction has fallen below the configured threshold (Table 2: 5%),
-// using the scheme's victim selector and movement rule. Victim-selection
-// cost is charged to the engine's deterministic scan clock and accumulated
-// in Metrics.GCScanNS for the Fig. 12 overhead comparison.
+// using the scheme's victim selector and movement rule.
 func (d *Device) MaybeGCSLC(now int64, selectVictim VictimSelector, move MoveValid) {
-	if d.slcGCActive {
+	if d.slcGCActive || !d.slcLow(d.Cfg.GCThresholdFraction) {
 		return
 	}
-	threshold := int(float64(d.slcTotalPages) * d.Cfg.GCThresholdFraction)
-	if d.slcFreePages >= threshold {
-		return
-	}
-	target := threshold * gcHysteresis
-	d.slcGCActive = true
-	wasBackground := d.gcBackground
-	d.gcBackground = true
-	defer func() {
-		d.slcGCActive = false
-		d.gcBackground = wasBackground
-	}()
-	for iter := 0; iter < maxGCVictimsPerTrigger && d.slcFreePages < target; iter++ {
-		t0 := d.Eng.ScanNS()
-		v := selectVictim(d, now, d.openExcludes())
-		d.Met.GCScanNS += d.Eng.ScanNS() - t0
+	defer d.endGC(&d.slcGCActive, d.beginGC(&d.slcGCActive))
+	for iter := 0; iter < maxGCVictimsPerTrigger && d.slcLow(d.Cfg.GCThresholdFraction); iter++ {
+		v := d.pickSLCVictim(now, selectVictim)
 		if v < 0 {
 			return
 		}
-		b := d.Arr.Block(v)
-		d.Met.SLCGCs++
-		d.Met.GCVictimUsedSub += int64(b.UsedSlots())
-		d.Met.GCVictimTotalSub += int64(b.TotalSlots())
+		d.noteSLCVictim(v)
 		move(d, now, v)
-		if b.ValidSub != 0 {
-			panic("scheme: GC movement left valid data in victim")
-		}
-		freeBefore := b.FreePages()
-		must(d.Arr.Erase(v))
-		d.perform(now, v, sim.OpErase, 0, 0)
-		d.blockReadyAt[v] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(v))
-		d.slcFreePages += len(b.Pages) - freeBefore
-		d.slcFree = append(d.slcFree, v)
+		d.freeSLCVictim(now, v)
 		d.afterGC(now, "slc-gc")
 	}
 }
@@ -276,9 +312,17 @@ func (c *frameCollector) add(f int32, l flash.LSN) {
 // MoveFlushAll is the Baseline/MGA movement rule: every valid subpage is
 // flushed to the MLC region, frame groups consolidated page-by-page.
 func MoveFlushAll(d *Device, now int64, victim int) {
+	d.flushToMLC(now, victim, &d.slcMoveFrames)
+}
+
+// flushToMLC is the one flush-to-MLC mover, shared by SLC and MLC
+// collection: it reads a victim's valid data page by page, groups it by
+// logical frame in c, and consolidates each frame into a fresh MLC page
+// via WriteFrameMLC. SLC and MLC collection pass separate collectors
+// because SLC movement can nest an MLC GC while iterating its own.
+func (d *Device) flushToMLC(now int64, victim int, c *frameCollector) {
 	b := d.Arr.Block(victim)
 	slots := d.slots
-	c := &d.slcMoveFrames
 	c.reset(len(b.Pages) * slots)
 	for p := range b.Pages {
 		valid := 0

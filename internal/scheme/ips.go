@@ -35,7 +35,7 @@ const ipsSwitchedBudgetDiv = 4
 // like IPU, but without IPU's hot/cold level hierarchy — hot/cold
 // separation is the switch decision itself.
 type IPS struct {
-	dev *Device
+	base
 	// switched lists the SLC-home blocks currently operating in MLC mode,
 	// in switch order. It never outgrows maxSwitched, and it is carved
 	// from switchedBuf when the budget fits there, so a replay's switches
@@ -56,7 +56,7 @@ func NewIPS(d *Device) *IPS {
 	if maxSwitched < 1 {
 		maxSwitched = 1
 	}
-	s := &IPS{dev: d, maxSwitched: maxSwitched}
+	s := &IPS{base: base{dev: d}, maxSwitched: maxSwitched}
 	if maxSwitched <= inlineSwitched {
 		s.switched = s.switchedBuf[:0:maxSwitched]
 	}
@@ -65,12 +65,6 @@ func NewIPS(d *Device) *IPS {
 
 // Name implements Scheme.
 func (s *IPS) Name() string { return "IPS" }
-
-// Device implements Scheme.
-func (s *IPS) Device() *Device { return s.dev }
-
-// Metrics implements Scheme.
-func (s *IPS) Metrics() *Metrics { return s.dev.Met }
 
 // Write implements Scheme.
 func (s *IPS) Write(now int64, offset int64, size int) int64 {
@@ -82,16 +76,7 @@ func (s *IPS) Write(now int64, offset int64, size int) int64 {
 		}
 	}
 	s.maybeGC(now)
-	d.NoteHostWrite(now, offset, size)
-	d.RecordWrite(now, end)
-	return end
-}
-
-// Read implements Scheme. Reads from switched blocks naturally pick up
-// MLC sensing latency and the reprogram-stress BER penalty through the
-// shared read path.
-func (s *IPS) Read(now int64, offset int64, size int) int64 {
-	return s.dev.ReadReq(now, offset, size)
+	return d.endWrite(now, offset, size, end)
 }
 
 // writeChunk places one frame-aligned chunk: intra-page update when the
@@ -100,24 +85,12 @@ func (s *IPS) Read(now int64, offset int64, size int) int64 {
 // in place and re-enters the cache fresh.
 func (s *IPS) writeChunk(now int64, chunk []flash.LSN) int64 {
 	d := s.dev
-	oldPage, samePage := classifyChunk(d, chunk)
-	if samePage && d.Arr.Block(oldPage.Block()).Mode == flash.ModeSLC {
-		if free, ok := intraPageRoom(d, oldPage, len(chunk)); ok {
-			for _, l := range chunk {
-				d.invalidate(l)
-			}
-			writes := d.writes[:len(chunk)]
-			for i, l := range chunk {
-				writes[i] = flash.SlotWrite{Slot: free[i], LSN: l}
-			}
-			return d.programSLC(now, oldPage.Block(), oldPage.Page(), writes, false)
+	if oldPage, ok := cachedPage(d, chunk); ok {
+		if e, ok := d.updateInPage(now, oldPage, chunk); ok {
+			return e
 		}
 	}
-	if e, ok := d.WriteChunkSLC(now, flash.LevelWork, chunk, false); ok {
-		return e
-	}
-	d.Met.HostWritesToMLC++
-	return d.WriteFrameMLC(now, chunk)
+	return d.placeChunk(now, flash.LevelWork, chunk, false)
 }
 
 // maybeGC is the IPS garbage collector. Victims are selected greedily;
@@ -127,20 +100,10 @@ func (s *IPS) writeChunk(now int64, chunk []flash.LSN) int64 {
 // reclaimed: residue migrated, block erased and re-calibrated to SLC.
 func (s *IPS) maybeGC(now int64) {
 	d := s.dev
-	if d.slcGCActive {
+	if d.slcGCActive || !d.slcLow(d.Cfg.GCThresholdFraction) {
 		return
 	}
-	threshold := int(float64(d.slcTotalPages) * d.Cfg.GCThresholdFraction)
-	if d.slcFreePages >= threshold {
-		return
-	}
-	d.slcGCActive = true
-	wasBackground := d.gcBackground
-	d.gcBackground = true
-	defer func() {
-		d.slcGCActive = false
-		d.gcBackground = wasBackground
-	}()
+	defer d.endGC(&d.slcGCActive, d.beginGC(&d.slcGCActive))
 
 	// Free wins first: any switched block whose data has all been
 	// invalidated by host updates is reclaimed without moving a subpage.
@@ -152,12 +115,8 @@ func (s *IPS) maybeGC(now int64) {
 		}
 	}
 
-	// The collect-until target is recomputed per iteration: switching a
-	// block shrinks the cache, lowering the threshold itself.
-	for iter := 0; iter < maxGCVictimsPerTrigger && d.slcFreePages < int(float64(d.slcTotalPages)*d.Cfg.GCThresholdFraction)*gcHysteresis; iter++ {
-		t0 := d.Eng.ScanNS()
-		v := GreedyVictim(d, now, d.openExcludes())
-		d.Met.GCScanNS += d.Eng.ScanNS() - t0
+	for iter := 0; iter < maxGCVictimsPerTrigger && d.slcLow(d.Cfg.GCThresholdFraction); iter++ {
+		v := d.pickSLCVictim(now, GreedyVictim)
 		if v < 0 {
 			// No victim in the cache: regrow it by reclaiming a switched
 			// block instead.
@@ -166,25 +125,15 @@ func (s *IPS) maybeGC(now int64) {
 			}
 			continue
 		}
+		d.noteSLCVictim(v)
 		b := d.Arr.Block(v)
-		d.Met.SLCGCs++
-		d.Met.GCVictimUsedSub += int64(b.UsedSlots())
-		d.Met.GCVictimTotalSub += int64(b.TotalSlots())
 		reclaimable := float64(b.InvalidSub+b.DeadSub) / float64(b.TotalSlots())
 		if reclaimable < ipsReclaimCutoff && len(s.switched) < s.maxSwitched {
 			s.switchInPlace(now, v)
 			continue
 		}
 		MoveFlushAll(d, now, v)
-		if b.ValidSub != 0 {
-			panic("scheme: GC movement left valid data in victim")
-		}
-		freeBefore := b.FreePages()
-		must(d.Arr.Erase(v))
-		d.perform(now, v, sim.OpErase, 0, 0)
-		d.blockReadyAt[v] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(v))
-		d.slcFreePages += len(b.Pages) - freeBefore
-		d.slcFree = append(d.slcFree, v)
+		d.freeSLCVictim(now, v)
 		d.afterGC(now, "ips-gc")
 	}
 
@@ -254,13 +203,10 @@ func (s *IPS) reclaimAt(now int64, i int) {
 	if d.Check != nil {
 		must(d.Check.CheckReclaim(now, v))
 	}
-	must(d.Arr.Erase(v))
-	d.perform(now, v, sim.OpErase, 0, 0)
+	// A switched block was sealed full, so the erase frees all its pages.
+	d.freeSLCVictim(now, v)
 	must(d.Arr.SwitchToSLC(v))
-	d.blockReadyAt[v] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(v))
 	d.slcTotalPages += len(b.Pages)
-	d.slcFreePages += len(b.Pages)
-	d.slcFree = append(d.slcFree, v)
 	s.switched = append(s.switched[:i], s.switched[i+1:]...)
 	d.Met.SwitchBackReclaims++
 	d.afterGC(now, "ips-reclaim")

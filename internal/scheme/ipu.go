@@ -83,8 +83,8 @@ func (v *IPUVariant) Validate() error {
 // GC (Algorithm 1, lines 14–19) selects victims by the invalid-subpage
 // ratio of Eq. 1–2 and applies the degraded movement of Fig. 4.
 type IPU struct {
-	dev *Device
-	v   IPUVariant
+	base
+	v IPUVariant
 
 	// Adaptive-combine state (IPU-AC): each stripe's shared cold page,
 	// flash.UnmappedPPA when the stripe has none.
@@ -138,17 +138,12 @@ func (u *IPU) Name() string { return u.v.Name }
 // Variant returns the active variant.
 func (u *IPU) Variant() IPUVariant { return u.v }
 
-// Device implements Scheme.
-func (u *IPU) Device() *Device { return u.dev }
-
-// Metrics implements Scheme.
-func (u *IPU) Metrics() *Metrics { return u.dev.Met }
-
-// classifyChunk inspects the current mapping of a chunk. It returns the
-// page holding the previous version when every subpage of the chunk maps
-// to the same physical page (a clean update), and whether any mapping
-// exists. Shared by every intra-page-updating scheme (IPU, IPS).
-func classifyChunk(d *Device, lsns []flash.LSN) (oldPage flash.PPA, samePage bool) {
+// cachedPage returns the SLC-mode page holding the previous version of
+// every subpage of a chunk — a clean update of cache-resident data, which
+// the intra-page-updating schemes (IPU, IPS) can program in place. ok is
+// false when the chunk is unmapped, spans pages, or lives in MLC mode
+// (including in-place switched blocks, which cannot be reprogrammed).
+func cachedPage(d *Device, lsns []flash.LSN) (oldPage flash.PPA, ok bool) {
 	first := d.Map.Get(lsns[0])
 	if !first.Mapped() {
 		return flash.UnmappedPPA, false
@@ -160,44 +155,14 @@ func classifyChunk(d *Device, lsns []flash.LSN) (oldPage flash.PPA, samePage boo
 			return flash.UnmappedPPA, false
 		}
 	}
-	return pa, true
-}
-
-// intraPageRoom returns the first n free slots of the old page if it can
-// absorb an in-place update of n subpages: enough free slots, program
-// budget left, and the page must be SLC-mode (MLC pages — including
-// in-place switched blocks — cannot be reprogrammed). A page has at most
-// 8 slots, so the indices come back in a fixed-size array.
-func intraPageRoom(d *Device, oldPage flash.PPA, n int) (free [8]int, ok bool) {
-	b := d.Arr.Block(oldPage.Block())
-	if b.Mode != flash.ModeSLC {
-		return free, false
-	}
-	pg := &b.Pages[oldPage.Page()]
-	if int(pg.ProgramCount) >= d.Cfg.MaxProgramsPerSLCPage {
-		return free, false
-	}
-	nFree := 0
-	slots := b.PageSlots(oldPage.Page())
-	for s := range slots {
-		if slots[s].State == flash.SubFree {
-			free[nFree] = s
-			nFree++
-			if nFree == n {
-				return free, true
-			}
-		}
-	}
-	return free, false
+	return pa, d.Arr.Block(pa.Block()).Mode == flash.ModeSLC
 }
 
 // Write implements Scheme, following Algorithm 1.
 func (u *IPU) Write(now int64, offset int64, size int) int64 {
 	end := u.placeChunks(now, offset, size)
 	u.dev.MaybeGCSLC(now, u.victim, MoveIPU)
-	u.dev.NoteHostWrite(now, offset, size)
-	u.dev.RecordWrite(now, end)
-	return end
+	return u.dev.endWrite(now, offset, size, end)
 }
 
 // placeChunks places every frame-aligned chunk of one host write and
@@ -219,21 +184,11 @@ func (u *IPU) placeChunks(now int64, offset int64, size int) int64 {
 // writeChunk places one frame-aligned chunk.
 func (u *IPU) writeChunk(now int64, chunk []flash.LSN) int64 {
 	d := u.dev
-	oldPage, samePage := classifyChunk(d, chunk)
-	if samePage && d.Arr.Block(oldPage.Block()).Mode == flash.ModeSLC {
+	if oldPage, ok := cachedPage(d, chunk); ok {
 		// Update of cache-resident data: the paper's hot path.
 		if !u.v.DisableIntraPage {
-			if free, ok := intraPageRoom(d, oldPage, len(chunk)); ok {
-				// Intra-page update: invalidate the old versions first so the
-				// partial program's in-page disturb hits only obsolete data.
-				for _, l := range chunk {
-					d.invalidate(l)
-				}
-				writes := d.writes[:len(chunk)]
-				for i, l := range chunk {
-					writes[i] = flash.SlotWrite{Slot: free[i], LSN: l}
-				}
-				return d.programSLC(now, oldPage.Block(), oldPage.Page(), writes, false)
+			if e, ok := d.updateInPage(now, oldPage, chunk); ok {
+				return e
 			}
 		}
 		// Upgraded movement: rewrite into the next-higher-level block.
@@ -244,11 +199,7 @@ func (u *IPU) writeChunk(now int64, chunk []flash.LSN) int64 {
 		if level < flash.LevelWork {
 			level = flash.LevelWork
 		}
-		if e, ok := d.WriteChunkSLC(now, level, chunk, false); ok {
-			return e
-		}
-		d.Met.HostWritesToMLC++
-		return d.WriteFrameMLC(now, chunk)
+		return d.placeChunk(now, level, chunk, false)
 	}
 
 	// Data entering the cache: brand-new, scattered, or the first update
@@ -259,17 +210,17 @@ func (u *IPU) writeChunk(now int64, chunk []flash.LSN) int64 {
 			return e
 		}
 	}
-	if e, ok := d.WriteChunkSLC(now, flash.LevelWork, chunk, false); ok {
-		if u.v.CombineCold && len(chunk) < d.slots {
-			// The fresh page becomes its stripe's shared cold page.
-			slot := u.combineRR % len(u.combine)
-			u.combineRR++
-			u.combine[slot] = d.Map.Get(chunk[0]).PageAddr()
-		}
-		return e
+	e, ok := d.WriteChunkSLC(now, flash.LevelWork, chunk, false)
+	if !ok {
+		return d.writeMLCOverflow(now, chunk)
 	}
-	d.Met.HostWritesToMLC++
-	return d.WriteFrameMLC(now, chunk)
+	if u.v.CombineCold && len(chunk) < d.slots {
+		// The fresh page becomes its stripe's shared cold page.
+		slot := u.combineRR % len(u.combine)
+		u.combineRR++
+		u.combine[slot] = d.Map.Get(chunk[0]).PageAddr()
+	}
+	return e
 }
 
 // appendCold tries to place a brand-new chunk into the free remainder of a
@@ -290,33 +241,13 @@ func (u *IPU) appendCold(now int64, chunk []flash.LSN) (int64, bool) {
 			u.combine[slot] = flash.UnmappedPPA
 			continue
 		}
-		var free [8]int
-		nFree := 0
-		slots := b.PageSlots(pp.Page())
-		for s := range slots {
-			if slots[s].State == flash.SubFree {
-				free[nFree] = s
-				nFree++
-			}
-		}
-		if nFree < len(chunk) {
+		free, n := freeSlots(b, pp.Page())
+		if n < len(chunk) {
 			continue
 		}
-		for _, l := range chunk {
-			d.invalidate(l)
-		}
-		writes := d.writes[:len(chunk)]
-		for i, l := range chunk {
-			writes[i] = flash.SlotWrite{Slot: free[i], LSN: l}
-		}
-		return d.programSLC(now, pp.Block(), pp.Page(), writes, false), true
+		return d.programSLC(now, pp.Block(), pp.Page(), free[:len(chunk)], chunk), true
 	}
 	return 0, false
-}
-
-// Read implements Scheme.
-func (u *IPU) Read(now int64, offset int64, size int) int64 {
-	return u.dev.ReadReq(now, offset, size)
 }
 
 var _ Scheme = (*IPU)(nil)

@@ -1,10 +1,6 @@
 package scheme
 
-import (
-	"fmt"
-
-	"ipusim/internal/sim"
-)
+import "fmt"
 
 // PGCConfig parameterises the preemptive incremental garbage collector.
 type PGCConfig struct {
@@ -53,6 +49,7 @@ func (c *PGCConfig) Validate() error {
 // ISRVictim, MoveIPU per page), so with Watermark zero the scheme
 // replays bit-identically to IPU.
 type IPUPGC struct {
+	base
 	ipu IPU
 	pgc PGCConfig
 
@@ -78,7 +75,7 @@ func NewIPUPGC(d *Device, pgc PGCConfig) (*IPUPGC, error) {
 	if pgc.StepPages == 0 {
 		pgc.StepPages = defaultPGCStepPages
 	}
-	g := &IPUPGC{pgc: pgc, victim: -1}
+	g := &IPUPGC{base: base{dev: d}, pgc: pgc, victim: -1}
 	g.ipu.init(d, DefaultIPUVariant())
 	return g, nil
 }
@@ -86,30 +83,17 @@ func NewIPUPGC(d *Device, pgc PGCConfig) (*IPUPGC, error) {
 // Name implements Scheme.
 func (g *IPUPGC) Name() string { return "IPU-PGC" }
 
-// Device implements Scheme.
-func (g *IPUPGC) Device() *Device { return g.ipu.dev }
-
-// Metrics implements Scheme.
-func (g *IPUPGC) Metrics() *Metrics { return g.ipu.dev.Met }
-
 // Config returns the active preemption parameters.
 func (g *IPUPGC) Config() PGCConfig { return g.pgc }
 
 // Write implements Scheme: IPU placement, then the bounded preemptive
 // step, then the emergency collector as backstop.
 func (g *IPUPGC) Write(now int64, offset int64, size int) int64 {
-	d := g.ipu.dev
+	d := g.dev
 	end := g.ipu.placeChunks(now, offset, size)
 	g.preemptiveStep(now)
 	d.MaybeGCSLC(now, g.ipu.victim, MoveIPU)
-	d.NoteHostWrite(now, offset, size)
-	d.RecordWrite(now, end)
-	return end
-}
-
-// Read implements Scheme.
-func (g *IPUPGC) Read(now int64, offset int64, size int) int64 {
-	return g.ipu.dev.ReadReq(now, offset, size)
+	return d.endWrite(now, offset, size, end)
 }
 
 // preemptiveStep advances the incremental collector by at most StepPages
@@ -117,7 +101,7 @@ func (g *IPUPGC) Read(now int64, offset int64, size int) int64 {
 // When the victim runs out of valid data it is verified reclaimable,
 // erased, and returned to the free pool.
 func (g *IPUPGC) preemptiveStep(now int64) {
-	d := g.ipu.dev
+	d := g.dev
 	if g.pgc.Watermark <= 0 || d.slcGCActive {
 		return
 	}
@@ -127,12 +111,10 @@ func (g *IPUPGC) preemptiveStep(now int64) {
 		g.victim = -1
 	}
 	if g.victim < 0 {
-		if d.slcFreePages >= int(g.pgc.Watermark*float64(d.slcTotalPages)) {
+		if !d.slcLow(g.pgc.Watermark) {
 			return
 		}
-		t0 := d.Eng.ScanNS()
-		v := g.ipu.victim(d, now, d.openExcludes())
-		d.Met.GCScanNS += d.Eng.ScanNS() - t0
+		v := d.pickSLCVictim(now, g.ipu.victim)
 		if v < 0 {
 			return
 		}
@@ -144,14 +126,7 @@ func (g *IPUPGC) preemptiveStep(now int64) {
 		g.pendingTotal = int64(b.TotalSlots())
 	}
 
-	d.slcGCActive = true
-	wasBackground := d.gcBackground
-	d.gcBackground = true
-	defer func() {
-		d.slcGCActive = false
-		d.gcBackground = wasBackground
-	}()
-
+	defer d.endGC(&d.slcGCActive, d.beginGC(&d.slcGCActive))
 	b := d.Arr.Block(g.victim)
 	level := b.Level
 	for steps := 0; steps < g.pgc.StepPages; {
@@ -179,12 +154,7 @@ func (g *IPUPGC) preemptiveStep(now int64) {
 		d.Met.PreemptiveGCs++
 		d.Met.GCVictimUsedSub += g.pendingUsed
 		d.Met.GCVictimTotalSub += g.pendingTotal
-		freeBefore := b.FreePages()
-		must(d.Arr.Erase(g.victim))
-		d.perform(now, g.victim, sim.OpErase, 0, 0)
-		d.blockReadyAt[g.victim] = d.Eng.ChipAvailableAt(d.Arr.ChipOf(g.victim))
-		d.slcFreePages += len(b.Pages) - freeBefore
-		d.slcFree = append(d.slcFree, g.victim)
+		d.freeSLCVictim(now, g.victim)
 		g.victim = -1
 		d.afterGC(now, "preemptive-gc")
 	}

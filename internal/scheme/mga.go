@@ -14,7 +14,7 @@ import "ipusim/internal/flash"
 // traffic exploits channel parallelism; each stripe's page still fills
 // completely before being replaced, preserving MGA's space efficiency.
 type MGA struct {
-	dev *Device
+	base
 
 	// openPages holds each stripe's page accepting appends,
 	// flash.UnmappedPPA when the stripe has none.
@@ -25,7 +25,7 @@ type MGA struct {
 
 // NewMGA builds the MGA scheme over d.
 func NewMGA(d *Device) *MGA {
-	m := &MGA{dev: d}
+	m := &MGA{base: base{dev: d}}
 	m.openPages = stripePages(m.openBuf[:], len(d.open[flash.LevelWork]))
 	return m
 }
@@ -33,15 +33,8 @@ func NewMGA(d *Device) *MGA {
 // Name implements Scheme.
 func (m *MGA) Name() string { return "MGA" }
 
-// Device implements Scheme.
-func (m *MGA) Device() *Device { return m.dev }
-
-// Metrics implements Scheme.
-func (m *MGA) Metrics() *Metrics { return m.dev.Met }
-
 // roomAt returns the free slots of a stripe's open page (nFree == 0 when
-// the page is absent, full, or out of program budget). The slot indices
-// come back in a fixed-size array: a page has at most 8 slots.
+// the page is absent, full, or out of program budget).
 func (m *MGA) roomAt(slot int) (free [8]int, nFree int) {
 	pp := m.openPages[slot]
 	if !pp.Mapped() {
@@ -51,14 +44,7 @@ func (m *MGA) roomAt(slot int) (free [8]int, nFree int) {
 	if int(b.Pages[pp.Page()].ProgramCount) >= m.dev.Cfg.MaxProgramsPerSLCPage {
 		return free, 0
 	}
-	slots := b.PageSlots(pp.Page())
-	for s := range slots {
-		if slots[s].State == flash.SubFree {
-			free[nFree] = s
-			nFree++
-		}
-	}
-	return free, nFree
+	return freeSlots(b, pp.Page())
 }
 
 // Write implements Scheme: subpages are appended into open pages' free
@@ -72,60 +58,30 @@ func (m *MGA) Write(now int64, offset int64, size int) int64 {
 		for len(pending) > 0 {
 			slot := m.rr % len(m.openPages)
 			m.rr++
-			if free, nFree := m.roomAt(slot); nFree > 0 {
-				n := len(pending)
-				if n > nFree {
-					n = nFree
+			pp := m.openPages[slot]
+			free, n := m.roomAt(slot)
+			if n == 0 {
+				// Open a fresh page on this stripe.
+				blk, page, ok := d.allocSLCPage(now, flash.LevelWork)
+				if !ok {
+					if e := d.writeMLCOverflow(now, pending); e > end {
+						end = e
+					}
+					break
 				}
-				head := pending[:n]
-				pending = pending[n:]
-				for _, l := range head {
-					d.invalidate(l)
-				}
-				writes := d.writes[:n]
-				for i, l := range head {
-					writes[i] = flash.SlotWrite{Slot: free[i], LSN: l}
-				}
-				pp := m.openPages[slot]
-				if e := d.programSLC(now, pp.Block(), pp.Page(), writes, false); e > end {
-					end = e
-				}
-				continue
+				pp = flash.NewPPA(blk, page, 0)
+				m.openPages[slot] = pp
+				free, n = seqSlots, d.slots
 			}
-			// Open a fresh page on this stripe.
-			blk, page, ok := d.allocSLCPage(now, flash.LevelWork)
-			if !ok {
-				e := d.WriteFrameMLC(now, pending)
-				d.Met.HostWritesToMLC++
-				if e > end {
-					end = e
-				}
-				pending = nil
-				break
-			}
-			n := len(pending)
-			if n > d.slots {
-				n = d.slots
-			}
-			head := pending[:n]
-			pending = pending[n:]
-			for _, l := range head {
-				d.invalidate(l)
-			}
-			writes := d.writes[:n]
-			for i, l := range head {
-				writes[i] = flash.SlotWrite{Slot: i, LSN: l}
-			}
-			if e := d.programSLC(now, blk, page, writes, false); e > end {
+			n = min(n, len(pending))
+			if e := d.programSLC(now, pp.Block(), pp.Page(), free[:n], pending[:n]); e > end {
 				end = e
 			}
-			m.openPages[slot] = flash.NewPPA(blk, page, 0)
+			pending = pending[n:]
 		}
 	}
 	d.MaybeGCSLC(now, m.victim, MoveFlushAll)
-	d.NoteHostWrite(now, offset, size)
-	d.RecordWrite(now, end)
-	return end
+	return d.endWrite(now, offset, size, end)
 }
 
 // victim wraps GreedyVictim, additionally protecting the open pages'
@@ -133,11 +89,6 @@ func (m *MGA) Write(now int64, offset int64, size int) int64 {
 func (m *MGA) victim(d *Device, now int64, excl *ExcludeSet) int {
 	excludePages(excl, m.openPages)
 	return GreedyVictim(d, now, excl)
-}
-
-// Read implements Scheme.
-func (m *MGA) Read(now int64, offset int64, size int) int64 {
-	return m.dev.ReadReq(now, offset, size)
 }
 
 var _ Scheme = (*MGA)(nil)

@@ -1,5 +1,6 @@
-// Package scheme implements the three flash translation layers the paper
-// evaluates on top of the shared flash/timing substrate:
+// Package scheme implements the five flash translation layers the
+// simulator compares on top of the shared flash/timing substrate — the
+// paper's three, two cross-paper counterparts — and the IPU variants:
 //
 //   - Baseline: dynamic page-level mapping, partial programming disabled.
 //     A sub-page-sized write wastes the remainder of its physical page.
@@ -13,12 +14,23 @@
 //     three-level block hierarchy (Work/Monitor/Hot) separates hot and
 //     cold data, and GC selects victims by invalid-subpage ratio with
 //     degraded movement of cold data toward the MLC region.
+//   - IPS: In-place Switch (after arXiv:2409.14360). Intra-page update in
+//     a flat Work-level cache; GC reprograms mostly-valid victims into
+//     MLC mode in place instead of migrating their data.
+//   - IPU-PGC: IPU with a preemptive incremental collector (after
+//     arXiv:1807.09313) that cleans a bounded number of victim pages per
+//     host write once a free-page watermark is crossed.
+//   - IPU variants: the ablations IPU-greedyGC, IPU-flat and
+//     IPU-noupdate, and the adaptive-combine extension IPU-AC
+//     (IPUVariants).
 //
-// All three share the Device: flash array, timing engine, error model,
+// All of them share the Device: flash array, timing engine, error model,
 // logical-to-physical bookkeeping, SLC-cache and MLC-region allocators,
-// and garbage-collection plumbing. The device is built (and
-// preconditioned) without reference to any scheme; a scheme is a policy
-// over a device it borrows.
+// and the steps every scheme composes: one SLC program step (programSLC),
+// one intra-page update step, and the garbage-collection steps (trigger
+// test, active bracket, victim pick, erase, return to the free pool,
+// flush to MLC). The device is built (and preconditioned) without
+// reference to any scheme; a scheme is a policy over a device it borrows.
 package scheme
 
 import (
@@ -44,6 +56,23 @@ type Scheme interface {
 	Device() *Device
 	// Metrics exposes the run statistics.
 	Metrics() *Metrics
+}
+
+// base holds the device a scheme drives and implements the Scheme methods
+// that only forward to it; every scheme embeds it.
+type base struct {
+	dev *Device
+}
+
+// Device implements Scheme.
+func (s *base) Device() *Device { return s.dev }
+
+// Metrics implements Scheme.
+func (s *base) Metrics() *Metrics { return s.dev.Met }
+
+// Read implements Scheme: every scheme shares the device's read path.
+func (s *base) Read(now int64, offset int64, size int) int64 {
+	return s.dev.ReadReq(now, offset, size)
 }
 
 // Metrics aggregates everything the paper's figures report for one run.

@@ -42,11 +42,23 @@ func newScheme(tb testing.TB, name string, cfg flash.Config) Scheme {
 		}
 		return s
 	}
-	tb.Fatalf("unknown scheme %s", name)
-	return nil
+	v, ok := IPUVariants()[name]
+	if !ok {
+		tb.Fatalf("unknown scheme %s", name)
+	}
+	s, err := NewIPUVariant(d, v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
-var schemeNames = []string{"Baseline", "MGA", "IPU", "IPS", "IPU-PGC"}
+// schemeNames are the five comparison schemes; variantNames the IPU
+// ablation and extension variants, in the registry's (sorted) order.
+var (
+	schemeNames  = []string{"Baseline", "MGA", "IPU", "IPS", "IPU-PGC"}
+	variantNames = []string{"IPU-AC", "IPU-flat", "IPU-greedyGC", "IPU-noupdate"}
+)
 
 // checkConsistency verifies the fundamental FTL invariants: the flash
 // array's cached counters are right, every mapped LSN points at a valid

@@ -25,22 +25,16 @@ func stressConfig() flash.Config {
 func allSchemes(t *testing.T, cfg flash.Config) []Scheme {
 	t.Helper()
 	var out []Scheme
-	for _, n := range schemeNames {
+	for _, n := range allSchemeNames() {
 		out = append(out, newScheme(t, n, cfg))
 	}
-	for name, v := range map[string]IPUVariant{
-		"IPU-greedyGC": IPUVariants()["IPU-greedyGC"],
-		"IPU-flat":     IPUVariants()["IPU-flat"],
-		"IPU-noupdate": IPUVariants()["IPU-noupdate"],
-		"IPU-AC":       IPUVariants()["IPU-AC"],
-	} {
-		s, err := NewIPUVariant(newTestDevice(t, cfg), v)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out = append(out, s)
-	}
 	return out
+}
+
+// allSchemeNames lists every scheme allSchemes builds: the five comparison
+// schemes first, then the IPU variants.
+func allSchemeNames() []string {
+	return append(append([]string(nil), schemeNames...), variantNames...)
 }
 
 // TestStressAllSchemesWithMLCPressure drives every scheme and variant

@@ -8,15 +8,7 @@ import (
 
 func newVariant(t *testing.T, cfg flash.Config, name string) *IPU {
 	t.Helper()
-	v, ok := IPUVariants()[name]
-	if !ok {
-		t.Fatalf("unknown variant %s", name)
-	}
-	s, err := NewIPUVariant(newTestDevice(t, cfg), v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newScheme(t, name, cfg).(*IPU)
 }
 
 func TestIPUVariantsComplete(t *testing.T) {
