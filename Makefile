@@ -144,11 +144,22 @@ bench:
 bench-module:
 	cd ipubench && $(GO) vet . && $(GO) test -count 1 .
 
+# The multi-cell figure rows (Figs. 5-14 and the matrix, all in the root
+# package) take 40-135 ms an iteration, and their B/op depends on how many
+# iterations a run gets: a one-iteration run carries ~6 KB of one-off
+# allocations that more iterations amortise. So every bench target runs
+# them at one fixed iteration count, in a pass of their own, and -skip
+# keeps them out of the time-based pass. CI's bench-regression job uses
+# the same pattern and count.
+FIGBENCH = ^Benchmark(Fig([5-9]|1[0-4])_|Matrix$$)
+FIGBENCHTIME = 4x
+
 # Run the fixed-work benchmark suite across every layer and record it as
 # JSON: raw output in bench/latest.txt, parsed record in BENCH_<n>.json at
 # the first free index (BENCH_0.json is this repo's committed baseline).
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 200ms ./... | tee bench/latest.txt
+	$(GO) test -run '^$$' -bench . -skip '$(FIGBENCH)' -benchmem -benchtime 200ms ./... | tee bench/latest.txt
+	$(GO) test -run '^$$' -bench '$(FIGBENCH)' -benchmem -benchtime $(FIGBENCHTIME) . | tee -a bench/latest.txt
 	n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	  $(GO) run ./cmd/benchjson -o BENCH_$$n.json < bench/latest.txt && \
 	  echo "wrote BENCH_$$n.json"
@@ -157,7 +168,8 @@ bench-json:
 # performance change. Run on a quiet machine; -count 6 gives benchstat a
 # distribution per benchmark.
 bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 200ms -count 6 ./... | tee bench/baseline.txt
+	$(GO) test -run '^$$' -bench . -skip '$(FIGBENCH)' -benchmem -benchtime 200ms -count 6 ./... | tee bench/baseline.txt
+	$(GO) test -run '^$$' -bench '$(FIGBENCH)' -benchmem -benchtime $(FIGBENCHTIME) -count 6 . | tee -a bench/baseline.txt
 	$(GO) run ./cmd/benchjson -o bench/baseline.json < bench/baseline.txt
 
 # The CI regression gate, runnable locally: rerun the suite three times,
@@ -166,7 +178,8 @@ bench-baseline:
 # Allocation counts are gated tightly (deterministic); wall time loosely
 # (hardware varies).
 bench-check:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100ms -count 3 ./... | tee bench/current.txt
+	$(GO) test -run '^$$' -bench . -skip '$(FIGBENCH)' -benchmem -benchtime 100ms -count 3 ./... | tee bench/current.txt
+	$(GO) test -run '^$$' -bench '$(FIGBENCH)' -benchmem -benchtime $(FIGBENCHTIME) -count 3 . | tee -a bench/current.txt
 	$(GO) run ./cmd/benchjson -o bench/current.json < bench/current.txt
 	$(GO) run ./cmd/benchjson -compare -time-threshold 2.0 -space-threshold 0.15 \
 	  bench/baseline.json bench/current.json

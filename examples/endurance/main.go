@@ -4,10 +4,10 @@
 // error rate and read latency grow (Figs. 2, 13, 14), comparing the MGA
 // and IPU schemes at each stage.
 //
-// Part 2 drops down to the BCH substrate: it encodes a codeword, injects
-// the raw error counts the error model predicts at each P/E stage, and
-// shows decoder effort (Berlekamp–Massey iterations) growing with wear —
-// the physical basis of the ECC-latency model the simulator uses.
+// Part 2 prints what the simulator charges one partially programmed
+// subpage read at each P/E stage: the error model's expected raw errors
+// per codeword, and the read retries and ECC decode time that
+// errmodel.CostFromBER turns them into.
 //
 //	go run ./examples/endurance
 package main
@@ -16,9 +16,7 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
-	"ipusim/internal/bch"
 	"ipusim/internal/core"
 	"ipusim/internal/errmodel"
 	"ipusim/internal/metrics"
@@ -55,42 +53,13 @@ func main() {
 			row["IPU"].ReadErrorRate, metrics.FormatDuration(row["IPU"].AvgReadLatency))
 	}
 
-	fmt.Println("\n-- Part 2: BCH decoder effort vs raw errors --")
+	fmt.Println("\n-- Part 2: ECC cost charged per subpage read --")
 	em := errmodel.Default()
-	code, err := bch.New(10, 8) // (1023, k, 8) binary BCH
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	msg := bch.NewBits(1023 - (code.Generator().Len() - 1))
-	for i := 0; i < msg.Len(); i++ {
-		msg.Set(i, rng.Intn(2))
-	}
-	cw, err := code.Encode(msg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%6s  %16s %8s %12s %14s\n", "P/E", "BER (partial)", "errors", "iterations", "model decode")
+	fmt.Printf("%6s  %16s %8s %8s %14s\n", "P/E", "BER (partial)", "errors", "retries", "decode time")
 	for _, pe := range pes {
 		ber := em.RawBER(pe, true)
-		// Scale the expected error count to this demo codeword's length.
-		errs := int(ber * float64(cw.Len()) * 8) // heavier-than-life injection for visibility
-		if errs > 8 {
-			errs = 8
-		}
-		if errs < 1 {
-			errs = 1
-		}
-		corrupted := cw.Clone()
-		for i := 0; i < errs; i++ {
-			corrupted.Flip(i * 101 % cw.Len())
-		}
-		res, err := code.Decode(corrupted)
-		if err != nil {
-			log.Fatal(err)
-		}
 		cost := em.CostFromBER(ber)
-		fmt.Printf("%6d  %16.2e %8d %12d %14s\n",
-			pe, ber, errs, res.Iterations, metrics.FormatDuration(cost.DecodeTime))
+		fmt.Printf("%6d  %16.2e %8.1f %8d %14s\n",
+			pe, ber, em.ExpectedErrors(ber), cost.Retries, metrics.FormatDuration(cost.DecodeTime))
 	}
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,6 +256,9 @@ func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
 	}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
+			if !alone(t) {
+				return
+			}
 			cfg := DefaultConfig()
 			cfg.Flash = smallFlash()
 			sim, err := NewFresh(cfg)
@@ -288,16 +296,48 @@ func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// allocsPerRun is testing.AllocsPerRun measured on a quiescent process.
-// AllocsPerRun counts every malloc in the process, not only f's, so work
-// still in flight when the measurement starts — finalizers a GC cycle
-// queued, a goroutine winding down, the runtime finishing a cycle — reads
-// as allocations by f. That made the zero-allocation tests below fail
-// once in a while under full-suite load and never alone. allocsPerRun
-// first completes two GC cycles and waits for the finalizers they queued
-// to run, then for the goroutine count to hold still. A steady-state f
-// allocates nothing, so it then gives the runtime no reason to start
-// another cycle during the measured runs.
+// aloneEnv carries, into a child test process, the full name of the one
+// (sub)test the child was started to run.
+const aloneEnv = "IPUSIM_TEST_ALONE"
+
+// alone runs t by itself in a child process. testing.AllocsPerRun counts
+// every malloc in the process, not only the measured function's, so a
+// goroutine or finalizer left behind by another test of the package
+// reads as an allocation by the one measuring. That made the
+// zero-allocation tests fail once in a while under a full `go test ./...`
+// and never alone. alone re-executes this test binary with -test.run
+// anchored to t's full name, so no other test shares the child's malloc
+// counter. In the parent it waits for the child, fails t with the
+// child's output unless the child ran t and passed, and returns false:
+// the caller returns at once. In the child it returns true and the
+// caller runs its body and its measurement.
+func alone(t *testing.T) bool {
+	t.Helper()
+	if os.Getenv(aloneEnv) == t.Name() {
+		return true
+	}
+	levels := strings.Split(t.Name(), "/")
+	for i, l := range levels {
+		levels[i] = "^" + regexp.QuoteMeta(l) + "$"
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", strings.Join(levels, "/"), "-test.v")
+	cmd.Env = append(os.Environ(), aloneEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: "+t.Name()+" ")) {
+		t.Fatalf("%s in a child process: %v\n%s", t.Name(), err, out)
+	}
+	return false
+}
+
+// allocsPerRun is testing.AllocsPerRun measured on a quiescent process;
+// call it once alone(t) has returned true. Even a process running one
+// test still has that test's set-up in flight when the measurement
+// starts — finalizers a GC cycle queued, a goroutine winding down, the
+// runtime finishing a cycle — and each reads as allocations by f.
+// allocsPerRun first completes two GC cycles and waits for the
+// finalizers they queued to run, then for the goroutine count to hold
+// still. A steady-state f allocates nothing, so it then gives the
+// runtime no reason to start another cycle during the measured runs.
 func allocsPerRun(runs int, f func()) float64 {
 	quiesce()
 	return testing.AllocsPerRun(runs, f)

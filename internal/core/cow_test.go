@@ -127,6 +127,9 @@ func TestPooledCopyReplayZeroAllocs(t *testing.T) {
 	n := tr.Len()
 	for _, name := range SchemeNames {
 		t.Run(name, func(t *testing.T) {
+			if !alone(t) {
+				return
+			}
 			cfg := DefaultConfig()
 			cfg.Flash = smallFlash()
 			cfg.Flash.PreFillMLC = true

@@ -51,9 +51,9 @@ type Model struct {
 	// ECCMin/ECCMax bound decode latency (Table 2).
 	ECCMin, ECCMax time.Duration
 	// DecodeExponent shapes the interpolation between ECCMin and ECCMax:
-	// decode time grows as (errors/t)^DecodeExponent, reflecting the
-	// iteration count of Berlekamp–Massey/Chien decoding growing with the
-	// number of symbol errors.
+	// decode time grows as (errors/t)^DecodeExponent. The shape is
+	// assumed, not measured: only its end points (Table 2's ECC min for a
+	// clean codeword, max at t errors) come from the paper.
 	DecodeExponent float64
 	// MaxRetries bounds read-retry attempts when raw errors exceed the
 	// correction capability. Each retry re-senses the page with tuned

@@ -350,9 +350,6 @@ func (d *Device) afterGC(now int64, event string) {
 // SLCFreePages returns the free-page count the GC trigger watches.
 func (d *Device) SLCFreePages() int { return d.slcFreePages }
 
-// SLCValidSubpages returns the valid subpages currently resident in SLC.
-func (d *Device) SLCValidSubpages() int64 { return d.slcValidSub }
-
 // SLCTotalPages returns the page capacity of the SLC cache — SLC-mode
 // blocks only, so in-place switched blocks do not count.
 func (d *Device) SLCTotalPages() int { return d.slcTotalPages }
