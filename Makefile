@@ -95,15 +95,20 @@ check-flash:
 # bit-identity differential across every scheme, multi-tenant replay
 # determinism, cancelled-run per-tenant partials, the write-cache
 # front-end (unit + integration), the tenant scheduler units, the
-# multi-tenant golden snapshots, and the schedule cache (exact against the
-# two-pass merge, keyed on every spec field, bounded, one instance per
-# key under concurrent misses) — all under the race detector.
+# multi-tenant golden snapshots, the schedule cache (the replayed request
+# stream exact against the materialised two-pass merge, request by
+# request, wrap and clamp paths included; keyed on every spec field,
+# bounded, one instance per key under concurrent misses), and the size
+# limits one above each bound (queue depth, write-cache lines, tenant
+# count) in core, at submit on a plain daemon and a coordinator, and in
+# the ipusim CLI — all under the race detector.
 check-tenants:
 	$(GO) test -race -count 1 ./internal/cache ./internal/workload
 	$(GO) test -race -count 1 \
 	  -run 'TestSpecPath|TestMultiTenant|TestWriteCache|TestClosedLoopSpec|TestGoldenMultiTenant|TestTenantScheduleCache' \
 	  ./internal/core
-	$(GO) test -race -count 1 -run 'TestV2JobKeys|TestV3|TestMultiTenantJob' ./internal/server
+	$(GO) test -race -count 1 -run 'TestV2JobKeys|TestV3|TestMultiTenantJob|TestRequestSizeLimits' ./internal/server
+	$(GO) test -race -count 1 -run 'TestRunLimitErrors' ./cmd/ipusim
 
 # The closed-loop fast-path acceptance gate: the slab write cache
 # (eviction-order scripts, the fuzz differential against a map-backed

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"ipusim/internal/cache"
+	"ipusim/internal/core"
 	"ipusim/internal/trace"
+	"ipusim/internal/workload"
 )
 
 func bg() context.Context { return context.Background() }
@@ -194,6 +197,23 @@ func TestRunTenantFlagErrors(t *testing.T) {
 	for _, bad := range []string{"ads:heavy", "ads@soon", "ads,,ads", "nope:1", "ts0:NaN,wdev0:1"} {
 		if err := run(bg(), &out, options{Scheme: "IPU", Scale: 0.002, Seed: 1, QD: 4, Tenants: bad}); err == nil {
 			t.Errorf("bad -tenants %q accepted", bad)
+		}
+	}
+}
+
+// TestRunLimitErrors checks that -qd, -cache and -tenants one above the
+// bounds on a closed-loop run fail, naming the bound, before any replay.
+func TestRunLimitErrors(t *testing.T) {
+	over := strings.TrimSuffix(strings.Repeat("ads,", workload.MaxTenants+1), ",")
+	for want, o := range map[string]options{
+		"queue depth": {Trace: "ads", QD: core.MaxQueueDepth + 1},
+		"lines":       {Trace: "ads", QD: 4, CacheBytes: cache.MaxLines + 1, CacheLine: 1},
+		"tenants":     {QD: 4, Tenants: over},
+	} {
+		o.Scheme, o.Scale, o.Seed = "IPU", 0.002, 1
+		var out strings.Builder
+		if err := run(bg(), &out, o); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("over the %s bound: error %v", want, err)
 		}
 	}
 }

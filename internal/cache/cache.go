@@ -65,7 +65,14 @@ func (c Config) Normalize() Config {
 	return c
 }
 
-// Validate rejects unusable configurations.
+// MaxLines bounds a buffer's capacity in lines. New sizes a slab and an
+// index for the whole capacity up front, about 32 bytes per line, so the
+// bound keeps one buffer under ~32 MB: 4 GiB of DRAM at the default line
+// size.
+const MaxLines = 1 << 20
+
+// Validate rejects unusable configurations, and capacities of more than
+// MaxLines lines.
 func (c Config) Validate() error {
 	c = c.Normalize()
 	if c.CapacityBytes <= 0 {
@@ -73,6 +80,9 @@ func (c Config) Validate() error {
 	}
 	if int64(c.LineBytes) > c.CapacityBytes {
 		return fmt.Errorf("cache: line size %d exceeds capacity %d", c.LineBytes, c.CapacityBytes)
+	}
+	if lines := c.CapacityBytes / int64(c.LineBytes); lines > MaxLines {
+		return fmt.Errorf("cache: capacity %d bytes is %d lines of %d bytes, at most %d allowed", c.CapacityBytes, lines, c.LineBytes, MaxLines)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -47,6 +48,18 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(Config{CapacityBytes: 1024, LineBytes: 4096}, &recordingBackend{}); err == nil {
 		t.Error("line larger than capacity accepted")
+	}
+	// Validate alone: New would allocate the slab and index.
+	if err := (Config{CapacityBytes: MaxLines, LineBytes: 1}).Validate(); err != nil {
+		t.Errorf("%d lines rejected: %v", MaxLines, err)
+	}
+	for _, c := range []Config{
+		{CapacityBytes: MaxLines + 1, LineBytes: 1},
+		{CapacityBytes: (MaxLines + 1) * DefaultLineBytes},
+	} {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "lines") {
+			t.Errorf("%+v: %d lines, error %v", c, c.CapacityBytes/int64(c.Normalize().LineBytes), err)
+		}
 	}
 	w, err := New(Config{CapacityBytes: 1 << 20}, &recordingBackend{})
 	if err != nil {

@@ -19,9 +19,9 @@ type ClosedLoopSpec struct {
 	// Trace is the single-stream workload to replay. Exactly one of
 	// Trace and Tenants must be set.
 	Trace *trace.Trace
-	// Depth bounds outstanding requests (>= 1): request i is not issued
-	// before request i-depth has completed. With Tenants, Depth is split
-	// among them by QoS weight (workload.DepthShares).
+	// Depth bounds outstanding requests, 1 to MaxQueueDepth: request i is
+	// not issued before request i-depth has completed. With Tenants, Depth
+	// is split among them by QoS weight (workload.DepthShares).
 	Depth int
 	// Tenants, when non-empty, replays K tenant streams interleaved onto
 	// the one device: each tenant's synthetic trace is shaped by its spec
@@ -43,6 +43,10 @@ type ClosedLoopSpec struct {
 // DefaultTenantTrace is the profile a tenant without an explicit trace
 // replays.
 const DefaultTenantTrace = "ts0"
+
+// MaxQueueDepth bounds a closed-loop queue depth at NVMe's largest queue.
+// The loop allocates a gate slot per unit of depth.
+const MaxQueueDepth = 65536
 
 // normalize fills the spec's run-level defaults.
 func (spec *ClosedLoopSpec) normalize() {
@@ -79,8 +83,15 @@ type TenantResult struct {
 	ThroughputRPS float64
 }
 
-// tenantAccum accumulates one tenant's statistics during the replay.
+// tenantAccum is one tenant's replay state: where its next request comes
+// from, and its statistics.
 type tenantAccum struct {
+	// tr is the tenant's trace and next the record its next scheduled
+	// request replays; base and span are its address partition.
+	tr         *trace.Trace
+	next       int
+	base, span int64
+
 	readLat, writeLat metrics.LatencySummary
 	firstIssue        int64
 	lastEnd           int64
@@ -133,8 +144,8 @@ func (s *Simulator) RunClosedLoopSpec(ctx context.Context, spec ClosedLoopSpec) 
 	if s.scheme == nil {
 		return nil, ErrReleased
 	}
-	if spec.Depth < 1 {
-		return nil, fmt.Errorf("core: queue depth %d must be at least 1", spec.Depth)
+	if spec.Depth < 1 || spec.Depth > MaxQueueDepth {
+		return nil, fmt.Errorf("core: queue depth %d out of [1, %d]", spec.Depth, MaxQueueDepth)
 	}
 	if spec.Trace != nil && len(spec.Tenants) > 0 {
 		return nil, fmt.Errorf("core: spec sets both Trace and Tenants; pick one")
@@ -166,11 +177,11 @@ func (s *Simulator) closedLoop(spec *ClosedLoopSpec) (*loop, error) {
 		}
 		return s.newLoop(source{tr: spec.Trace}, spec.Depth, []float64{1}, spec.WriteCache)
 	}
-	sched, weights, err := closedLoopSchedule(spec, s.cfg.Flash.LogicalBytes())
+	mix, weights, err := closedLoopSchedule(spec, s.cfg.Flash.LogicalBytes())
 	if err != nil {
 		return nil, err
 	}
-	return s.newLoop(source{sched: sched}, spec.Depth, weights, spec.WriteCache)
+	return s.newLoop(source{mix: mix}, spec.Depth, weights, spec.WriteCache)
 }
 
 // traceSource adapts *trace.Trace to workload.RecordSource.
@@ -182,12 +193,11 @@ func (s traceSource) Record(i int) (int64, bool, int64, int) {
 	return r.Time, r.Op == trace.OpWrite, r.Offset, r.Size
 }
 
-// closedLoopSchedule returns the normalized spec's merged tenant
-// schedule over a logical space, with the tenants' normalised QoS
-// weights.
-func closedLoopSchedule(spec *ClosedLoopSpec, logicalBytes int64) (*workload.Schedule, []float64, error) {
+// closedLoopSchedule returns the normalized spec's tenant mix over a
+// logical space, with the tenants' normalised QoS weights.
+func closedLoopSchedule(spec *ClosedLoopSpec, logicalBytes int64) (*tenantMix, []float64, error) {
 	specs := workload.NormalizeTenants(spec.Tenants, DefaultTenantTrace, spec.Seed, spec.Scale)
-	sched, err := tenantSchedule(specs, logicalBytes)
+	mix, err := tenantSchedule(specs, logicalBytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,26 +205,32 @@ func closedLoopSchedule(spec *ClosedLoopSpec, logicalBytes int64) (*workload.Sch
 	for i, t := range specs {
 		weights[i] = t.Weight
 	}
-	return sched, weights, nil
+	return mix, weights, nil
 }
 
-// tenantSchedule returns the merged schedule of normalised tenant specs
-// over a logical space through the schedule cache: the first call per
-// (specs, logicalBytes) synthesises the tenants' traces and merges their
-// shaped streams; later calls share that one immutable schedule.
-func tenantSchedule(specs []workload.TenantSpec, logicalBytes int64) (*workload.Schedule, error) {
+// tenantSchedule returns the tenant mix of normalised tenant specs over a
+// logical space through the schedule cache: the first call per (specs,
+// logicalBytes) synthesises the tenants' traces and merges their shaped
+// streams; later calls share that one immutable mix.
+func tenantSchedule(specs []workload.TenantSpec, logicalBytes int64) (*tenantMix, error) {
 	if err := workload.ValidateTenants(specs); err != nil {
 		return nil, err
 	}
-	return schedules.Get(scheduleKeyOf(specs, logicalBytes), func() (*workload.Schedule, error) {
+	return schedules.Get(scheduleKeyOf(specs, logicalBytes), func() (*tenantMix, error) {
+		mix := &tenantMix{traces: make([]*trace.Trace, len(specs))}
 		sources := make([]workload.RecordSource, len(specs))
 		for i, t := range specs {
 			tr, err := SyntheticTrace(t.Trace, t.Seed, t.Scale)
 			if err != nil {
 				return nil, err
 			}
-			sources[i] = traceSource{tr}
+			mix.traces[i], sources[i] = tr, traceSource{tr}
 		}
-		return workload.BuildSchedule(specs, sources, logicalBytes)
+		var err error
+		mix.sched, err = workload.BuildSchedule(specs, sources, logicalBytes)
+		if err != nil {
+			return nil, err
+		}
+		return mix, nil
 	})
 }

@@ -277,7 +277,11 @@ func TestClosedLoopSteadyStateZeroAllocs(t *testing.T) {
 					clear(l.rings[ti])
 				}
 				clear(l.cursors)
-				clear(l.accums)
+				// Rewind each tenant's record cursor and statistics; its
+				// trace and partition stay.
+				for ti, a := range l.accums {
+					l.accums[ti] = tenantAccum{tr: a.tr, base: a.base, span: a.span}
+				}
 				l.last = 0
 				for i := 0; i < n; i++ {
 					l.step(i)

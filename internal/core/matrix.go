@@ -128,11 +128,20 @@ func scheduleKeyOf(specs []workload.TenantSpec, logicalBytes int64) scheduleKey 
 	return scheduleKey{logicalBytes: logicalBytes, specs: string(b)}
 }
 
+// tenantMix is one cached multi-tenant workload: the merged schedule and
+// the tenants' traces, in spec order, that its requests are read from.
+type tenantMix struct {
+	sched  *workload.Schedule
+	traces []*trace.Trace
+}
+
 // schedules memoises workload.BuildSchedule: every contention cell and
 // closed-loop run of one tenant mix replays the same immutable schedule,
-// whatever its scheme or write-cache arm. The cap holds both default
-// mixes with room to spare; DESIGN §5 states its worst-case footprint.
-var schedules = lru.Cache[scheduleKey, *workload.Schedule]{Cap: 4}
+// whatever its scheme or write-cache arm. An entry keeps its tenants'
+// traces alive even after the trace cache drops them. The cap holds both
+// default mixes with room to spare; DESIGN §5 states its worst-case
+// footprint.
+var schedules = lru.Cache[scheduleKey, *tenantMix]{Cap: 4}
 
 // ResetTraceCache drops every cached synthesised trace and every cached
 // multi-tenant schedule, releasing their memory. Long-running drivers

@@ -121,11 +121,11 @@ func (u Unit) requests() (int, error) {
 	if spec.Trace != nil {
 		return spec.Trace.Len(), nil
 	}
-	sched, _, err := closedLoopSchedule(&spec, cfg.Flash.LogicalBytes())
+	mix, _, err := closedLoopSchedule(&spec, cfg.Flash.LogicalBytes())
 	if err != nil {
 		return 0, err
 	}
-	return sched.Len(), nil
+	return mix.sched.Len(), nil
 }
 
 // Plan is a sweep taken apart: its replay units, in the order their

@@ -12,32 +12,25 @@ import (
 )
 
 // source yields a replay's requests in issue order: a trace replayed as
-// tenant 0 at its raw offsets, or a merged multi-tenant schedule.
+// tenant 0 at its raw offsets, or a tenant mix's merged schedule, whose
+// requests the loop reads from the tenants' traces.
 type source struct {
-	tr    *trace.Trace
-	sched *workload.Schedule
+	tr  *trace.Trace
+	mix *tenantMix
 }
 
 func (s source) len() int {
-	if s.sched != nil {
-		return s.sched.Len()
+	if s.mix != nil {
+		return s.mix.sched.Len()
 	}
 	return s.tr.Len()
 }
 
 func (s source) name() string {
-	if s.sched != nil {
-		return s.sched.Name()
+	if s.mix != nil {
+		return s.mix.sched.Name()
 	}
 	return s.tr.Name
-}
-
-func (s source) at(i int) workload.Request {
-	if s.sched != nil {
-		return s.sched.At(i)
-	}
-	r := s.tr.At(i)
-	return workload.Request{Time: r.Time, Offset: r.Offset, Size: int32(r.Size), Write: r.Op == trace.OpWrite}
 }
 
 // frontend is what the loop issues requests to: the scheme itself, or a
@@ -72,8 +65,8 @@ type loop struct {
 	rings   [][]int64
 	// cursors holds each tenant's next gate slot, wrapping at its share.
 	cursors []int
-	// accums holds per-tenant statistics; nil unless the source is a
-	// multi-tenant schedule.
+	// accums holds per-tenant replay state; nil unless the source is a
+	// tenant mix.
 	accums []tenantAccum
 	last   int64
 
@@ -125,18 +118,37 @@ func (s *Simulator) newLoop(src source, depth int, weights []float64, wc *cache.
 	for i, sh := range l.shares {
 		l.rings[i], slots = slots[:sh:sh], slots[sh:]
 	}
-	if src.sched != nil {
+	if src.mix != nil {
 		l.accums = make([]tenantAccum, len(l.shares))
+		for ti := range l.accums {
+			a := &l.accums[ti]
+			a.tr = src.mix.traces[ti]
+			a.base, a.span = src.mix.sched.Partition(ti)
+		}
 	}
 	return l, nil
 }
 
 // step replays request i: it admits the request through its tenant's
 // gate, issues it, and records its completion in the gate slot and the
-// tenant's statistics. It returns the completion time.
+// tenant's statistics. It returns the completion time. A scheduled
+// request is its tenant's next trace record at the schedule's shaped
+// time, remapped into the tenant's partition.
 func (l *loop) step(i int) int64 {
-	r := l.src.at(i)
-	ti := int(r.Tenant)
+	var r trace.Record
+	var a *tenantAccum
+	ti := 0
+	if l.accums != nil {
+		var t int64
+		t, ti = l.src.mix.sched.Arrival(i)
+		a = &l.accums[ti]
+		r = a.tr.At(a.next)
+		a.next++
+		r.Time = t
+		r.Offset, r.Size = workload.Remap(r.Offset, r.Size, a.base, a.span)
+	} else {
+		r = l.src.tr.At(i)
+	}
 	issue := r.Time
 	slot := 0
 	if l.gated {
@@ -150,21 +162,21 @@ func (l *loop) step(i int) int64 {
 			issue = gate
 		}
 	}
+	write := r.Op == trace.OpWrite
 	var end int64
-	if r.Write {
-		end = l.fe.Write(issue, r.Offset, int(r.Size))
+	if write {
+		end = l.fe.Write(issue, r.Offset, r.Size)
 	} else {
-		end = l.fe.Read(issue, r.Offset, int(r.Size))
+		end = l.fe.Read(issue, r.Offset, r.Size)
 	}
 	l.rings[ti][slot] = end
 	l.last = max(l.last, end)
-	if l.accums != nil {
-		a := &l.accums[ti]
+	if a != nil {
 		if !a.issued {
 			a.firstIssue, a.issued = issue, true
 		}
 		a.lastEnd = max(a.lastEnd, end)
-		if r.Write {
+		if write {
 			a.writeLat.Record(end - issue)
 		} else {
 			a.readLat.Record(end - issue)
@@ -235,7 +247,7 @@ func (s *Simulator) finish(l *loop, completed int, cancelled bool) *Result {
 		res.Tenants = make([]TenantResult, len(l.accums))
 		counts := make([]int, len(l.accums))
 		for i := range l.accums {
-			res.Tenants[i] = l.accums[i].result(l.src.sched.Tenants[i], l.shares[i])
+			res.Tenants[i] = l.accums[i].result(l.src.mix.sched.Tenants[i], l.shares[i])
 			counts[i] = res.Tenants[i].Requests
 		}
 		res.FairnessIndex = metrics.FairnessIndex(

@@ -15,24 +15,41 @@ import (
 	"ipusim/internal/workload"
 )
 
+// scheduledRequest is one request of a merged multi-tenant stream, as the
+// schedule once stored it: 32 bytes with the offset already remapped.
+type scheduledRequest struct {
+	Time   int64
+	Offset int64
+	Tenant int32
+	Size   int32
+	Write  bool
+}
+
+// mergeStats counts the oracle's requests that took the remap's wrap
+// path (a raw offset at or beyond the span) and its clamp path (a size
+// over the span).
+type mergeStats struct{ wrapped, clamped int }
+
 // mergedScheduleOracle is workload.BuildSchedule as it was before the
-// merge went lazy: every tenant's stream is shaped into its own slice
-// first, then the K slices are merged into a second one. specs must be
+// merge went lazy and before the schedule stopped materialising requests:
+// every tenant's stream is shaped and remapped into its own slice first,
+// then the K slices are merged into a second one. specs must be
 // normalised and valid. It returns the schedule's tenants and requests.
-func mergedScheduleOracle(t *testing.T, specs []workload.TenantSpec, sources []workload.RecordSource, logicalBytes int64) ([]workload.TenantInfo, []workload.Request) {
+func mergedScheduleOracle(t *testing.T, specs []workload.TenantSpec, sources []workload.RecordSource, logicalBytes int64) ([]workload.TenantInfo, []scheduledRequest, mergeStats) {
 	t.Helper()
 	const frameAlign = 16 * 1024
 	span := logicalBytes / int64(len(specs))
 	span -= span % frameAlign
 	tenants := make([]workload.TenantInfo, len(specs))
-	streams := make([][]workload.Request, len(specs))
+	streams := make([][]scheduledRequest, len(specs))
+	var stats mergeStats
 	total := 0
 	for ti, spec := range specs {
 		src := sources[ti]
 		n := src.Len()
 		total += n
 		tenants[ti] = workload.TenantInfo{Name: spec.Name, Trace: spec.Trace, Weight: spec.Weight, Requests: n}
-		reqs := make([]workload.Request, n)
+		reqs := make([]scheduledRequest, n)
 		var arrivals *workload.Arrivals
 		if spec.BurstLen > 1 && n > 1 {
 			last, _, _, _ := src.Record(n - 1)
@@ -59,16 +76,20 @@ func mergedScheduleOracle(t *testing.T, specs []workload.TenantSpec, sources []w
 			tm = oracleDiurnalWarp(tm, spec.DiurnalPeriodNS, spec.DiurnalAmplitude, spec.PhaseNS)
 			if int64(size) > span {
 				size = int(span)
+				stats.clamped++
+			}
+			if off >= span {
+				stats.wrapped++
 			}
 			off %= span
 			if off+int64(size) > span {
 				off = 0
 			}
-			reqs[i] = workload.Request{Time: tm, Offset: base + off, Tenant: int32(ti), Size: int32(size), Write: isWrite}
+			reqs[i] = scheduledRequest{Time: tm, Offset: base + off, Tenant: int32(ti), Size: int32(size), Write: isWrite}
 		}
 		streams[ti] = reqs
 	}
-	merged := make([]workload.Request, 0, total)
+	merged := make([]scheduledRequest, 0, total)
 	cursors := make([]int, len(streams))
 	for {
 		best := -1
@@ -87,7 +108,7 @@ func mergedScheduleOracle(t *testing.T, specs []workload.TenantSpec, sources []w
 		merged = append(merged, streams[best][cursors[best]])
 		cursors[best]++
 	}
-	return tenants, merged
+	return tenants, merged, stats
 }
 
 // oracleDiurnalWarp is the pre-change diurnal time warp.
@@ -110,13 +131,50 @@ func smallLogicalBytes() int64 {
 	return fc.LogicalBytes()
 }
 
-// scheduleRequests lists a schedule's requests in order.
-func scheduleRequests(s *workload.Schedule) []workload.Request {
-	out := make([]workload.Request, s.Len())
-	for i := range out {
-		out[i] = s.At(i)
+// requestRecorder is a loop frontend that records every request issued
+// to it and completes each at once.
+type requestRecorder struct{ reqs []scheduledRequest }
+
+func (r *requestRecorder) Write(now, offset int64, size int) int64 {
+	r.reqs = append(r.reqs, scheduledRequest{Time: now, Offset: offset, Size: int32(size), Write: true})
+	return now
+}
+
+func (r *requestRecorder) Read(now, offset int64, size int) int64 {
+	r.reqs = append(r.reqs, scheduledRequest{Time: now, Offset: offset, Size: int32(size)})
+	return now
+}
+
+// replayedRequests replays a tenant mix through the request loop's step,
+// open loop so each request issues at its shaped time, and returns the
+// stream the loop issued, each request tagged with its scheduled tenant.
+// It fails t unless every tenant's cursor ends at its trace's end.
+func replayedRequests(t *testing.T, mix *tenantMix) []scheduledRequest {
+	t.Helper()
+	weights := make([]float64, len(mix.traces))
+	for i := range weights {
+		weights[i] = 1
 	}
-	return out
+	var sim Simulator
+	l, err := sim.newLoop(source{mix: mix}, 0, weights, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &requestRecorder{}
+	l.fe = rec
+	for i := 0; i < l.src.len(); i++ {
+		l.step(i)
+	}
+	for i := range rec.reqs {
+		_, ti := mix.sched.Arrival(i)
+		rec.reqs[i].Tenant = int32(ti)
+	}
+	for ti, a := range l.accums {
+		if a.next != mix.traces[ti].Len() {
+			t.Errorf("tenant %d replayed %d of its %d records", ti, a.next, mix.traces[ti].Len())
+		}
+	}
+	return rec.reqs
 }
 
 // renderedRows is the contention study's byte form: its table and every
@@ -131,16 +189,17 @@ func renderedRows(t *testing.T, rows []ContentionRow) []byte {
 	return append(out, js...)
 }
 
-// TestTenantScheduleCacheExact checks the cached schedule against the
-// pre-change two-pass merge for both default mixes — the bursty one
-// exercises the re-timing RNG — plus a diurnal mix with phase offsets,
-// and that the contention study's rows are byte-identical on a cold and
-// a warm cache.
+// TestTenantScheduleCacheExact checks the request stream a replay of a
+// cached schedule issues, request by request, against the pre-change
+// materialised two-pass merge: both default mixes — the bursty one
+// exercises the re-timing RNG — and a three-tenant diurnal mix with phase
+// offsets, on the small geometry's logical space and on one so small that
+// offsets wrap and sizes are clamped. It also checks that the contention
+// study's rows are byte-identical on a cold and a warm cache.
 func TestTenantScheduleCacheExact(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	const seed, scale = 11, 0.01
-	logical := smallLogicalBytes()
 	mixes := append(DefaultTenantMixes(), TenantMix{
 		Name: "diurnal",
 		Tenants: []workload.TenantSpec{
@@ -149,25 +208,41 @@ func TestTenantScheduleCacheExact(t *testing.T) {
 			{Name: "flat", Trace: "ts0", Weight: 2},
 		},
 	})
-	for _, mix := range mixes {
-		specs := workload.NormalizeTenants(mix.Tenants, DefaultTenantTrace, seed, scale)
-		sources := make([]workload.RecordSource, len(specs))
-		for i, ts := range specs {
-			sources[i] = traceSource{generated(t, ts.Trace, ts.Seed, ts.Scale)}
+	var paths mergeStats
+	// 192 KiB gives each tenant a 64 or 96 KiB span, under the largest
+	// request sizes.
+	for _, logical := range []int64{smallLogicalBytes(), 192 << 10} {
+		for _, mix := range mixes {
+			specs := workload.NormalizeTenants(mix.Tenants, DefaultTenantTrace, seed, scale)
+			sources := make([]workload.RecordSource, len(specs))
+			for i, ts := range specs {
+				sources[i] = traceSource{generated(t, ts.Trace, ts.Seed, ts.Scale)}
+			}
+			wantTenants, wantReqs, stats := mergedScheduleOracle(t, specs, sources, logical)
+			paths.wrapped += stats.wrapped
+			paths.clamped += stats.clamped
+			for _, state := range []string{"cold", "warm"} {
+				mix, err := tenantSchedule(specs, logical)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(mix.sched.Tenants, wantTenants) {
+					t.Errorf("%s %d %s: tenants %+v, want %+v", mix.sched.Name(), logical, state, mix.sched.Tenants, wantTenants)
+				}
+				got := replayedRequests(t, mix)
+				if len(got) != len(wantReqs) {
+					t.Fatalf("%s %d %s: replayed %d requests, the two-pass merge has %d", mix.sched.Name(), logical, state, len(got), len(wantReqs))
+				}
+				for i := range got {
+					if got[i] != wantReqs[i] {
+						t.Fatalf("%s %d %s: request %d is %+v, the two-pass merge's is %+v", mix.sched.Name(), logical, state, i, got[i], wantReqs[i])
+					}
+				}
+			}
 		}
-		wantTenants, wantReqs := mergedScheduleOracle(t, specs, sources, logical)
-		for _, state := range []string{"cold", "warm"} {
-			sched, err := tenantSchedule(specs, logical)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sched.Tenants, wantTenants) {
-				t.Errorf("%s %s: tenants %+v, want %+v", mix.Name, state, sched.Tenants, wantTenants)
-			}
-			if got := scheduleRequests(sched); !reflect.DeepEqual(got, wantReqs) {
-				t.Errorf("%s %s: %d requests differ from the two-pass merge's %d", mix.Name, state, len(got), len(wantReqs))
-			}
-		}
+	}
+	if paths.wrapped == 0 || paths.clamped == 0 {
+		t.Fatalf("the mixes wrapped %d offsets and clamped %d sizes; the check needs both", paths.wrapped, paths.clamped)
 	}
 
 	spec := smallContentionSpec()
@@ -220,13 +295,13 @@ func TestTenantScheduleCacheKey(t *testing.T) {
 		}
 	}
 
-	build := func(tenants []workload.TenantSpec, logical int64) *workload.Schedule {
+	build := func(tenants []workload.TenantSpec, logical int64) *tenantMix {
 		t.Helper()
-		sched, err := tenantSchedule(workload.NormalizeTenants(tenants, DefaultTenantTrace, seed, scale), logical)
+		mix, err := tenantSchedule(workload.NormalizeTenants(tenants, DefaultTenantTrace, seed, scale), logical)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sched
+		return mix
 	}
 	with := func(edit func(*workload.TenantSpec)) []workload.TenantSpec {
 		out := append([]workload.TenantSpec(nil), base...)
@@ -248,12 +323,12 @@ func TestTenantScheduleCacheKey(t *testing.T) {
 		{"logical bytes", base, logical / 2},
 	}
 	for _, v := range variants {
-		sched := build(v.tenants, v.logical)
-		if sched == ref {
+		mix := build(v.tenants, v.logical)
+		if mix == ref {
 			t.Errorf("specs differing in %s share the reference schedule", v.name)
 		}
 		specs := workload.NormalizeTenants(v.tenants, DefaultTenantTrace, seed, scale)
-		for i, ti := range sched.Tenants {
+		for i, ti := range mix.sched.Tenants {
 			if ti.Name != specs[i].Name || ti.Weight != specs[i].Weight {
 				t.Errorf("%s: tenant %d is %+v, want name %q weight %v", v.name, i, ti, specs[i].Name, specs[i].Weight)
 			}
@@ -276,11 +351,11 @@ func TestTenantScheduleCacheBounded(t *testing.T) {
 	watch := func(seed int64) {
 		t.Helper()
 		specs := workload.NormalizeTenants(DefaultTenantMixes()[0].Tenants, DefaultTenantTrace, seed, 0.002)
-		sched, err := tenantSchedule(specs, logical)
+		mix, err := tenantSchedule(specs, logical)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.SetFinalizer(sched, func(*workload.Schedule) { done <- struct{}{} })
+		runtime.SetFinalizer(mix, func(*tenantMix) { done <- struct{}{} })
 	}
 
 	watch(1)
@@ -308,17 +383,17 @@ func TestTenantScheduleCacheConcurrentMiss(t *testing.T) {
 	defer ResetTraceCache()
 	specs := workload.NormalizeTenants(DefaultTenantMixes()[1].Tenants, DefaultTenantTrace, 9, 0.002)
 	logical := smallLogicalBytes()
-	got := make([]*workload.Schedule, 4)
+	got := make([]*tenantMix, 4)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sched, err := tenantSchedule(specs, logical)
+			mix, err := tenantSchedule(specs, logical)
 			if err != nil {
 				t.Error(err)
 			}
-			got[i] = sched
+			got[i] = mix
 		}(i)
 	}
 	wg.Wait()
@@ -331,7 +406,7 @@ func TestTenantScheduleCacheConcurrentMiss(t *testing.T) {
 
 // TestTenantScheduleCacheWarmCellAllocs checks that a contention cell
 // replayed on a warm cache allocates no schedule: the cell's whole
-// allocation stays under 1 MB although its merged schedule alone holds
+// allocation stays under 256 KiB although its merged schedule alone holds
 // more than that.
 func TestTenantScheduleCacheWarmCellAllocs(t *testing.T) {
 	ResetTraceCache()
@@ -353,8 +428,9 @@ func TestTenantScheduleCacheWarmCellAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 1 << 20
-	if bytes := n * int(reflect.TypeOf(workload.Request{}).Size()); bytes <= limit {
+	const limit = 256 << 10
+	// A schedule stores an 8-byte time and a 1-byte tenant per request.
+	if bytes := 9 * n; bytes <= limit {
 		t.Fatalf("the mix's schedule holds %d bytes; the check needs more than %d", bytes, limit)
 	}
 	ctx := context.Background()

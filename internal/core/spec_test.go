@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ipusim/internal/cache"
@@ -219,6 +220,19 @@ func TestClosedLoopSpecValidation(t *testing.T) {
 	for i, spec := range bad {
 		if _, err := sim.RunClosedLoopSpec(ctx, spec); err == nil {
 			t.Errorf("spec %d accepted: %+v", i, spec)
+		}
+	}
+
+	// One above each bound on a request's size fails before any replay,
+	// naming the bound.
+	limits := map[string]ClosedLoopSpec{
+		"queue depth": {Trace: tr, Depth: MaxQueueDepth + 1},
+		"lines":       {Trace: tr, Depth: 4, WriteCache: &cache.Config{CapacityBytes: cache.MaxLines + 1, LineBytes: 1}},
+		"tenants":     {Depth: 4, Tenants: make([]workload.TenantSpec, workload.MaxTenants+1)},
+	}
+	for want, spec := range limits {
+		if _, err := sim.RunClosedLoopSpec(ctx, spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec over the %s bound: error %v", want, err)
 		}
 	}
 

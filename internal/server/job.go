@@ -265,8 +265,8 @@ func validateRun(req JobRequest) error {
 	if err := validateSchemes([]string{req.Scheme}); err != nil {
 		return err
 	}
-	if req.QueueDepth < 0 {
-		return fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+	if err := checkQueueDepth(req.QueueDepth); err != nil {
+		return err
 	}
 	if req.PEBaseline < 0 {
 		return fmt.Errorf("peBaseline %d must be >= 0", req.PEBaseline)
@@ -332,11 +332,20 @@ func validateContention(req JobRequest) error {
 			return err
 		}
 	}
-	if req.QueueDepth < 0 {
-		return fmt.Errorf("queueDepth %d must be >= 0", req.QueueDepth)
+	if err := checkQueueDepth(req.QueueDepth); err != nil {
+		return err
 	}
-	if req.CacheBytes < 0 {
-		return fmt.Errorf("cacheBytes %d must be >= 0", req.CacheBytes)
+	if err := (cache.Config{CapacityBytes: req.CacheBytes}).Validate(); err != nil {
+		return fmt.Errorf("cacheBytes: %w", err)
+	}
+	return nil
+}
+
+// checkQueueDepth rejects a queue depth outside [0, core.MaxQueueDepth]:
+// the closed loop allocates a gate slot per unit of depth.
+func checkQueueDepth(depth int) error {
+	if depth < 0 || depth > core.MaxQueueDepth {
+		return fmt.Errorf("queueDepth %d out of [0, %d]", depth, core.MaxQueueDepth)
 	}
 	return nil
 }

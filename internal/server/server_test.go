@@ -13,6 +13,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ipusim/internal/cache"
+	"ipusim/internal/core"
+	"ipusim/internal/workload"
 )
 
 // newTestService starts a Server plus an httptest front end and tears both
@@ -229,6 +233,48 @@ func TestSweepSizeBound(t *testing.T) {
 	atBound.PEBaselines = append(atBound.PEBaselines, 1000)
 	if _, _, _, err := compile(atBound, 0.01); err == nil {
 		t.Fatalf("sweep of %d cells accepted", maxSweepCells+1)
+	}
+}
+
+// TestRequestSizeLimits rejects, with 400 on a plain daemon and a
+// coordinator alike, requests one above each bound on what one job may
+// ask the daemon to allocate: the queue depth, the write cache's line
+// count and the tenant count. Requests at each bound compile; none runs.
+func TestRequestSizeLimits(t *testing.T) {
+	over, most := core.MaxQueueDepth+1, core.MaxQueueDepth
+	overLines, mostLines := cache.MaxLines+1, cache.MaxLines
+	tenants := func(n int) string { return list(`{"trace":"ts0"}`, n) }
+	expectRejectedNaming(t, map[string]string{
+		"run queueDepth":        fmt.Sprintf(`{"kind":"run","queueDepth":%d}`, over),
+		"contention queueDepth": fmt.Sprintf(`{"kind":"contention","queueDepth":%d}`, over),
+		"run writeCache":        fmt.Sprintf(`{"kind":"run","queueDepth":8,"writeCache":{"capacityBytes":%d,"lineBytes":1}}`, overLines),
+		"contention cacheBytes": fmt.Sprintf(`{"kind":"contention","cacheBytes":%d}`, overLines*cache.DefaultLineBytes),
+		"run tenants":           fmt.Sprintf(`{"kind":"run","queueDepth":8,"tenants":%s}`, tenants(workload.MaxTenants+1)),
+		"contention tenants":    fmt.Sprintf(`{"kind":"contention","mixes":[{"name":"m","tenants":%s}]}`, tenants(workload.MaxTenants+1)),
+	}, map[string]string{
+		"run queueDepth":        "queueDepth",
+		"contention queueDepth": "queueDepth",
+		"run writeCache":        "lines",
+		"contention cacheBytes": "lines",
+		"run tenants":           "tenants",
+		"contention tenants":    "tenants",
+	})
+
+	for name, body := range map[string]string{
+		"run queueDepth":        fmt.Sprintf(`{"kind":"run","queueDepth":%d}`, most),
+		"contention queueDepth": fmt.Sprintf(`{"kind":"contention","queueDepth":%d}`, most),
+		"run writeCache":        fmt.Sprintf(`{"kind":"run","queueDepth":8,"writeCache":{"capacityBytes":%d,"lineBytes":1}}`, mostLines),
+		"contention cacheBytes": fmt.Sprintf(`{"kind":"contention","cacheBytes":%d}`, mostLines*cache.DefaultLineBytes),
+		"run tenants":           fmt.Sprintf(`{"kind":"run","queueDepth":8,"tenants":%s}`, tenants(workload.MaxTenants)),
+		"contention tenants":    fmt.Sprintf(`{"kind":"contention","mixes":[{"name":"m","tenants":%s}]}`, tenants(workload.MaxTenants)),
+	} {
+		var req JobRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := compile(req, 0.01); err != nil {
+			t.Errorf("%s at its bound rejected: %v", name, err)
+		}
 	}
 }
 

@@ -90,9 +90,12 @@ func NormalizeTenants(specs []TenantSpec, defaultTrace string, baseSeed int64, b
 	return out
 }
 
-// ValidateTenants rejects unusable tenant parameters. It assumes
-// normalised specs.
+// ValidateTenants rejects unusable tenant parameters and more than
+// MaxTenants tenants. It assumes normalised specs.
 func ValidateTenants(specs []TenantSpec) error {
+	if len(specs) > MaxTenants {
+		return fmt.Errorf("workload: %d tenants, at most %d allowed", len(specs), MaxTenants)
+	}
 	for i, s := range specs {
 		switch {
 		// NaN fails every range check below and +Inf passes some, so
@@ -139,21 +142,6 @@ type RecordSource interface {
 	Record(i int) (time int64, write bool, offset int64, size int)
 }
 
-// Request is one scheduled request of the merged multi-tenant stream.
-type Request struct {
-	// Time is the shaped arrival time in nanoseconds.
-	Time int64
-	// Offset is the byte address, already remapped into the tenant's
-	// partition of the logical space.
-	Offset int64
-	// Tenant indexes Schedule.Tenants.
-	Tenant int32
-	// Size is the request length in bytes.
-	Size int32
-	// Write is the request direction.
-	Write bool
-}
-
 // TenantInfo summarises one tenant of a built schedule.
 type TenantInfo struct {
 	// Name is the tenant's label.
@@ -166,19 +154,58 @@ type TenantInfo struct {
 	Requests int
 }
 
+// MaxTenants bounds the tenants of one schedule. A schedule stores each
+// request's tenant in a byte, and every tenant costs its replay a trace,
+// a partition and a share of the queue depth.
+const MaxTenants = 64
+
 // Schedule is the deterministic interleaving of all tenants' shaped
 // streams, ordered by arrival time with ties broken by (tenant, sequence).
+// It stores only what shaping decides, 9 bytes per request: the shaped
+// arrival time and the tenant. The rest of a request is its tenant's own
+// record: each tenant's requests appear in sequence order, so the k-th
+// request of tenant t is record k of t's source, placed in t's partition
+// by Remap.
 type Schedule struct {
 	// Tenants describes the participating tenants in spec order.
 	Tenants []TenantInfo
-	reqs    []Request
+	span    int64
+	time    []int64
+	tenant  []uint8
 }
 
 // Len returns the total scheduled request count.
-func (s *Schedule) Len() int { return len(s.reqs) }
+func (s *Schedule) Len() int { return len(s.time) }
 
-// At returns scheduled request i.
-func (s *Schedule) At(i int) Request { return s.reqs[i] }
+// Arrival returns scheduled request i's shaped arrival time and tenant.
+func (s *Schedule) Arrival(i int) (time int64, tenant int) {
+	return s.time[i], int(s.tenant[i])
+}
+
+// Partition returns tenant t's share of the logical space: its first
+// byte and its length.
+func (s *Schedule) Partition(t int) (base, span int64) {
+	return int64(t) * s.span, s.span
+}
+
+// Remap places a tenant's raw request in the tenant's partition
+// [base, base+span): a size over the span is clamped to it, the offset
+// wraps within the span, and a request that would run past the end
+// starts at the partition's first byte.
+func Remap(offset int64, size int, base, span int64) (int64, int) {
+	if int64(size) > span {
+		size = int(span)
+	}
+	// The replay remaps every request, and an offset already inside the
+	// span, the common case, needs no division.
+	if uint64(offset) >= uint64(span) {
+		offset %= span
+	}
+	if offset+int64(size) > span {
+		offset = 0
+	}
+	return base + offset, size
+}
 
 // Name returns a compact label for the schedule, e.g. "mt2[ts0+wdev0]".
 func (s *Schedule) Name() string {
@@ -193,11 +220,12 @@ func (s *Schedule) Name() string {
 }
 
 // BuildSchedule shapes each tenant's source stream — burst re-timing,
-// diurnal rate modulation with per-tenant phase, offset remapping into an
-// equal partition of the logical byte space — and merges the K streams
-// into one arrival-ordered schedule. specs must be normalised and
-// validated; sources[i] is tenant i's raw stream. The result is fully
-// deterministic: same specs and sources, same schedule.
+// diurnal rate modulation with per-tenant phase, and an equal partition
+// of the logical byte space — and merges the K streams into one
+// arrival-ordered schedule. specs must be normalised and validated;
+// sources[i] is tenant i's raw stream, which a replay of the schedule
+// reads its requests from. The result is fully deterministic: same specs
+// and sources, same schedule.
 //
 // Each tenant is shaped lazily, one request ahead of the merge, so the
 // only allocation proportional to the request count is the schedule
@@ -227,8 +255,9 @@ func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int6
 		return nil, fmt.Errorf("workload: logical space %d too small for %d tenants", logicalBytes, len(specs))
 	}
 
-	sch := &Schedule{Tenants: make([]TenantInfo, len(specs))}
-	cursors := make([]tenantCursor, len(specs))
+	sch := &Schedule{Tenants: make([]TenantInfo, len(specs)), span: span}
+	var stack [MaxTenants]tenantCursor // ValidateTenants bounds len(specs)
+	cursors := stack[:len(specs)]
 	total := 0
 	for ti, spec := range specs {
 		src := sources[ti]
@@ -236,7 +265,7 @@ func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int6
 		sch.Tenants[ti] = TenantInfo{Name: spec.Name, Trace: spec.Trace, Weight: spec.Weight, Requests: n}
 		total += n
 		c := &cursors[ti]
-		*c = tenantCursor{src: src, n: n, tenant: int32(ti), base: int64(ti) * span, span: span,
+		*c = tenantCursor{src: src, n: n,
 			periodNS: spec.DiurnalPeriodNS, amplitude: spec.DiurnalAmplitude, phaseNS: spec.PhaseNS}
 
 		// Burst re-timing: replace the stream's timestamps with an on/off
@@ -263,69 +292,55 @@ func BuildSchedule(specs []TenantSpec, sources []RecordSource, logicalBytes int6
 	// K-way merge by shaped time; ties broken by tenant index (each
 	// cursor yields its tenant's requests in sequence order, so the merge
 	// is stable).
-	sch.reqs = make([]Request, 0, total)
+	sch.time = make([]int64, 0, total)
+	sch.tenant = make([]uint8, 0, total)
 	for {
 		best := -1
 		for ti := range cursors {
-			if c := &cursors[ti]; c.live && (best < 0 || c.head.Time < cursors[best].head.Time) {
+			if c := &cursors[ti]; c.live && (best < 0 || c.head < cursors[best].head) {
 				best = ti
 			}
 		}
 		if best < 0 {
 			break
 		}
-		sch.reqs = append(sch.reqs, cursors[best].head)
+		sch.time = append(sch.time, cursors[best].head)
+		sch.tenant = append(sch.tenant, uint8(best))
 		cursors[best].advance()
 	}
 	return sch, nil
 }
 
-// tenantCursor shapes one tenant's stream on demand: head is the next
-// shaped request while live is set. Shaping in sequence order keeps the
+// tenantCursor shapes one tenant's arrival times on demand: head is the
+// next shaped time while live is set. Shaping in sequence order keeps the
 // burst re-timing draws identical to shaping the whole stream up front.
 type tenantCursor struct {
 	src      RecordSource
 	arrivals *Arrivals // nil keeps the source's timestamps
 	next, n  int       // next source record to shape; record count
 
-	tenant     int32
-	base, span int64 // the tenant's address partition
-
 	periodNS, phaseNS int64
 	amplitude         float64
 
-	head Request
+	head int64
 	live bool
 }
 
-// advance shapes the cursor's next source record into head, or clears
-// live once the stream is exhausted.
+// advance shapes the arrival time of the cursor's next source record
+// into head, or clears live once the stream is exhausted.
 func (c *tenantCursor) advance() {
 	if c.next >= c.n {
 		c.live = false
 		return
 	}
-	t, isWrite, off, size := c.src.Record(c.next)
-	c.next++
+	var t int64
 	if c.arrivals != nil {
 		t = c.arrivals.Next()
+	} else {
+		t, _, _, _ = c.src.Record(c.next)
 	}
-	t = diurnalWarp(t, c.periodNS, c.amplitude, c.phaseNS)
-	// Remap into the tenant's partition; requests wrap within it.
-	if int64(size) > c.span {
-		size = int(c.span)
-	}
-	off %= c.span
-	if off+int64(size) > c.span {
-		off = 0
-	}
-	c.head = Request{
-		Time:   t,
-		Offset: c.base + off,
-		Tenant: c.tenant,
-		Size:   int32(size),
-		Write:  isWrite,
-	}
+	c.next++
+	c.head = diurnalWarp(t, c.periodNS, c.amplitude, c.phaseNS)
 	c.live = true
 }
 

@@ -72,6 +72,37 @@ func TestValidateTenantsRejects(t *testing.T) {
 			t.Errorf("case %d accepted: %+v", i, s)
 		}
 	}
+	most := NormalizeTenants(make([]TenantSpec, MaxTenants), "ts0", 1, 0.01)
+	if err := ValidateTenants(most); err != nil {
+		t.Errorf("%d tenants rejected: %v", MaxTenants, err)
+	}
+	over := NormalizeTenants(make([]TenantSpec, MaxTenants+1), "ts0", 1, 0.01)
+	if err := ValidateTenants(over); err == nil {
+		t.Errorf("%d tenants accepted", MaxTenants+1)
+	}
+}
+
+func TestRemap(t *testing.T) {
+	const base, span = 1 << 20, 64 << 10
+	cases := []struct {
+		off       int64
+		size      int
+		wantOff   int64
+		wantSize  int
+		whatHolds string
+	}{
+		{4096, 8192, base + 4096, 8192, "inside the span"},
+		{span, 4096, base, 4096, "offset at the span wraps"},
+		{3*span + 8192, 4096, base + 8192, 4096, "offset beyond the span wraps"},
+		{span - 4096, 8192, base, 8192, "request crossing the end restarts"},
+		{8192, span + 4096, base, span, "size over the span is clamped"},
+	}
+	for _, c := range cases {
+		off, size := Remap(c.off, c.size, base, span)
+		if off != c.wantOff || size != c.wantSize {
+			t.Errorf("%s: Remap(%d, %d) = (%d, %d), want (%d, %d)", c.whatHolds, c.off, c.size, off, size, c.wantOff, c.wantSize)
+		}
+	}
 }
 
 func TestBuildScheduleInterleavesAndPartitions(t *testing.T) {
@@ -90,21 +121,28 @@ func TestBuildScheduleInterleavesAndPartitions(t *testing.T) {
 		t.Fatalf("tenant request counts %+v", sch.Tenants)
 	}
 
-	// Arrival order is non-decreasing and both tenants appear.
+	// Arrival order is non-decreasing, both tenants appear, and each
+	// tenant's records, remapped, stay in its partition.
 	span := int64(logical/2) / (16 * 1024) * (16 * 1024)
-	seen := map[int32]int{}
+	srcs := []*fakeSource{a, b}
+	seen := make([]int, 2)
 	var prev int64 = -1
 	for i := 0; i < sch.Len(); i++ {
-		r := sch.At(i)
-		if r.Time < prev {
-			t.Fatalf("request %d out of order: %d < %d", i, r.Time, prev)
+		tm, ti := sch.Arrival(i)
+		if tm < prev {
+			t.Fatalf("request %d out of order: %d < %d", i, tm, prev)
 		}
-		prev = r.Time
-		seen[r.Tenant]++
-		base := int64(r.Tenant) * span
-		if r.Offset < base || r.Offset+int64(r.Size) > base+span {
+		prev = tm
+		base, gotSpan := sch.Partition(ti)
+		if base != int64(ti)*span || gotSpan != span {
+			t.Fatalf("tenant %d partition [%d,+%d), want [%d,+%d)", ti, base, gotSpan, int64(ti)*span, span)
+		}
+		_, _, rawOff, rawSize := srcs[ti].Record(seen[ti])
+		seen[ti]++
+		off, size := Remap(rawOff, rawSize, base, span)
+		if off < base || off+int64(size) > base+span {
 			t.Fatalf("request %d of tenant %d escapes its partition: off=%d size=%d span=[%d,%d)",
-				i, r.Tenant, r.Offset, r.Size, base, base+span)
+				i, ti, off, size, base, base+span)
 		}
 	}
 	if seen[0] != 50 || seen[1] != 70 {
@@ -147,14 +185,14 @@ func TestBurstRetimingPreservesCountAndOrder(t *testing.T) {
 	var prev int64 = -1
 	short := 0
 	for i := 0; i < sch.Len(); i++ {
-		r := sch.At(i)
-		if r.Time < prev {
+		tm, _ := sch.Arrival(i)
+		if tm < prev {
 			t.Fatalf("retimed request %d out of order", i)
 		}
-		if i > 0 && r.Time-prev <= 1000 {
+		if i > 0 && tm-prev <= 1000 {
 			short++
 		}
-		prev = r.Time
+		prev = tm
 	}
 	// A bursty stream has many near-spacing gaps; the original uniform
 	// stream (100us apart) has none.
